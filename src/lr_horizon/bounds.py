@@ -120,6 +120,56 @@ def analytic_bound(
     return _flag(value, t, r, "analytic", pre)
 
 
+def _series_spectrum(
+    n_sites: int, alpha: float, r: int, spectrum: FourierSpectrum | None
+) -> FourierSpectrum:
+    """Check r against the ring and return the spectrum, computing it when not given."""
+    if not 1 <= r <= n_sites // 2:
+        raise ValueError(f"r must be in [1, N/2], got r={r} with N={n_sites}")
+    if spectrum is None:
+        return fourier_spectrum(n_sites, alpha)
+    if spectrum.n_sites != n_sites or spectrum.alpha != alpha:
+        raise ValueError("spectrum was computed for different (N, alpha)")
+    return spectrum
+
+
+def _series_weights(n_sites: int, r: int) -> np.ndarray:
+    """Weights c_p = w_p cos(2 pi p r / N) / N over the half spectrum p = 0 .. N // 2.
+
+    ``w_p = 2`` folds in the mirror eigenvalue omega(N - p) = omega(p);
+    p = 0 and, for even N, p = N / 2 are their own mirrors, so w_p = 1.
+    """
+    weights = np.cos((2.0 * math.pi * r / n_sites) * np.arange(n_sites // 2 + 1))
+    weights *= 2.0 / n_sites
+    weights[0] *= 0.5
+    if n_sites % 2 == 0:
+        weights[-1] *= 0.5
+    return weights
+
+
+def _series_terms(spectrum: FourierSpectrum, t: float) -> np.ndarray | None:
+    """expm1(2 t omega_p) over the half spectrum, or None once the largest exponent overflows."""
+    if 2.0 * t * spectrum.omega_max > _EXP_ARG_MAX:
+        return None
+    return np.expm1(2.0 * t * spectrum.omega)
+
+
+def _series_sum(weights: np.ndarray, terms: np.ndarray, n_sites: int) -> float:
+    """The inverse-transform sum sum_p c_p terms_p, with roundoff negatives clamped to 0.
+
+    ``terms`` holds expm1(2 t omega_p). A negative sum beyond
+    ``NEGATIVE_FLOOR`` of the largest term (over N) is a sign error, not
+    roundoff, and raises.
+    """
+    raw = float(np.dot(weights, terms))
+    if raw < 0.0:
+        floor = NEGATIVE_FLOOR * float(terms.max()) / n_sites
+        if raw < -floor:
+            raise RuntimeError(f"inverse transform returned {raw:.3e}, beyond roundoff floor")
+        raw = 0.0
+    return raw
+
+
 def exact_sum_bound(
     n_sites: int,
     alpha: float,
@@ -131,32 +181,21 @@ def exact_sum_bound(
     """Exact hop-series bound on a ring via the inverse circulant transform.
 
     Evaluates 2||A||||B|||X||Y| * (1/N) sum_p cos(2 pi p r / N)
-    (e^(2 omega(p) t) - 1). Pass a precomputed ``spectrum`` to amortize
-    the FFT across a sweep; it must match ``(n_sites, alpha)``.
+    (e^(2 omega(p) t) - 1) as one weighted sum over the half spectrum.
+    Pass a precomputed ``spectrum`` to amortize the FFT across a sweep;
+    it must match ``(n_sites, alpha)``.
 
     Tiny negative results from roundoff are clamped to zero; a negative
     value beyond roundoff scale raises. Overflow returns +inf flagged
     saturated.
     """
-    if not 1 <= r <= n_sites // 2:
-        raise ValueError(f"r must be in [1, N/2], got r={r} with N={n_sites}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    if spectrum is None:
-        spectrum = fourier_spectrum(n_sites, alpha)
-    elif spectrum.n_sites != n_sites or spectrum.alpha != alpha:
-        raise ValueError("spectrum was computed for different (N, alpha)")
-    omega = spectrum.omega
-    if 2.0 * t * float(omega.max()) > _EXP_ARG_MAX:
+    spectrum = _series_spectrum(n_sites, alpha, r, spectrum)
+    terms = _series_terms(spectrum, t)
+    if terms is None:
         return BoundValue(math.inf, t, float(r), "exact_sum", saturated=True)
-    terms = np.expm1(2.0 * t * omega)
-    cos = np.cos((2.0 * math.pi * r / n_sites) * np.arange(n_sites))
-    raw = float(np.dot(cos, terms)) / n_sites
-    if raw < 0.0:
-        floor = NEGATIVE_FLOOR * float(terms.max()) / n_sites
-        if raw < -floor:
-            raise RuntimeError(f"inverse transform returned {raw:.3e}, beyond roundoff floor")
-        raw = 0.0
+    raw = _series_sum(_series_weights(n_sites, r), terms, n_sites)
     return _flag(pre.scale * raw, t, float(r), "exact_sum", pre)
 
 

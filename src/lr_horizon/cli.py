@@ -32,6 +32,7 @@ from . import __version__
 from .analysis import MODELS, fit_model
 from .bounds import (
     BoundPrefactor,
+    analytic_bound,
     exact_sum_bound,
     free_particle_envelope,
     many_site_bound,
@@ -40,7 +41,6 @@ from .dynamics import ising_exact_oracle, state_transfer_protocol, trajectory
 from .kernels import fourier_spectrum, lambda_upper_bound, self_hop_lambda
 from .lattice import CouplingModel, LatticeSpec
 from .signaling import (
-    NoCrossingError,
     SignalingSpec,
     exact_sum_signaling_time,
     ising_signal,
@@ -89,8 +89,12 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(float(tok)) for tok in text.split(",") if tok]
+def _finite(flag: str, values: list) -> list:
+    """Return ``values`` unchanged; a nan or inf among them is invalid input for ``--flag``."""
+    for v in values:
+        if not math.isfinite(float(v)):
+            raise ValueError(f"--{flag} must be finite, got {v}")
+    return values
 
 
 def _resolve_r(token: str, n_sites: int) -> int:
@@ -137,16 +141,12 @@ def _bound_task(task: dict) -> list[tuple]:
         spec = _ring(n, task["D"], "periodic")
         value = free_particle_envelope(spec, CouplingModel(alpha=alpha))
         return [(method, n, alpha, "", "", value)]
-    spectrum = fourier_spectrum(n, alpha) if method == "exact_sum" else None
-    lam = (
-        spectrum.lam
-        if spectrum is not None
-        else self_hop_lambda(_ring(n, task["D"], "periodic"), CouplingModel(alpha=alpha)).lam
-    )
-    params = None
-    if method == "analytic":
-        spec = _ring(n, task["D"], "periodic")
-        params = self_hop_lambda(spec, CouplingModel(alpha=alpha))
+    if method == "exact_sum":
+        spectrum = fourier_spectrum(n, alpha)
+        lam = spectrum.lam
+    else:
+        params = self_hop_lambda(_ring(n, task["D"], "periodic"), CouplingModel(alpha=alpha))
+        lam = params.lam
     for r_tok in task["r"]:
         r = _resolve_r(r_tok, n)
         for t in task["t"]:
@@ -154,8 +154,6 @@ def _bound_task(task: dict) -> list[tuple]:
             if method == "exact_sum":
                 value = exact_sum_bound(n, alpha, r, t_abs, spectrum=spectrum).value
             else:
-                from .bounds import analytic_bound
-
                 value = analytic_bound(params, r=float(r), t=t_abs).value
             rows.append((method, n, alpha, r, t_abs, value))
     return rows
@@ -419,8 +417,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    unknown = sorted(set(file_cfg) - set(_DEFAULTS))
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(unknown)}; valid keys: {', '.join(_DEFAULTS)}"
+        )
     cfg = dict(_DEFAULTS)
-    cfg.update({k: v for k, v in file_cfg.items() if k in _DEFAULTS})
+    cfg.update(file_cfg)
     for key in _DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
@@ -429,15 +434,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if isinstance(cfg["alpha"], str):
         cfg["alpha"] = _parse_floats(cfg["alpha"])
     if isinstance(cfg["N"], str):
-        cfg["N"] = _parse_ints(cfg["N"])
+        cfg["N"] = _parse_floats(cfg["N"])
     if isinstance(cfg["r"], str):
         cfg["r"] = [tok for tok in cfg["r"].split(",") if tok]
     if isinstance(cfg["t"], str):
         cfg["t"] = _parse_floats(cfg["t"])
-    cfg["alpha"] = [float(a) for a in cfg["alpha"]]
-    cfg["N"] = sorted(int(n) for n in cfg["N"])
+    cfg["alpha"] = [float(a) for a in _finite("alpha", cfg["alpha"])]
+    cfg["N"] = sorted(int(n) for n in _finite("N", cfg["N"]))
     if cfg["t"] is not None:
-        cfg["t"] = [float(t) for t in cfg["t"]]
+        cfg["t"] = [float(t) for t in _finite("t", cfg["t"])]
+    _finite("delta", [cfg["delta"]])
     if cfg["r"] is not None:
         cfg["r"] = [str(tok) for tok in cfg["r"]]
     if cfg["workers"] is None:
@@ -493,7 +499,7 @@ def main(argv=None) -> int:
         else:
             rows = _cmd_ising_oracle(cfg)
         _write_output(cfg, COLUMNS[command], rows, trace_rows)
-    except NoCrossingError as exc:
+    except RuntimeError as exc:  # NoCrossingError and numerical failures
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as exc:

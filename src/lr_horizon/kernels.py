@@ -44,16 +44,22 @@ class HopParameters:
 
 @dataclass(frozen=True)
 class FourierSpectrum:
-    """Circulant eigenvalues of the ring hop sequence.
+    """Distinct circulant eigenvalues of the ring hop sequence.
 
     ``omega[p] = sum_r cos(2 pi p r / N) J(r)`` with ``J(0) = lam`` and
-    ``J(r) = r**(-alpha)`` in the ring metric. ``omega[0] = 2 * lam``.
+    ``J(r) = r**(-alpha)`` in the ring metric, stored for
+    ``p = 0 .. N // 2`` only (length ``N // 2 + 1``): the sequence is
+    real and even, so ``omega[N - p] = omega[p]`` and the other half of
+    the full spectrum repeats these values. ``omega[0] = 2 * lam``;
+    ``omega_max`` is the largest entry, stored so that a bound's
+    overflow check needs no pass over ``omega``.
     """
 
     omega: np.ndarray
     n_sites: int
     alpha: float
     lam: float
+    omega_max: float
 
 
 def self_hop_lambda(spec: LatticeSpec, model: CouplingModel) -> HopParameters:
@@ -187,19 +193,22 @@ def ring_hop_sequence(n_sites: int, alpha: float) -> np.ndarray:
 
 
 def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
-    """Circulant spectrum omega(p) of the ring hop sequence.
+    """Distinct circulant eigenvalues omega(p), p = 0 .. N // 2, of the ring hop sequence.
 
-    Computed with one O(N log N) FFT of the real, even sequence J(r).
-    The transform of such a sequence is real; any imaginary residue
-    beyond roundoff scale signals a bug and raises.
+    Computed with one O(N log N) real FFT of the real, even sequence
+    J(r). The transform of such a sequence is real; any imaginary
+    residue beyond roundoff scale signals a bug and raises.
     """
     seq = ring_hop_sequence(n_sites, alpha)
     lam = float(seq[0])
-    transform = np.fft.fft(seq)
+    transform = np.fft.rfft(seq)
     imag_max = float(np.abs(transform.imag).max())
     if imag_max > FFT_IMAG_TOL * max(lam, 1.0):
         raise RuntimeError(f"non-real spectrum (imag residue {imag_max:.3e}); input not even?")
-    return FourierSpectrum(omega=transform.real, n_sites=n_sites, alpha=alpha, lam=lam)
+    omega = np.ascontiguousarray(transform.real)
+    return FourierSpectrum(
+        omega=omega, n_sites=n_sites, alpha=alpha, lam=lam, omega_max=float(omega.max())
+    )
 
 
 def series_oracle(spec: LatticeSpec, model: CouplingModel, t: float) -> np.ndarray:

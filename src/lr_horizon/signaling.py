@@ -13,12 +13,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import UNIT_PREFACTOR, BoundPrefactor, many_site_bound
-from .kernels import HopParameters, self_hop_lambda, site_hop_strength
+import numpy as np
+
+from .bounds import (
+    UNIT_PREFACTOR,
+    BoundPrefactor,
+    _series_spectrum,
+    _series_sum,
+    _series_terms,
+    _series_weights,
+    many_site_bound,
+)
+from .kernels import FourierSpectrum, HopParameters, self_hop_lambda, site_hop_strength
 from .lattice import CouplingModel, LatticeSpec
 
-# Bisection: relative tolerance in t; downstream exponent fits need
-# 6+ significant digits across N spans of 10**2.
+# Relative width in t of the bracket every numeric solve ends on;
+# downstream exponent fits need 6+ significant digits across N spans
+# of 10**2.
 BISECT_REL_TOL = 1e-10
 MAX_BRACKET_DOUBLINGS = 200
 
@@ -152,28 +163,87 @@ def exact_sum_signaling_time(
     r: int,
     delta: float = 1.0,
     pre: BoundPrefactor = UNIT_PREFACTOR,
-    spectrum=None,
+    spectrum: FourierSpectrum | None = None,
     kac_rescale: bool = False,
 ) -> SignalingTime:
-    """Bisection on the ring series bound; the workhorse for the N sweeps.
+    """Safeguarded Newton solve of the ring series bound; the workhorse for the N sweeps.
+
+    The bound B(t) = s sum_p c_p expm1(2 omega_p t) and its slope
+    s sum_p c_p 2 omega_p e^(2 omega_p t) come from one exponential array
+    per step, with the weights c_p of this r built once. The bracket
+    grows geometrically from 1 / (2 lam (1 + p)) as in
+    ``signaling_time_numeric``; then Newton steps on ln(B / delta), which
+    is close to linear in t, run inside it (``rtsafe``, Numerical Recipes
+    9.4). A step that leaves the bracket, or fails to halve the step
+    before it, is replaced by bisection. Once a Newton step falls below
+    a quarter of the tolerance, the next evaluation lands just across
+    the estimate, so the solve ends with B < delta at ``lo`` and
+    B >= delta at ``hi`` a relative ``BISECT_REL_TOL`` apart.
+    ``t_star`` is the last Newton estimate inside that bracket.
 
     Pass a precomputed spectrum to amortize the FFT across many r or
     delta values at fixed (N, alpha).
     """
-    from .bounds import exact_sum_bound
-    from .kernels import fourier_spectrum
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    spectrum = _series_spectrum(n_sites, alpha, r, spectrum)
+    weights = _series_weights(n_sites, r)
+    slope_weights = weights * (2.0 * spectrum.omega)
+    slope_at_zero = float(slope_weights.sum())
+    scale = pre.scale
 
-    if spectrum is None:
-        spectrum = fourier_spectrum(n_sites, alpha)
+    def bound(t: float):
+        terms = _series_terms(spectrum, t)
+        if terms is None:
+            return math.inf, None
+        return scale * _series_sum(weights, terms, n_sites), terms
+
     lam = spectrum.lam
-    p = 2.0 ** (alpha + 1)
+    lo, hi = 0.0, 1.0 / (2.0 * lam * (1.0 + 2.0 ** (alpha + 1)))
+    value, terms = bound(hi)
+    doublings = 0
+    while value < delta:
+        lo, hi = hi, 2.0 * hi
+        doublings += 1
+        if doublings > MAX_BRACKET_DOUBLINGS:
+            raise NoCrossingError(f"bound stayed below delta={delta} out to t={hi:.3e}")
+        value, terms = bound(hi)
 
-    def f(t: float) -> float:
-        return exact_sum_bound(n_sites, alpha, r, t, pre, spectrum).value
-
-    result = signaling_time_numeric(f, delta, t_init=1.0 / (2.0 * lam * (1.0 + p)))
-    t = result.t_star * lam if kac_rescale else result.t_star
-    return SignalingTime(t_star=t, method="exact_sum", bracket=result.bracket)
+    t = t_star = hi
+    step = hi - lo
+    force_bisect = False
+    while hi - lo > BISECT_REL_TOL * hi:
+        newton = math.nan
+        if terms is not None and value > 0.0 and not force_bisect:
+            slope = scale * (float(np.dot(slope_weights, terms)) + slope_at_zero)
+            if slope > 0.0:
+                newton = t - math.log(value / delta) * value / slope
+        straddle = False
+        if lo <= newton <= hi and abs(newton - t) <= 0.5 * step:
+            step = abs(newton - t)
+            t_star = newton
+            quarter = 0.25 * BISECT_REL_TOL * hi
+            if step <= quarter:
+                newton += quarter if value < delta else -quarter
+                straddle = True
+        else:
+            newton = t_star = 0.5 * (lo + hi)
+            step = 0.5 * (hi - lo)
+        was_below = value < delta
+        t = newton
+        value, terms = bound(t)
+        if value < delta:
+            lo = t
+        else:
+            hi = t
+        # A straddle that lands on the same side means B is too noisy
+        # here for Newton; bisect once so the bracket keeps shrinking.
+        force_bisect = straddle and (value < delta) == was_below
+    if not lo <= t_star <= hi:
+        t_star = 0.5 * (lo + hi)
+    if kac_rescale:
+        t_star *= lam
+    return SignalingTime(t_star=t_star, method="exact_sum", bracket=(lo, hi))
 
 
 def ising_signal(spec: LatticeSpec, model: CouplingModel, i: int, t: float) -> float:

@@ -17,6 +17,7 @@ from lr_horizon import (
     many_site_bound,
     ring,
     self_hop_lambda,
+    series_oracle,
 )
 
 RING4_ALPHA1 = self_hop_lambda(ring(4), CouplingModel(alpha=1.0))
@@ -111,6 +112,20 @@ def test_exact_sum_dominated_by_analytic(alpha, n):
             ex = exact_sum_bound(n, alpha, r, t).value
             an = analytic_bound(params, r=float(r), t=t).value
             assert ex <= an * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [9, 33, 127])
+def test_exact_sum_matches_dense_oracle_odd_n(n, alpha):
+    """Odd N: every p >= 1 of the half spectrum has a distinct mirror N - p."""
+    spec, model = ring(n), CouplingModel(alpha=alpha)
+    spectrum = fourier_spectrum(n, alpha)
+    for t_rel in (0.01, 0.1, 1.0):
+        t = t_rel / spectrum.lam
+        dense = series_oracle(spec, model, t)
+        for r in (1, n // 2):
+            got = exact_sum_bound(n, alpha, r, t, spectrum=spectrum).value
+            assert got == pytest.approx(2 * dense[0, r], rel=1e-9)
 
 
 def test_exact_sum_monotone_in_time():

@@ -113,12 +113,34 @@ def test_signaling_kac_flag_rescales(capsys):
 def test_signaling_solver_failure_exit3(capsys, monkeypatch):
     import lr_horizon.cli as cli
 
-    def boom(*args, **kwargs):
-        raise NoCrossingError("threshold unreachable")
+    for exc in (NoCrossingError("threshold unreachable"), RuntimeError("inverse transform returned -1e-3")):
 
-    monkeypatch.setattr(cli, "exact_sum_signaling_time", boom)
-    code, _ = _run(capsys, ["signaling", "--method", "exact_sum", "--alpha", "0.5", "--N", "16", "--r", "1"])
-    assert code == 3
+        def boom(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "exact_sum_signaling_time", boom)
+        code = main(["signaling", "--method", "exact_sum", "--alpha", "0.5", "--N", "16", "--r", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == f"solver failure: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["bound", "--alpha", "nan", "--N", "100", "--t", "0.1"], "--alpha"),
+        (["signaling", "--alpha", "0.5,inf", "--N", "100"], "--alpha"),
+        (["bound", "--t", "inf", "--N", "100"], "--t"),
+        (["signaling", "--delta", "nan", "--N", "100"], "--delta"),
+        (["lambda", "--N", "inf"], "--N"),
+        (["lambda", "--N", "100,nan"], "--N"),
+    ],
+)
+def test_non_finite_numbers_exit2(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"invalid input: {flag} must be finite" in captured.err
 
 
 def test_fit_round_trip_through_table(tmp_path, capsys):
@@ -201,6 +223,23 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code, out = _run(capsys, ["signaling", "--config", str(cfg), "--delta", "0.5"])
     assert code == 0
     assert float(_rows(out)[0]["t_star"]) == pytest.approx(math.log(6) / 25, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        ({"alhpa": 0.9, "N": "16"}, "unknown config key(s) alhpa; valid keys: alpha, N, r,"),
+        (["alpha", 0.9], "must hold a JSON object"),
+    ],
+)
+def test_unknown_config_key_exit2(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    code = main(["signaling", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_workers_do_not_change_output(tmp_path, capsys):

@@ -9,8 +9,10 @@ from lr_horizon import (
     SignalingSpec,
     analytic_bound,
     chain,
+    exact_sum_bound,
     exact_sum_signaling_time,
     fit_pure_power,
+    fourier_spectrum,
     ising_exact_oracle,
     ising_signal,
     ising_signaling_time,
@@ -21,6 +23,7 @@ from lr_horizon import (
     signaling_time_analytic,
     signaling_time_numeric,
 )
+from lr_horizon import signaling
 
 RING4_ALPHA1 = self_hop_lambda(ring(4), CouplingModel(alpha=1.0))
 
@@ -123,6 +126,37 @@ def test_exact_sum_signaling_regression_fixture():
     """Bisection against the series bound; value frozen from this solver."""
     res = exact_sum_signaling_time(10**4, 0.5, 1, 1.0)
     assert res.t_star == pytest.approx(0.00615981581116, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [16, 17, 1000, 10**4])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_exact_sum_newton_matches_bisection(n, alpha, monkeypatch):
+    """The Newton solve agrees with bisection on exact_sum_bound and certifies its bracket."""
+    spectrum = fourier_spectrum(n, alpha)
+    t_init = 1.0 / (2 * spectrum.lam * (1 + 2 ** (alpha + 1)))
+    evaluations = []
+    series_terms = signaling._series_terms
+
+    def counted(spectrum, t):
+        evaluations.append(t)
+        return series_terms(spectrum, t)
+
+    monkeypatch.setattr(signaling, "_series_terms", counted)
+    for r in sorted({1, n // 4, n // 2}):
+        for delta in (0.5, 1.0):
+
+            def bound(t):
+                return exact_sum_bound(n, alpha, r, t, spectrum=spectrum).value
+
+            evaluations.clear()
+            res = exact_sum_signaling_time(n, alpha, r, delta, spectrum=spectrum)
+            assert len(evaluations) <= 24  # bisection alone takes 39 or more
+            ref = signaling_time_numeric(bound, delta, t_init=t_init)
+            assert res.t_star == pytest.approx(ref.t_star, rel=1e-9)
+            lo, hi = res.bracket
+            assert lo <= res.t_star <= hi
+            assert hi - lo <= signaling.BISECT_REL_TOL * hi
+            assert bound(lo) < delta <= bound(hi)
 
 
 def test_ising_signal_values():
