@@ -120,54 +120,82 @@ def analytic_bound(
     return _flag(value, t, r, "analytic", pre)
 
 
-def _series_spectrum(
-    n_sites: int, alpha: float, r: int, spectrum: FourierSpectrum | None
-) -> FourierSpectrum:
-    """Check r against the ring and return the spectrum, computing it when not given."""
-    if not 1 <= r <= n_sites // 2:
-        raise ValueError(f"r must be in [1, N/2], got r={r} with N={n_sites}")
-    if spectrum is None:
-        return fourier_spectrum(n_sites, alpha)
-    if spectrum.n_sites != n_sites or spectrum.alpha != alpha:
-        raise ValueError("spectrum was computed for different (N, alpha)")
-    return spectrum
+class RingSeries:
+    """The ring hop series at one separation r, as a function of t.
 
-
-def _series_weights(n_sites: int, r: int) -> np.ndarray:
-    """Weights c_p = w_p cos(2 pi p r / N) / N over the half spectrum p = 0 .. N // 2.
-
-    ``w_p = 2`` folds in the mirror eigenvalue omega(N - p) = omega(p);
-    p = 0 and, for even N, p = N / 2 are their own mirrors, so w_p = 1.
+    ``series(t)`` is B(t) = s sum_p c_p expm1(2 omega_p t) over the half
+    spectrum p = 0 .. N // 2, with s = 2||A||||B|||X||Y| and weights
+    c_p = w_p cos(2 pi p r / N) / N. ``w_p = 2`` folds in the mirror
+    eigenvalue omega(N - p) = omega(p); p = 0 and, for even N, p = N / 2
+    are their own mirrors, so w_p = 1. The weights are built once, so a
+    solver evaluating many t at one r pays one exponential array per t,
+    and ``slope(t)`` reuses the exponentials of the last ``series(t)``.
     """
-    weights = np.cos((2.0 * math.pi * r / n_sites) * np.arange(n_sites // 2 + 1))
-    weights *= 2.0 / n_sites
-    weights[0] *= 0.5
-    if n_sites % 2 == 0:
-        weights[-1] *= 0.5
-    return weights
 
+    def __init__(
+        self,
+        n_sites: int,
+        alpha: float,
+        r: int,
+        pre: BoundPrefactor = UNIT_PREFACTOR,
+        spectrum: FourierSpectrum | None = None,
+    ) -> None:
+        if not 1 <= r <= n_sites // 2:
+            raise ValueError(f"r must be in [1, N/2], got r={r} with N={n_sites}")
+        if spectrum is None:
+            spectrum = fourier_spectrum(n_sites, alpha)
+        elif spectrum.n_sites != n_sites or spectrum.alpha != alpha:
+            raise ValueError("spectrum was computed for different (N, alpha)")
+        weights = np.cos((2.0 * math.pi * r / n_sites) * np.arange(n_sites // 2 + 1))
+        weights *= 2.0 / n_sites
+        weights[0] *= 0.5
+        if n_sites % 2 == 0:
+            weights[-1] *= 0.5
+        self.spectrum = spectrum
+        self.scale = pre.scale
+        self._weights = weights
+        self._slope: tuple[np.ndarray, float] | None = None  # c_p 2 omega_p and their sum
+        self._last: tuple[float, np.ndarray | None] = (math.nan, None)
 
-def _series_terms(spectrum: FourierSpectrum, t: float) -> np.ndarray | None:
-    """expm1(2 t omega_p) over the half spectrum, or None once the largest exponent overflows."""
-    if 2.0 * t * spectrum.omega_max > _EXP_ARG_MAX:
-        return None
-    return np.expm1(2.0 * t * spectrum.omega)
+    def _terms(self, t: float) -> np.ndarray | None:
+        """expm1(2 t omega_p), or None once the largest exponent overflows."""
+        t_last, terms = self._last
+        if t != t_last:
+            if 2.0 * t * self.spectrum.omega_max > _EXP_ARG_MAX:
+                terms = None
+            else:
+                terms = np.expm1(2.0 * t * self.spectrum.omega)
+            self._last = (t, terms)
+        return terms
 
+    def __call__(self, t: float) -> float:
+        """B(t), or +inf past overflow.
 
-def _series_sum(weights: np.ndarray, terms: np.ndarray, n_sites: int) -> float:
-    """The inverse-transform sum sum_p c_p terms_p, with roundoff negatives clamped to 0.
+        Tiny negative sums from roundoff are clamped to zero; one below
+        -``NEGATIVE_FLOOR`` times the largest term (over N) is a sign
+        error, not roundoff, and raises.
+        """
+        terms = self._terms(t)
+        if terms is None:
+            return math.inf
+        raw = float(np.dot(self._weights, terms))
+        if raw < 0.0:
+            floor = NEGATIVE_FLOOR * float(terms.max()) / self.spectrum.n_sites
+            if raw < -floor:
+                raise RuntimeError(f"inverse transform returned {raw:.3e}, beyond roundoff floor")
+            raw = 0.0
+        return self.scale * raw
 
-    ``terms`` holds expm1(2 t omega_p). A negative sum beyond
-    ``NEGATIVE_FLOOR`` of the largest term (over N) is a sign error, not
-    roundoff, and raises.
-    """
-    raw = float(np.dot(weights, terms))
-    if raw < 0.0:
-        floor = NEGATIVE_FLOOR * float(terms.max()) / n_sites
-        if raw < -floor:
-            raise RuntimeError(f"inverse transform returned {raw:.3e}, beyond roundoff floor")
-        raw = 0.0
-    return raw
+    def slope(self, t: float) -> float:
+        """dB/dt = s sum_p c_p 2 omega_p e^(2 omega_p t), or +inf past overflow."""
+        terms = self._terms(t)
+        if terms is None:
+            return math.inf
+        if self._slope is None:
+            slope_weights = self._weights * (2.0 * self.spectrum.omega)
+            self._slope = (slope_weights, float(slope_weights.sum()))
+        slope_weights, at_zero = self._slope
+        return self.scale * (float(np.dot(slope_weights, terms)) + at_zero)
 
 
 def exact_sum_bound(
@@ -181,7 +209,8 @@ def exact_sum_bound(
     """Exact hop-series bound on a ring via the inverse circulant transform.
 
     Evaluates 2||A||||B|||X||Y| * (1/N) sum_p cos(2 pi p r / N)
-    (e^(2 omega(p) t) - 1) as one weighted sum over the half spectrum.
+    (e^(2 omega(p) t) - 1) as one weighted sum over the half spectrum
+    (see ``RingSeries``).
     Pass a precomputed ``spectrum`` to amortize the FFT across a sweep;
     it must match ``(n_sites, alpha)``.
 
@@ -191,12 +220,8 @@ def exact_sum_bound(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    spectrum = _series_spectrum(n_sites, alpha, r, spectrum)
-    terms = _series_terms(spectrum, t)
-    if terms is None:
-        return BoundValue(math.inf, t, float(r), "exact_sum", saturated=True)
-    raw = _series_sum(_series_weights(n_sites, r), terms, n_sites)
-    return _flag(pre.scale * raw, t, float(r), "exact_sum", pre)
+    value = RingSeries(n_sites, alpha, r, pre, spectrum)(t)
+    return _flag(value, t, float(r), "exact_sum", pre)
 
 
 def exact_sum_bound_alpha0_closed_form(n_sites: int, t: float) -> float:

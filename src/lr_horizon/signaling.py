@@ -13,17 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bounds import (
-    UNIT_PREFACTOR,
-    BoundPrefactor,
-    _series_spectrum,
-    _series_sum,
-    _series_terms,
-    _series_weights,
-    many_site_bound,
-)
+from .bounds import UNIT_PREFACTOR, BoundPrefactor, RingSeries, many_site_bound
 from .kernels import FourierSpectrum, HopParameters, self_hop_lambda, site_hop_strength
 from .lattice import CouplingModel, LatticeSpec
 
@@ -32,6 +22,7 @@ from .lattice import CouplingModel, LatticeSpec
 # of 10**2.
 BISECT_REL_TOL = 1e-10
 MAX_BRACKET_DOUBLINGS = 200
+MAX_NEWTON_STEPS = 100
 
 
 class NoCrossingError(RuntimeError):
@@ -79,6 +70,35 @@ def signaling_time_analytic(params: HopParameters, sig: SignalingSpec, r: float)
     return SignalingTime(t_star=t, method="analytic")
 
 
+def _expand_bracket(bound_fn, delta: float, t_init: float) -> tuple[float, float, float]:
+    """Double t from ``t_init`` until bound_fn(t) >= delta; return (lo, hi, bound_fn(hi)).
+
+    Raises ``NoCrossingError`` after ``MAX_BRACKET_DOUBLINGS`` doublings.
+    """
+    lo, hi = 0.0, t_init
+    value = bound_fn(hi)
+    doublings = 0
+    while value < delta:
+        lo = hi
+        hi *= 2.0
+        doublings += 1
+        if doublings > MAX_BRACKET_DOUBLINGS:
+            raise NoCrossingError(f"bound stayed below delta={delta} out to t={hi:.3e}")
+        value = bound_fn(hi)
+    return lo, hi, value
+
+
+def _bisect(bound_fn, delta: float, lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi], keeping bound_fn < delta at lo, to ``BISECT_REL_TOL`` relative width."""
+    while hi - lo > BISECT_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if bound_fn(mid) < delta:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def signaling_time_numeric(bound_fn, delta: float, t_init: float = 1.0) -> SignalingTime:
     """Bisect a monotone bound for the crossing bound_fn(t*) = delta.
 
@@ -98,20 +118,8 @@ def signaling_time_numeric(bound_fn, delta: float, t_init: float = 1.0) -> Signa
         raise ValueError("delta must be positive")
     if t_init <= 0:
         raise ValueError("t_init must be positive")
-    lo, hi = 0.0, t_init
-    doublings = 0
-    while bound_fn(hi) < delta:
-        lo = hi
-        hi *= 2.0
-        doublings += 1
-        if doublings > MAX_BRACKET_DOUBLINGS:
-            raise NoCrossingError(f"bound stayed below delta={delta} out to t={hi:.3e}")
-    while hi - lo > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if bound_fn(mid) < delta:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi, _ = _expand_bracket(bound_fn, delta, t_init)
+    lo, hi = _bisect(bound_fn, delta, lo, hi)
     return SignalingTime(t_star=0.5 * (lo + hi), method="numeric", bracket=(lo, hi))
 
 
@@ -144,7 +152,7 @@ def many_site_signaling_time(
     With |X| fixed and Y the complement this is simultaneously the
     many-site signaling bound and a scrambling-time lower bound. Solved
     by bisection on ``many_site_bound``; honors ``model.kac_normalize``
-    by rescaling the reported time by lambda.
+    by rescaling the reported time and its bracket by lambda.
     """
     params = self_hop_lambda(spec, model)
 
@@ -153,8 +161,11 @@ def many_site_signaling_time(
 
     t_init = 1.0 / (2.0 * params.lam * (1.0 + params.p))
     result = signaling_time_numeric(f, delta, t_init=t_init)
-    t = result.t_star * params.lam if model.kac_normalize else result.t_star
-    return SignalingTime(t_star=t, method="many_site", bracket=result.bracket)
+    scale = params.lam if model.kac_normalize else 1.0
+    lo, hi = result.bracket
+    return SignalingTime(
+        t_star=scale * result.t_star, method="many_site", bracket=(scale * lo, scale * hi)
+    )
 
 
 def exact_sum_signaling_time(
@@ -168,82 +179,62 @@ def exact_sum_signaling_time(
 ) -> SignalingTime:
     """Safeguarded Newton solve of the ring series bound; the workhorse for the N sweeps.
 
-    The bound B(t) = s sum_p c_p expm1(2 omega_p t) and its slope
-    s sum_p c_p 2 omega_p e^(2 omega_p t) come from one exponential array
-    per step, with the weights c_p of this r built once. The bracket
-    grows geometrically from 1 / (2 lam (1 + p)) as in
-    ``signaling_time_numeric``; then Newton steps on ln(B / delta), which
-    is close to linear in t, run inside it (``rtsafe``, Numerical Recipes
-    9.4). A step that leaves the bracket, or fails to halve the step
-    before it, is replaced by bisection. Once a Newton step falls below
-    a quarter of the tolerance, the next evaluation lands just across
-    the estimate, so the solve ends with B < delta at ``lo`` and
-    B >= delta at ``hi`` a relative ``BISECT_REL_TOL`` apart.
-    ``t_star`` is the last Newton estimate inside that bracket.
+    The bracket grows geometrically from 1 / (2 lam (1 + p)) as in
+    ``signaling_time_numeric``. Inside it, ``rtsafe`` (Numerical Recipes
+    9.4) takes Newton steps on ln(B / delta), which is close to linear in
+    t, and bisects whenever a step leaves the bracket or fails to halve
+    the step before last. Once a step is below half the tolerance, B is
+    evaluated at t*(1 -+ ``BISECT_REL_TOL`` / 2); if either lands on the
+    wrong side of delta, bisection finishes the bracket. So the solve
+    ends with B < delta at ``lo`` and B >= delta at ``hi``, a relative
+    ``BISECT_REL_TOL`` apart, and ``t_star`` inside. With ``kac_rescale``
+    both ``t_star`` and the bracket are multiplied by lam.
 
     Pass a precomputed spectrum to amortize the FFT across many r or
     delta values at fixed (N, alpha).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    spectrum = _series_spectrum(n_sites, alpha, r, spectrum)
-    weights = _series_weights(n_sites, r)
-    slope_weights = weights * (2.0 * spectrum.omega)
-    slope_at_zero = float(slope_weights.sum())
-    scale = pre.scale
+    series = RingSeries(n_sites, alpha, r, pre, spectrum)
+    lam = series.spectrum.lam
+    t_init = 1.0 / (2.0 * lam * (1.0 + 2.0 ** (alpha + 1)))
+    lo, hi, value = _expand_bracket(series, delta, t_init)
 
-    def bound(t: float):
-        terms = _series_terms(spectrum, t)
-        if terms is None:
-            return math.inf, None
-        return scale * _series_sum(weights, terms, n_sites), terms
-
-    lam = spectrum.lam
-    lo, hi = 0.0, 1.0 / (2.0 * lam * (1.0 + 2.0 ** (alpha + 1)))
-    value, terms = bound(hi)
-    doublings = 0
-    while value < delta:
-        lo, hi = hi, 2.0 * hi
-        doublings += 1
-        if doublings > MAX_BRACKET_DOUBLINGS:
-            raise NoCrossingError(f"bound stayed below delta={delta} out to t={hi:.3e}")
-        value, terms = bound(hi)
-
-    t = t_star = hi
-    step = hi - lo
-    force_bisect = False
-    while hi - lo > BISECT_REL_TOL * hi:
+    t_star = hi
+    step = step_before = hi - lo
+    for _ in range(MAX_NEWTON_STEPS):
         newton = math.nan
-        if terms is not None and value > 0.0 and not force_bisect:
-            slope = scale * (float(np.dot(slope_weights, terms)) + slope_at_zero)
+        if 0.0 < value < math.inf:
+            slope = series.slope(t_star)
             if slope > 0.0:
-                newton = t - math.log(value / delta) * value / slope
-        straddle = False
-        if lo <= newton <= hi and abs(newton - t) <= 0.5 * step:
-            step = abs(newton - t)
+                newton = t_star - math.log(value / delta) * value / slope
+        if lo <= newton <= hi and abs(newton - t_star) <= 0.5 * step_before:
+            step_before, step = step, abs(newton - t_star)
             t_star = newton
-            quarter = 0.25 * BISECT_REL_TOL * hi
-            if step <= quarter:
-                newton += quarter if value < delta else -quarter
-                straddle = True
         else:
-            newton = t_star = 0.5 * (lo + hi)
-            step = 0.5 * (hi - lo)
-        was_below = value < delta
-        t = newton
-        value, terms = bound(t)
+            step_before, step = step, 0.5 * (hi - lo)
+            t_star = lo + step
+        if step <= 0.5 * BISECT_REL_TOL * t_star:
+            break
+        value = series(t_star)
         if value < delta:
-            lo = t
+            lo = t_star
         else:
-            hi = t
-        # A straddle that lands on the same side means B is too noisy
-        # here for Newton; bisect once so the bracket keeps shrinking.
-        force_bisect = straddle and (value < delta) == was_below
+            hi = t_star
+
+    for t in (t_star * (1.0 - 0.5 * BISECT_REL_TOL), t_star * (1.0 + 0.5 * BISECT_REL_TOL)):
+        if lo < t < hi:
+            if series(t) < delta:
+                lo = t
+            else:
+                hi = t
+    lo, hi = _bisect(series, delta, lo, hi)
     if not lo <= t_star <= hi:
         t_star = 0.5 * (lo + hi)
-    if kac_rescale:
-        t_star *= lam
-    return SignalingTime(t_star=t_star, method="exact_sum", bracket=(lo, hi))
+    scale = lam if kac_rescale else 1.0
+    return SignalingTime(
+        t_star=scale * t_star, method="exact_sum", bracket=(scale * lo, scale * hi)
+    )
 
 
 def ising_signal(spec: LatticeSpec, model: CouplingModel, i: int, t: float) -> float:

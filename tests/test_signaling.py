@@ -24,6 +24,7 @@ from lr_horizon import (
     signaling_time_numeric,
 )
 from lr_horizon import signaling
+from lr_horizon.bounds import RingSeries
 
 RING4_ALPHA1 = self_hop_lambda(ring(4), CouplingModel(alpha=1.0))
 
@@ -135,13 +136,13 @@ def test_exact_sum_newton_matches_bisection(n, alpha, monkeypatch):
     spectrum = fourier_spectrum(n, alpha)
     t_init = 1.0 / (2 * spectrum.lam * (1 + 2 ** (alpha + 1)))
     evaluations = []
-    series_terms = signaling._series_terms
+    evaluate = RingSeries.__call__
 
-    def counted(spectrum, t):
+    def counted(series, t):
         evaluations.append(t)
-        return series_terms(spectrum, t)
+        return evaluate(series, t)
 
-    monkeypatch.setattr(signaling, "_series_terms", counted)
+    monkeypatch.setattr(RingSeries, "__call__", counted)
     for r in sorted({1, n // 4, n // 2}):
         for delta in (0.5, 1.0):
 
@@ -157,6 +158,21 @@ def test_exact_sum_newton_matches_bisection(n, alpha, monkeypatch):
             assert lo <= res.t_star <= hi
             assert hi - lo <= signaling.BISECT_REL_TOL * hi
             assert bound(lo) < delta <= bound(hi)
+
+
+def test_exact_sum_confirmation_falls_back_to_bisection(monkeypatch):
+    """A slope far too steep stops Newton at once, away from t*; the bracket check catches it."""
+    n, alpha, r = 1000, 0.5, 1
+    slope = RingSeries.slope
+    monkeypatch.setattr(RingSeries, "slope", lambda series, t: 1e12 * slope(series, t))
+    res = exact_sum_signaling_time(n, alpha, r, 1.0)
+    monkeypatch.undo()
+    ref = exact_sum_signaling_time(n, alpha, r, 1.0)
+    assert res.t_star == pytest.approx(ref.t_star, rel=1e-9)
+    lo, hi = res.bracket
+    assert lo <= res.t_star <= hi
+    assert hi - lo <= signaling.BISECT_REL_TOL * hi
+    assert exact_sum_bound(n, alpha, r, lo).value < 1.0 <= exact_sum_bound(n, alpha, r, hi).value
 
 
 def test_ising_signal_values():
@@ -216,6 +232,14 @@ def test_kac_rescaling_multiplies_times_by_lambda():
     m0 = many_site_signaling_time(spec, plain, [0], [8], 1.0).t_star
     m1 = many_site_signaling_time(spec, kac, [0], [8], 1.0).t_star
     assert m1 == pytest.approx(lam * m0, rel=1e-9)
+
+    for plain_res, kac_res in (
+        (exact_sum_signaling_time(16, 0.5, 4, 1.0), exact_sum_signaling_time(16, 0.5, 4, 1.0, kac_rescale=True)),
+        (many_site_signaling_time(spec, plain, [0], [8], 1.0), many_site_signaling_time(spec, kac, [0], [8], 1.0)),
+    ):
+        lo, hi = kac_res.bracket
+        assert lo <= kac_res.t_star <= hi
+        assert (lo, hi) == pytest.approx(tuple(lam * t for t in plain_res.bracket), rel=1e-12)
 
     i0 = ising_signaling_time(spec, plain, 0, 0.5)
     i1 = ising_signaling_time(spec, kac, 0, 0.5)
