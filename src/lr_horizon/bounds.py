@@ -3,14 +3,15 @@
 Four evaluators share the ``BoundValue`` result type:
 
 * ``analytic_bound`` -- closed form with explicit constants,
-  2 ||A|| ||B|| |X| |Y| (exp(2 lam (1+p) t) - 1) / (lam p r**alpha).
+  2 ||A|| ||B|| |X| |Y| (exp(2 lam (1+p) t) - 1) / (lam p r**alpha),
+  the one-pair ``PairSum`` (which also inverts it for t).
 * ``exact_sum_bound`` -- the full hop series summed on a ring through
   the circulant Fourier spectrum (tighter; D = 1 only).
 * ``free_particle_bound`` -- the schedule integral
   int_0^t sqrt(sum_i |J_iX(tau)|**2) dtau for piecewise-constant
   schedules, valid for non-interacting particles.
 * ``many_site_bound`` -- the analytic form summed over all pairs
-  (i in X, j in Y) for extended regions.
+  (i in X, j in Y) for extended regions; the ``PairSum`` over them.
 """
 
 from __future__ import annotations
@@ -82,10 +83,9 @@ class HopSchedule:
     segments: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        for duration, row in self.segments:
+        for duration, _ in self.segments:
             if duration <= 0:
                 raise ValueError("segment durations must be positive")
-            np.asarray(row, dtype=float)
 
     @property
     def total_time(self) -> float:
@@ -97,6 +97,60 @@ def _flag(value: float, t: float, r: float, method: str, pre: BoundPrefactor) ->
     return BoundValue(value=value, time=t, separation=r, method=method, saturated=saturated)
 
 
+@dataclass(frozen=True)
+class PairSum:
+    """The analytic bound summed over a set of site pairs, as a function of t.
+
+    ``bound(t)`` is B(t) = s W expm1(2 lam (1+p) t) / (lam p), with W the
+    pair weight sum r_ij**(-alpha) and s the prefactor scale. B is closed
+    form in t, and so is its inverse ``crossing``. ``separation`` is the
+    smallest pair distance. ``analytic_bound`` is the one-pair case,
+    ``many_site_bound`` the sum over all pairs between two regions.
+    """
+
+    params: HopParameters
+    scale: float
+    weight: float
+    separation: float
+
+    @classmethod
+    def one_pair(cls, params: HopParameters, scale: float, r: float) -> PairSum:
+        if r < 1:
+            raise ValueError("separation r must be >= 1")
+        return cls(params, scale, r ** (-params.alpha), r)
+
+    @classmethod
+    def between(cls, spec: LatticeSpec, model: CouplingModel, region_x, region_y, scale: float) -> PairSum:
+        """All pairs (i in X, j in Y) of two disjoint nonempty regions; lambda is computed once."""
+        xs, ys = sorted(set(region_x)), sorted(set(region_y))
+        if not xs or not ys:
+            raise ValueError("regions must be nonempty")
+        if set(xs) & set(ys):
+            raise ValueError("regions must be disjoint")
+        weight = 0.0
+        min_dist = math.inf
+        for i in xs:
+            d = distances_from(spec, i)[ys]
+            weight += float(np.sum(d ** (-model.alpha)))
+            min_dist = min(min_dist, float(d.min()))
+        return cls(self_hop_lambda(spec, model), scale, weight, min_dist)
+
+    def __call__(self, t: float) -> float:
+        """B(t), or +inf once the exponent passes the overflow limit."""
+        lam, p = self.params.lam, self.params.p
+        arg = 2.0 * lam * (1.0 + p) * t
+        if arg > _EXP_ARG_MAX:
+            return math.inf
+        return self.scale * math.expm1(arg) / (lam * p) * self.weight
+
+    def crossing(self, delta: float) -> float:
+        """The t at which B(t) = delta: ln(1 + delta lam p / (s W)) / (2 lam (1+p))."""
+        if delta <= 0:
+            raise ValueError("delta must be positive")
+        lam, p = self.params.lam, self.params.p
+        return math.log1p(delta * lam * p / (self.scale * self.weight)) / (2.0 * lam * (1.0 + p))
+
+
 def analytic_bound(
     params: HopParameters,
     pre: BoundPrefactor = UNIT_PREFACTOR,
@@ -105,19 +159,14 @@ def analytic_bound(
 ) -> BoundValue:
     """Closed-form bound 2||A||||B|||X||Y| (e^(2 lam (1+p) t) - 1) / (lam p r^alpha).
 
-    Stated for alpha < D; at alpha = D the same formula is evaluated
-    with the log-scaling value of lambda. Exponential overflow returns
-    +inf flagged as saturated.
+    The one-pair ``PairSum``. Stated for alpha < D; at alpha = D the
+    same formula is evaluated with the log-scaling value of lambda.
+    Exponential overflow returns +inf flagged as saturated.
     """
-    if r < 1:
-        raise ValueError("separation r must be >= 1")
+    bound = PairSum.one_pair(params, pre.scale, r)
     if t < 0:
         raise ValueError("t must be >= 0")
-    lam, p = params.lam, params.p
-    arg = 2.0 * lam * (1.0 + p) * t
-    growth = math.inf if arg > _EXP_ARG_MAX else math.expm1(arg)
-    value = pre.scale * growth / (lam * p * r**params.alpha)
-    return _flag(value, t, r, "analytic", pre)
+    return _flag(bound(t), t, r, "analytic", pre)
 
 
 class RingSeries:
@@ -253,20 +302,11 @@ def free_particle_bound(schedule: HopSchedule) -> float:
 def free_particle_envelope(spec: LatticeSpec, model: CouplingModel) -> float:
     """Per-unit-time ceiling max_X sqrt(sum_{i != X} r_iX**(-2 alpha)).
 
+    The largest row sum at exponent 2 alpha is the self-hop strength of
+    the coupling r**(-2 alpha), so this is sqrt(lambda) for that model.
     Scales as N**(1/2 - alpha/D) for alpha <= D/2 and stays O(1) above.
     """
-    n = spec.site_count
-    if n < 2:
-        raise ValueError("need at least 2 sites")
-
-    def row_value(x: int) -> float:
-        d = distances_from(spec, x)
-        mask = d > 0
-        return float(np.sqrt(np.sum(d[mask] ** (-2.0 * model.alpha))))
-
-    if spec.boundary == "periodic":
-        return row_value(0)
-    return max(row_value(x) for x in range(n))
+    return math.sqrt(self_hop_lambda(spec, CouplingModel(alpha=2.0 * model.alpha)).lam)
 
 
 def many_site_bound(
@@ -280,27 +320,12 @@ def many_site_bound(
     """Analytic bound summed over all pairs between two disjoint regions.
 
     2 ||A|| ||B|| sum_{i in X, j in Y} (e^(2 lam (1+p) t) - 1)
-    / (lam p r_ij**alpha). Reduces to ``analytic_bound`` when both
-    regions are single sites. ``separation`` reports the minimum pair
-    distance.
+    / (lam p r_ij**alpha), the ``PairSum`` over those pairs. Reduces to
+    ``analytic_bound`` when both regions are single sites.
+    ``separation`` reports the minimum pair distance.
     """
-    xs, ys = sorted(set(region_x)), sorted(set(region_y))
-    if not xs or not ys:
-        raise ValueError("regions must be nonempty")
-    if set(xs) & set(ys):
-        raise ValueError("regions must be disjoint")
     if t < 0:
         raise ValueError("t must be >= 0")
-    params = self_hop_lambda(spec, model)
-    lam, p = params.lam, params.p
-    pair_sum = 0.0
-    min_dist = math.inf
-    for i in xs:
-        d = distances_from(spec, i)[ys]
-        pair_sum += float(np.sum(d ** (-model.alpha)))
-        min_dist = min(min_dist, float(d.min()))
     pre = BoundPrefactor(norm_A=norms[0], norm_B=norms[1])
-    arg = 2.0 * lam * (1.0 + p) * t
-    growth = math.inf if arg > _EXP_ARG_MAX else math.expm1(arg)
-    value = pre.scale * growth / (lam * p) * pair_sum
-    return _flag(value, t, min_dist, "many_site", pre)
+    bound = PairSum.between(spec, model, region_x, region_y, pre.scale)
+    return _flag(bound(t), t, bound.separation, "many_site", pre)

@@ -30,13 +30,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import MODELS, fit_model
-from .bounds import (
-    BoundPrefactor,
-    analytic_bound,
-    exact_sum_bound,
-    free_particle_envelope,
-    many_site_bound,
-)
+from .bounds import analytic_bound, exact_sum_bound, free_particle_envelope
 from .dynamics import ising_exact_oracle, state_transfer_protocol, trajectory
 from .kernels import fourier_spectrum, lambda_upper_bound, self_hop_lambda
 from .lattice import CouplingModel, LatticeSpec
@@ -85,10 +79,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
-
-
 def _finite(flag: str, values: list) -> list:
     """Return ``values`` unchanged; a nan or inf among them is invalid input for ``--flag``."""
     for v in values:
@@ -106,7 +96,7 @@ def _resolve_r(token: str, n_sites: int) -> int:
     return int(float(tok))
 
 
-def _ring(n_sites: int, dimension: int, boundary: str) -> LatticeSpec:
+def _lattice(n_sites: int, dimension: int, boundary: str) -> LatticeSpec:
     if dimension == 1:
         side = n_sites
     else:
@@ -126,7 +116,7 @@ def _config_hash(params: dict) -> str:
 
 
 def _lambda_task(task: dict) -> list[tuple]:
-    spec = _ring(task["N"], task["D"], task["boundary"])
+    spec = _lattice(task["N"], task["D"], task["boundary"])
     model = CouplingModel(alpha=task["alpha"])
     params = self_hop_lambda(spec, model)
     ub = lambda_upper_bound(task["D"], task["alpha"], spec.linear_size)
@@ -138,14 +128,14 @@ def _bound_task(task: dict) -> list[tuple]:
     method = task["method"]
     rows = []
     if method == "envelope":
-        spec = _ring(n, task["D"], "periodic")
+        spec = _lattice(n, task["D"], "periodic")
         value = free_particle_envelope(spec, CouplingModel(alpha=alpha))
         return [(method, n, alpha, "", "", value)]
     if method == "exact_sum":
         spectrum = fourier_spectrum(n, alpha)
         lam = spectrum.lam
     else:
-        params = self_hop_lambda(_ring(n, task["D"], "periodic"), CouplingModel(alpha=alpha))
+        params = self_hop_lambda(_lattice(n, task["D"], "periodic"), CouplingModel(alpha=alpha))
         lam = params.lam
     for r_tok in task["r"]:
         r = _resolve_r(r_tok, n)
@@ -165,16 +155,16 @@ def _signaling_task(task: dict) -> list[tuple]:
     kac = task["kac"]
     model = CouplingModel(alpha=alpha, kac_normalize=kac)
     if method == "ising":
-        spec = _ring(n, task["D"], task["boundary"])
+        spec = _lattice(n, task["D"], task["boundary"])
         t = ising_signaling_time(spec, model, 0, delta)
         return [(method, n, alpha, "", n - 1, delta, t)]
     if method == "many_site":
-        spec = _ring(n, task["D"], task["boundary"])
+        spec = _lattice(n, task["D"], task["boundary"])
         res = many_site_signaling_time(spec, model, [0], list(range(1, n)), delta)
         return [(method, n, alpha, "", n - 1, delta, res.t_star)]
     rows = []
     if method == "analytic":
-        spec = _ring(n, task["D"], task["boundary"])
+        spec = _lattice(n, task["D"], task["boundary"])
         params = self_hop_lambda(spec, model)
         sig = SignalingSpec(delta=delta, kac_rescale=kac)
         for r_tok in task["r"]:
@@ -228,6 +218,8 @@ def _cmd_bound(cfg: dict) -> list[tuple]:
         raise ValueError(f"bound method must be analytic, exact_sum, or envelope, got {cfg['method']!r}")
     if cfg["method"] == "exact_sum" and cfg["D"] != 1:
         raise ValueError("the exact series bound is defined on 1D rings only")
+    if cfg["boundary"] != "periodic":
+        raise ValueError(f"bound --method {cfg['method']} is defined on periodic lattices only")
     r_list = list(cfg["r"]) if cfg["r"] else ["1"]
     if cfg["r_logspace"]:
         r_list = None  # resolved per N below
@@ -260,7 +252,7 @@ def _cmd_signaling(cfg: dict) -> list[tuple]:
         raise ValueError(
             f"signaling method must be analytic, exact_sum, many_site, or ising, got {cfg['method']!r}"
         )
-    if cfg["method"] == "exact_sum" and cfg["D"] != 1:
+    if cfg["method"] == "exact_sum" and (cfg["D"] != 1 or cfg["boundary"] != "periodic"):
         raise ValueError("the exact series bound is defined on 1D rings only")
     tasks = [
         {
@@ -347,7 +339,7 @@ def _cmd_ising_oracle(cfg: dict) -> list[tuple]:
     rows = []
     for a in cfg["alpha"]:
         for n in cfg["N"]:
-            spec = _ring(n, cfg["D"], cfg["boundary"])
+            spec = _lattice(n, cfg["D"], cfg["boundary"])
             model = CouplingModel(alpha=a)
             for t in cfg["t"] or [0.0]:
                 exact = ising_exact_oracle(spec, model, cfg["i"], t)
@@ -430,17 +422,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    # flags arriving as comma strings (from CLI or config scalars)
-    if isinstance(cfg["alpha"], str):
-        cfg["alpha"] = _parse_floats(cfg["alpha"])
-    if isinstance(cfg["N"], str):
-        cfg["N"] = _parse_floats(cfg["N"])
-    if isinstance(cfg["r"], str):
-        cfg["r"] = [tok for tok in cfg["r"].split(",") if tok]
-    if isinstance(cfg["t"], str):
-        cfg["t"] = _parse_floats(cfg["t"])
+    # Grids arrive as comma strings (flags or config), lists, or bare
+    # config numbers, which are one-element grids.
+    for key in ("alpha", "N", "r", "t"):
+        if isinstance(cfg[key], str):
+            cfg[key] = [tok for tok in cfg[key].split(",") if tok]
+        elif isinstance(cfg[key], (int, float)):
+            cfg[key] = [cfg[key]]
     cfg["alpha"] = [float(a) for a in _finite("alpha", cfg["alpha"])]
-    cfg["N"] = sorted(int(n) for n in _finite("N", cfg["N"]))
+    cfg["N"] = sorted(int(float(n)) for n in _finite("N", cfg["N"]))
     if cfg["t"] is not None:
         cfg["t"] = [float(t) for t in _finite("t", cfg["t"])]
     _finite("delta", [cfg["delta"]])

@@ -240,29 +240,15 @@ def trajectory(
     return out
 
 
-def _apply_raise(psi: np.ndarray, sites, n: int) -> np.ndarray:
-    """Apply the product of raising operators on ``sites`` (bit 0 -> 1)."""
+def _apply_ladder(psi: np.ndarray, sites, raising: bool) -> np.ndarray:
+    """Apply the product of raising (bit 0 -> 1) or lowering (bit 1 -> 0) operators on ``sites``."""
     idx = np.arange(psi.size)
-    keep = np.ones(psi.size, dtype=bool)
-    shift = 0
+    mask = 0
     for s in sites:
-        keep &= (idx >> s) & 1 == 0
-        shift |= 1 << s
+        mask |= 1 << s
+    keep = (idx & mask) == (0 if raising else mask)
     out = np.zeros_like(psi)
-    out[idx[keep] | shift] = psi[keep]
-    return out
-
-
-def _apply_lower(psi: np.ndarray, sites, n: int) -> np.ndarray:
-    """Apply the product of lowering operators on ``sites`` (bit 1 -> 0)."""
-    idx = np.arange(psi.size)
-    keep = np.ones(psi.size, dtype=bool)
-    shift = 0
-    for s in sites:
-        keep &= (idx >> s) & 1 == 1
-        shift |= 1 << s
-    out = np.zeros_like(psi)
-    out[idx[keep] & ~shift] = psi[keep]
+    out[idx[keep] ^ mask] = psi[keep]
     return out
 
 
@@ -296,12 +282,12 @@ def ising_exact_oracle(spec: LatticeSpec, model: CouplingModel, i: int, t: float
     others = [j for j in range(n) if j != i]
 
     # term1 = <psi| U^dag A U B |psi>
-    phi = _apply_raise(ghz, others, n)
-    phi = _apply_raise(phases * phi, [i], n)
+    phi = _apply_ladder(ghz, others, raising=True)
+    phi = _apply_ladder(phases * phi, [i], raising=True)
     term1 = np.vdot(phases * ghz, phi)
     # term2 = <psi| B U^dag A U |psi> via <B^dag psi | U^dag A U psi>
-    chi = _apply_raise(phases * ghz, [i], n)
-    term2 = np.vdot(_apply_lower(ghz, others, n), np.conj(phases) * chi)
+    chi = _apply_ladder(phases * ghz, [i], raising=True)
+    term2 = np.vdot(_apply_ladder(ghz, others, raising=False), np.conj(phases) * chi)
 
     value = term1 - term2
     if abs(value.real) > 1e-10:

@@ -65,18 +65,11 @@ class FourierSpectrum:
 def self_hop_lambda(spec: LatticeSpec, model: CouplingModel) -> HopParameters:
     """Compute the self-hop strength lambda and the constant p.
 
-    On periodic (translationally invariant) lattices every row sum is
-    equal, so a single row suffices; open boundaries fall back to a
-    brute-force maximum over rows.
-
-    Parameters
-    ----------
-    spec : LatticeSpec
-    model : CouplingModel
-
-    Returns
-    -------
-    HopParameters
+    lambda is the largest coupling row sum. On periodic (translationally
+    invariant) lattices every row sum is equal, so a single row
+    suffices; open boundaries fall back to a brute-force maximum over
+    rows. This is the package's one max-row-sum loop:
+    ``free_particle_envelope`` reads it at exponent 2 alpha.
     """
     n = spec.site_count
     if n < 2:

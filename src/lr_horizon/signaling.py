@@ -6,6 +6,9 @@ the true commutator, each t* is a certified lower bound on the physical
 signaling time. The many-site variant doubles as a scrambling-time
 lower bound (scrambling from a region is no faster than signaling to
 its complement).
+The analytic and many-site bounds are closed form in t, and so is their
+t* (``PairSum.crossing``, no bracket). The ring series takes safeguarded
+Newton steps; ``signaling_time_numeric`` bisects any monotone bound.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import UNIT_PREFACTOR, BoundPrefactor, RingSeries, many_site_bound
-from .kernels import FourierSpectrum, HopParameters, self_hop_lambda, site_hop_strength
+from .bounds import UNIT_PREFACTOR, BoundPrefactor, PairSum, RingSeries
+from .kernels import FourierSpectrum, HopParameters, site_hop_strength
 from .lattice import CouplingModel, LatticeSpec
 
 # Relative width in t of the bracket every numeric solve ends on;
@@ -56,18 +59,13 @@ class SignalingTime:
 def signaling_time_analytic(params: HopParameters, sig: SignalingSpec, r: float) -> SignalingTime:
     """Invert the closed-form bound: t* = ln(1 + delta lam p r^alpha / s) / (2 lam (1+p)).
 
-    ``s`` is the prefactor scale 2||A||||B|||X||Y|. With ``kac_rescale``
-    the reported time is multiplied by lam.
+    ``s`` is the prefactor scale 2||A||||B|||X||Y|; this is
+    ``PairSum.crossing`` for one pair. With ``kac_rescale`` the reported
+    time is multiplied by lam.
     """
-    if r < 1:
-        raise ValueError("separation r must be >= 1")
-    lam, p = params.lam, params.p
-    t = math.log1p(sig.delta * lam * p * r**params.alpha / sig.prefactor.scale) / (
-        2.0 * lam * (1.0 + p)
-    )
-    if sig.kac_rescale:
-        t *= lam
-    return SignalingTime(t_star=t, method="analytic")
+    scale = params.lam if sig.kac_rescale else 1.0
+    t = PairSum.one_pair(params, sig.prefactor.scale, r).crossing(sig.delta)
+    return SignalingTime(t_star=scale * t, method="analytic")
 
 
 def _expand_bracket(bound_fn, delta: float, t_init: float) -> tuple[float, float, float]:
@@ -150,22 +148,16 @@ def many_site_signaling_time(
     """Earliest t at which the pair-summed analytic bound reaches delta.
 
     With |X| fixed and Y the complement this is simultaneously the
-    many-site signaling bound and a scrambling-time lower bound. Solved
-    by bisection on ``many_site_bound``; honors ``model.kac_normalize``
-    by rescaling the reported time and its bracket by lambda.
+    many-site signaling bound and a scrambling-time lower bound. The
+    bound ``many_site_bound`` is closed form in t, so lambda and the
+    pair sum are computed once and ``PairSum.crossing`` inverts it
+    exactly; there is no bracket. Honors ``model.kac_normalize`` by
+    rescaling the reported time by lambda.
     """
-    params = self_hop_lambda(spec, model)
-
-    def f(t: float) -> float:
-        return many_site_bound(spec, model, region_x, region_y, t, norms).value
-
-    t_init = 1.0 / (2.0 * params.lam * (1.0 + params.p))
-    result = signaling_time_numeric(f, delta, t_init=t_init)
-    scale = params.lam if model.kac_normalize else 1.0
-    lo, hi = result.bracket
-    return SignalingTime(
-        t_star=scale * result.t_star, method="many_site", bracket=(scale * lo, scale * hi)
-    )
+    pre = BoundPrefactor(norm_A=norms[0], norm_B=norms[1])
+    bound = PairSum.between(spec, model, region_x, region_y, pre.scale)
+    scale = bound.params.lam if model.kac_normalize else 1.0
+    return SignalingTime(t_star=scale * bound.crossing(delta), method="many_site")
 
 
 def exact_sum_signaling_time(

@@ -75,6 +75,18 @@ def test_bound_exact_sum_requires_1d(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command,method",
+    [("bound", "analytic"), ("bound", "envelope"), ("bound", "exact_sum"), ("signaling", "exact_sum")],
+)
+def test_open_boundary_rejected_where_ignored_exit2(capsys, command, method):
+    code = main([command, "--method", method, "--boundary", "open", "--alpha", "0.5", "--N", "16", "--t", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:")
+
+
 def test_bound_unknown_method_exit2(capsys):
     code, _ = _run(capsys, ["bound", "--method", "magic", "--alpha", "0.5", "--N", "16"])
     assert code == 2
@@ -223,6 +235,24 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code, out = _run(capsys, ["signaling", "--config", str(cfg), "--delta", "0.5"])
     assert code == 0
     assert float(_rows(out)[0]["t_star"]) == pytest.approx(math.log(6) / 25, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "command,key,value,flag",
+    [
+        ("signaling", "alpha", 0.9, "0.9"),
+        ("signaling", "N", 100, "100"),
+        ("bound", "t", 0.25, "0.25"),
+        ("bound", "r", 3, "3"),
+    ],
+)
+def test_scalar_config_value_is_one_element_grid(tmp_path, capsys, command, key, value, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    assert main([command, "--config", str(cfg), "--out", str(from_config)]) == 0
+    assert main([command, f"--{key}", flag, "--out", str(from_flag)]) == 0
+    assert from_config.read_bytes() == from_flag.read_bytes()
 
 
 @pytest.mark.parametrize(

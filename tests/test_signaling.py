@@ -5,6 +5,7 @@ import pytest
 
 from lr_horizon import (
     CouplingModel,
+    LatticeSpec,
     NoCrossingError,
     SignalingSpec,
     analytic_bound,
@@ -16,6 +17,7 @@ from lr_horizon import (
     ising_exact_oracle,
     ising_signal,
     ising_signaling_time,
+    many_site_bound,
     many_site_signaling_time,
     ring,
     self_hop_lambda,
@@ -23,7 +25,7 @@ from lr_horizon import (
     signaling_time_analytic,
     signaling_time_numeric,
 )
-from lr_horizon import signaling
+from lr_horizon import bounds, kernels, signaling
 from lr_horizon.bounds import RingSeries
 
 RING4_ALPHA1 = self_hop_lambda(ring(4), CouplingModel(alpha=1.0))
@@ -121,6 +123,47 @@ def test_many_site_scaling_exponent():
             res = many_site_signaling_time(ring(n), CouplingModel(alpha=alpha), [0], list(range(1, n)), 1.0)
             pts.append((n, res.t_star))
         assert fit_pure_power(pts).coefficients[1] == pytest.approx(target, abs=0.1)
+
+
+@pytest.mark.parametrize(
+    "spec, region_x, region_y, norms, kac",
+    [
+        (ring(48), [0, 5], list(range(10, 40)), (1.0, 1.0), False),
+        (chain(64), [0, 1, 2], list(range(3, 64)), (0.7, 1.3), False),
+        (LatticeSpec(dimension=2, linear_size=6, boundary="open"), [0, 7], [20, 28, 35], (2.0, 0.5), True),
+        (chain(40), [10], list(range(20, 40)), (1.0, 1.0), True),
+    ],
+    ids=["ring", "open_chain", "open_box_2d_kac", "open_chain_kac"],
+)
+@pytest.mark.parametrize("alpha", [0.0, 0.6, 1.7])
+def test_many_site_closed_form_matches_bisection(spec, region_x, region_y, norms, kac, alpha):
+    """The closed-form inversion agrees with bisecting many_site_bound itself."""
+    model = CouplingModel(alpha=alpha, kac_normalize=kac)
+    delta = 0.8
+    res = many_site_signaling_time(spec, model, region_x, region_y, delta, norms)
+    params = self_hop_lambda(spec, model)
+    ref = signaling_time_numeric(
+        lambda t: many_site_bound(spec, model, region_x, region_y, t, norms).value,
+        delta,
+        t_init=1.0 / (2.0 * params.lam * (1.0 + params.p)),
+    )
+    want = ref.t_star * (params.lam if kac else 1.0)
+    assert res.t_star == pytest.approx(want, rel=1e-9)
+    assert res.bracket is None
+
+
+def test_many_site_signaling_computes_lambda_once(monkeypatch):
+    calls = []
+
+    def counted(spec, model):
+        calls.append(spec)
+        return kernels.self_hop_lambda(spec, model)
+
+    for module in (bounds, signaling):
+        if hasattr(module, "self_hop_lambda"):
+            monkeypatch.setattr(module, "self_hop_lambda", counted)
+    many_site_signaling_time(chain(64), CouplingModel(alpha=0.5), [0, 1], list(range(8, 64)), 1.0)
+    assert len(calls) == 1
 
 
 def test_exact_sum_signaling_regression_fixture():
@@ -233,13 +276,12 @@ def test_kac_rescaling_multiplies_times_by_lambda():
     m1 = many_site_signaling_time(spec, kac, [0], [8], 1.0).t_star
     assert m1 == pytest.approx(lam * m0, rel=1e-9)
 
-    for plain_res, kac_res in (
-        (exact_sum_signaling_time(16, 0.5, 4, 1.0), exact_sum_signaling_time(16, 0.5, 4, 1.0, kac_rescale=True)),
-        (many_site_signaling_time(spec, plain, [0], [8], 1.0), many_site_signaling_time(spec, kac, [0], [8], 1.0)),
-    ):
-        lo, hi = kac_res.bracket
-        assert lo <= kac_res.t_star <= hi
-        assert (lo, hi) == pytest.approx(tuple(lam * t for t in plain_res.bracket), rel=1e-12)
+    # The many-site time is closed form and has no bracket to rescale.
+    plain_res = exact_sum_signaling_time(16, 0.5, 4, 1.0)
+    kac_res = exact_sum_signaling_time(16, 0.5, 4, 1.0, kac_rescale=True)
+    lo, hi = kac_res.bracket
+    assert lo <= kac_res.t_star <= hi
+    assert (lo, hi) == pytest.approx(tuple(lam * t for t in plain_res.bracket), rel=1e-12)
 
     i0 = ising_signaling_time(spec, plain, 0, 0.5)
     i1 = ising_signaling_time(spec, kac, 0, 0.5)
