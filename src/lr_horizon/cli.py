@@ -87,13 +87,21 @@ def _finite(flag: str, values: list) -> list:
     return values
 
 
-def _resolve_r(token: str, n_sites: int) -> int:
+def _resolve_r(token: str, spec: LatticeSpec) -> int:
+    """Resolve a ``--r`` token; an r beyond the lattice's largest distance is invalid."""
+    n_sites = spec.site_count
     tok = token.strip()
     if tok == "N/2":
-        return n_sites // 2
-    if tok == "N/4":
-        return max(1, n_sites // 4)
-    return int(float(tok))
+        r = n_sites // 2
+    elif tok == "N/4":
+        r = max(1, n_sites // 4)
+    else:
+        r = int(float(tok))
+    reach = spec.linear_size // 2 if spec.boundary == "periodic" else spec.linear_size - 1
+    largest = math.sqrt(spec.dimension) * reach
+    if r > largest:
+        raise ValueError(f"r = {r} exceeds the largest distance {largest:.6g} on this lattice")
+    return r
 
 
 def _lattice(n_sites: int, dimension: int, boundary: str) -> LatticeSpec:
@@ -127,18 +135,18 @@ def _bound_task(task: dict) -> list[tuple]:
     alpha, n = task["alpha"], task["N"]
     method = task["method"]
     rows = []
+    spec = _lattice(n, task["D"], "periodic")
     if method == "envelope":
-        spec = _lattice(n, task["D"], "periodic")
         value = free_particle_envelope(spec, CouplingModel(alpha=alpha))
         return [(method, n, alpha, "", "", value)]
     if method == "exact_sum":
         spectrum = fourier_spectrum(n, alpha)
         lam = spectrum.lam
     else:
-        params = self_hop_lambda(_lattice(n, task["D"], "periodic"), CouplingModel(alpha=alpha))
+        params = self_hop_lambda(spec, CouplingModel(alpha=alpha))
         lam = params.lam
     for r_tok in task["r"]:
-        r = _resolve_r(r_tok, n)
+        r = _resolve_r(r_tok, spec)
         for t in task["t"]:
             t_abs = t / lam if task["t_unit"] == "inv_lambda" else t
             if method == "exact_sum":
@@ -154,28 +162,26 @@ def _signaling_task(task: dict) -> list[tuple]:
     method = task["method"]
     kac = task["kac"]
     model = CouplingModel(alpha=alpha, kac_normalize=kac)
+    spec = _lattice(n, task["D"], task["boundary"])
     if method == "ising":
-        spec = _lattice(n, task["D"], task["boundary"])
-        t = ising_signaling_time(spec, model, 0, delta)
+        t = ising_signaling_time(spec, model, task["i"], delta)
         return [(method, n, alpha, "", n - 1, delta, t)]
     if method == "many_site":
-        spec = _lattice(n, task["D"], task["boundary"])
         res = many_site_signaling_time(spec, model, [0], list(range(1, n)), delta)
         return [(method, n, alpha, "", n - 1, delta, res.t_star)]
     rows = []
     if method == "analytic":
-        spec = _lattice(n, task["D"], task["boundary"])
         params = self_hop_lambda(spec, model)
         sig = SignalingSpec(delta=delta, kac_rescale=kac)
         for r_tok in task["r"]:
-            r = _resolve_r(r_tok, n)
+            r = _resolve_r(r_tok, spec)
             res = signaling_time_analytic(params, sig, float(r))
             rows.append((method, n, alpha, r_tok, r, delta, res.t_star))
         return rows
     # exact_sum: one spectrum shared across the r sweep
     spectrum = fourier_spectrum(n, alpha)
     for r_tok in task["r"]:
-        r = _resolve_r(r_tok, n)
+        r = _resolve_r(r_tok, spec)
         res = exact_sum_signaling_time(n, alpha, r, delta, spectrum=spectrum, kac_rescale=kac)
         rows.append((method, n, alpha, r_tok, r, delta, res.t_star))
     return rows
@@ -254,6 +260,10 @@ def _cmd_signaling(cfg: dict) -> list[tuple]:
         )
     if cfg["method"] == "exact_sum" and (cfg["D"] != 1 or cfg["boundary"] != "periodic"):
         raise ValueError("the exact series bound is defined on 1D rings only")
+    unused = ("t", "r_logspace", "r") if cfg["method"] in ("many_site", "ising") else ("t", "r_logspace")
+    for key in unused:
+        if cfg[key] is not None:
+            raise ValueError(f"signaling --method {cfg['method']} does not use --{key.replace('_', '-')}")
     tasks = [
         {
             "alpha": a,
@@ -264,6 +274,7 @@ def _cmd_signaling(cfg: dict) -> list[tuple]:
             "r": cfg["r"] or ["1"],
             "delta": cfg["delta"],
             "kac": cfg["kac"],
+            "i": cfg["i"],
         }
         for a in cfg["alpha"]
         for n in cfg["N"]

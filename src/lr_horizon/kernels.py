@@ -1,8 +1,8 @@
 """Series-level kernel quantities for the long-range hop expansion.
 
-Everything here feeds the commutator bounds: the self-hop strength
-lambda (the largest coupling row sum, which also serves as the diagonal
-entry of the hop matrix), the composition constant p = 2**(alpha + 1),
+Everything here feeds the commutator bounds: the coupling row sums and
+the self-hop strength lambda (the largest one, also the diagonal entry
+of the hop matrix), the composition constant p = 2**(alpha + 1),
 closed-form upper bounds on lambda, a brute-force certification of the
 hop-composition inequality, the circulant Fourier spectrum of the ring
 coupling sequence, and a dense matrix-exponential oracle that sums the
@@ -11,6 +11,7 @@ hop series exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,23 +63,45 @@ class FourierSpectrum:
     omega_max: float
 
 
+def _inverse_power_grid(dimension: int, side: int, alpha: float) -> np.ndarray:
+    """d**(-alpha), 0 at d = 0, on the grid whose axes hold displacements min(k, side - k)."""
+    d = np.arange(side, dtype=float)
+    np.minimum(d, side - d, out=d)
+    if dimension > 1:
+        d = np.sqrt(functools.reduce(np.add.outer, [d * d] * dimension))
+    with np.errstate(divide="ignore"):
+        kernel = d ** (-alpha)
+    kernel.flat[0] = 0.0
+    return kernel
+
+
+def row_sums(spec: LatticeSpec, alpha: float) -> np.ndarray:
+    """All N row sums sum_{j != i} d_ij**(-alpha), in flat site order.
+
+    Periodic: each is the total of the minimum-image grid (side L). Open:
+    one circular convolution, O(N log N), of the box indicator with the
+    grid of side M = 2**k >= 2L - 1, where no two site offsets collide.
+    """
+    L, D = spec.linear_size, spec.dimension
+    if spec.boundary == "periodic":
+        return np.full(spec.site_count, _inverse_power_grid(D, L, alpha).sum())
+    m = 1 << (2 * L - 2).bit_length()
+    axes = tuple(range(D))
+    transform = np.fft.rfftn(_inverse_power_grid(D, m, alpha), axes=axes)
+    transform *= np.fft.rfftn(np.ones((L,) * D), s=(m,) * D, axes=axes)
+    sums = np.fft.irfftn(transform, s=(m,) * D, axes=axes)
+    return sums[(slice(L),) * D].ravel()
+
+
 def self_hop_lambda(spec: LatticeSpec, model: CouplingModel) -> HopParameters:
     """Compute the self-hop strength lambda and the constant p.
 
-    lambda is the largest coupling row sum. On periodic (translationally
-    invariant) lattices every row sum is equal, so a single row
-    suffices; open boundaries fall back to a brute-force maximum over
-    rows. This is the package's one max-row-sum loop:
-    ``free_particle_envelope`` reads it at exponent 2 alpha.
+    lambda is the largest of the ``row_sums``; ``free_particle_envelope``
+    reads it at exponent 2 alpha. ``site_hop_strength`` sums one coupling
+    row directly, the per-row reference the tests compare against.
     """
-    n = spec.site_count
-    if n < 2:
-        raise ValueError("need at least 2 sites")
-    if spec.boundary == "periodic":
-        lam = float(coupling_row(spec, model, 0).sum())
-    else:
-        lam = max(float(coupling_row(spec, model, i).sum()) for i in range(n))
-    return HopParameters(lam=lam, p=2.0 ** (model.alpha + 1), alpha=model.alpha, site_count=n)
+    lam = float(row_sums(spec, model.alpha).max())
+    return HopParameters(lam, 2.0 ** (model.alpha + 1), model.alpha, spec.site_count)
 
 
 def site_hop_strength(spec: LatticeSpec, model: CouplingModel, i: int) -> float:
@@ -139,11 +162,11 @@ def reproducibility_check(spec: LatticeSpec, model: CouplingModel) -> Reproducib
 
         S2(i, j) = sum_{k not in {i, j}} J_ik J_kj,
 
-    is compared against p * lambda * J_ij. The intermediate sum skips
-    the endpoints because consecutive sites in a hop sequence differ;
-    self-hops are resummed separately into the lambda diagonal and never
-    enter this inequality. A ``max_ratio <= 1`` certifies that power-law
-    decay survives hop composition on this lattice.
+    is compared against p * lambda * J_ij, the lambda of the bounds. The
+    intermediate sum skips the endpoints because consecutive sites in a
+    hop sequence differ; self-hops are resummed separately into the
+    lambda diagonal and never enter this inequality. A ``max_ratio <= 1``
+    certifies that power-law decay survives hop composition on this lattice.
 
     Brute force, O(N**3) via a dense matrix product; N is capped at
     ``REPRO_MAX_SITES``. ``N == 2`` has no intermediate sites, so the
@@ -154,14 +177,13 @@ def reproducibility_check(spec: LatticeSpec, model: CouplingModel) -> Reproducib
     n = spec.site_count
     if n > REPRO_MAX_SITES:
         raise ValueError(f"N = {n} exceeds brute-force cap {REPRO_MAX_SITES}")
+    params = self_hop_lambda(spec, model)
     J = coupling_matrix(spec, model)
-    lam = float(J.sum(axis=1).max())
-    p = 2.0 ** (model.alpha + 1)
     # Zero diagonal makes J @ J skip k = i and k = j automatically.
     two_hop = J @ J
     off = ~np.eye(n, dtype=bool)
     ratios = np.zeros_like(J)
-    ratios[off] = two_hop[off] / (p * lam * J[off])
+    ratios[off] = two_hop[off] / (params.p * params.lam * J[off])
     flat = int(np.argmax(ratios))
     worst = (flat // n, flat % n)
     return ReproducibilityReport(
@@ -173,15 +195,11 @@ def reproducibility_check(spec: LatticeSpec, model: CouplingModel) -> Reproducib
 
 
 def ring_hop_sequence(n_sites: int, alpha: float) -> np.ndarray:
-    """Length-N sequence J(r) on the ring, with the self-hop J(0) = lambda."""
+    """Length-N ring sequence J(r): the ring grid of ``row_sums``, with J(0) = lambda its total."""
     if n_sites < 2:
         raise ValueError("need at least 2 sites")
-    r = np.arange(n_sites)
-    rd = np.minimum(r, n_sites - r).astype(float)
-    seq = np.empty(n_sites)
-    with np.errstate(divide="ignore"):
-        seq[1:] = rd[1:] ** (-alpha)
-    seq[0] = seq[1:].sum()
+    seq = _inverse_power_grid(1, n_sites, alpha)
+    seq[0] = seq.sum()
     return seq
 
 

@@ -243,9 +243,9 @@ def ising_signal(spec: LatticeSpec, model: CouplingModel, i: int, t: float) -> f
 
 
 def ising_signaling_time(spec: LatticeSpec, model: CouplingModel, i: int, delta: float) -> float:
-    """First time |sin(2 lambda_i t)| reaches delta: arcsin(delta) / (2 lambda_i)."""
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    """First time |sin(2 lambda_i t)| reaches delta in (0, 1]: arcsin(delta) / (2 lambda_i)."""
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     lam_i = site_hop_strength(spec, model, i)
     t = math.asin(delta) / (2.0 * lam_i)
     return t * lam_i if model.kac_normalize else t

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from lr_horizon import NoCrossingError
+from lr_horizon import CouplingModel, NoCrossingError, chain, ring, site_hop_strength
 from lr_horizon.cli import main
 
 
@@ -102,6 +102,77 @@ def test_signaling_ising_hand_value(capsys):
     code, out = _run(capsys, ["signaling", "--method", "ising", "--alpha", "1", "--N", "4", "--delta", "0.5"])
     assert code == 0
     assert float(_rows(out)[0]["t_star"]) == pytest.approx(math.pi / 30, rel=1e-12)
+
+
+def test_signaling_ising_default_threshold_is_one(capsys):
+    code, out = _run(capsys, ["signaling", "--method", "ising", "--N", "16"])
+    assert code == 0
+    row = _rows(out)[0]
+    lam0 = site_hop_strength(ring(16), CouplingModel(alpha=0.5), 0)
+    assert float(row["delta"]) == 1.0
+    assert float(row["t_star"]) == pytest.approx(math.pi / (4 * lam0), rel=1e-12)
+
+
+def test_signaling_ising_probes_site_i(capsys):
+    base = ["signaling", "--method", "ising", "--boundary", "open", "--alpha", "1", "--N", "9", "--delta", "0.5"]
+    t_star = {}
+    for i in (0, 4):
+        code, out = _run(capsys, base + ["--i", str(i)])
+        assert code == 0
+        t_star[i] = float(_rows(out)[0]["t_star"])
+        lam_i = site_hop_strength(chain(9), CouplingModel(alpha=1.0), i)
+        assert t_star[i] == pytest.approx(math.asin(0.5) / (2 * lam_i), rel=1e-12)
+    assert t_star[4] < t_star[0]
+
+
+@pytest.mark.parametrize(
+    "method,extra,message",
+    [
+        (method, ["--t", "3"], "does not use --t")
+        for method in ("analytic", "exact_sum", "many_site", "ising")
+    ]
+    + [
+        (method, ["--r-logspace", "4"], "does not use --r-logspace")
+        for method in ("analytic", "exact_sum", "many_site", "ising")
+    ]
+    + [
+        ("many_site", ["--r", "5"], "does not use --r"),
+        ("ising", ["--r", "5"], "does not use --r"),
+        ("ising", ["--i", "16"], "site index 16 outside [0, 16)"),
+        ("ising", ["--i", "-1"], "site index -1 outside [0, 16)"),
+    ],
+)
+def test_signaling_dropped_flags_and_bad_site_exit2(capsys, method, extra, message):
+    code = main(["signaling", "--method", method, "--alpha", "0.5", "--N", "16", *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,largest",
+    [
+        (["bound", "--method", "analytic", "--N", "16", "--t", "0.1"], 8),
+        (["signaling", "--method", "analytic", "--N", "16"], 8),
+        (["signaling", "--method", "analytic", "--N", "15"], 7),
+        (["signaling", "--method", "analytic", "--N", "16", "--boundary", "open"], 15),
+        (["bound", "--method", "analytic", "--N", "64", "--D", "2", "--t", "0.1"], 4 * math.sqrt(2)),
+        (["signaling", "--method", "analytic", "--N", "16", "--D", "2", "--boundary", "open"], 3 * math.sqrt(2)),
+    ],
+)
+def test_separation_beyond_lattice_exit2(capsys, argv, largest):
+    """r up to the lattice's largest distance is written; one past it exits 2."""
+    r = math.floor(largest)
+    code, out = _run(capsys, argv + ["--r", str(r)])
+    assert code == 0
+    assert int(_rows(out)[0]["r" if argv[0] == "bound" else "r_or_sizeY"]) == r
+    code = main(argv + ["--r", str(r + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: r = ")
 
 
 def test_signaling_many_site_hand_value(capsys):

@@ -13,6 +13,7 @@ from lr_horizon import (
     reproducibility_check,
     ring,
     ring_hop_sequence,
+    row_sums,
     self_hop_lambda,
     series_oracle,
     site_hop_strength,
@@ -45,6 +46,36 @@ def test_open_chain_lambda_maximizes_over_rows():
     rows = [site_hop_strength(spec, model, i) for i in range(9)]
     assert self_hop_lambda(spec, model).lam == pytest.approx(max(rows))
     assert max(rows) > rows[0]
+
+
+@pytest.mark.parametrize("dimension,sides", [(1, (2, 3, 16, 33)), (2, (2, 3, 6, 9)), (3, (2, 3, 4, 5))])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.5])
+def test_row_sums_match_per_row_oracle(dimension, sides, boundary, alpha):
+    """Every row sum, in flat site order, equals one coupling row summed directly."""
+    model = CouplingModel(alpha=alpha)
+    for side in sides:
+        spec = LatticeSpec(dimension=dimension, linear_size=side, boundary=boundary)
+        oracle = np.array([site_hop_strength(spec, model, i) for i in range(spec.site_count)])
+        sums = row_sums(spec, alpha)
+        assert sums.shape == oracle.shape
+        assert np.max(np.abs(sums - oracle) / oracle) <= 1e-13
+        assert self_hop_lambda(spec, model).lam == pytest.approx(oracle.max(), rel=1e-13)
+
+
+@pytest.mark.parametrize("n,alpha", [(10**6, 0.5), (31623, 0.05)])
+def test_ring_lambda_is_one_number(n, alpha):
+    """The lambda the bounds use and the series spectrum's lambda come from one sum."""
+    assert self_hop_lambda(ring(n), CouplingModel(alpha=alpha)).lam == fourier_spectrum(n, alpha).lam
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.5])
+def test_open_chain_lambda_large_n_matches_prefix_sums(alpha):
+    """Row i of an open chain is H(i) + H(N - 1 - i) with H(m) = sum_{k=1}^m k**(-alpha)."""
+    n = 10**5
+    h = np.concatenate(([0.0], np.cumsum(np.arange(1, n, dtype=float) ** (-alpha))))
+    expected = float(np.max(h + h[::-1]))
+    assert self_hop_lambda(chain(n), CouplingModel(alpha=alpha)).lam == pytest.approx(expected, rel=1e-12)
 
 
 def test_surface_area_constant_low_dimensions():

@@ -246,8 +246,10 @@ def test_ising_signaling_time_hand_value():
 
 
 def test_ising_signaling_time_delta_window():
+    # |sin(2 lam t)| reaches 1 at t = pi / (4 lam), with lam = 2.5 on ring(4) at alpha = 1
+    assert ising_signaling_time(ring(4), CouplingModel(alpha=1.0), 0, 1.0) == pytest.approx(math.pi / 10, rel=1e-12)
     with pytest.raises(ValueError):
-        ising_signaling_time(ring(4), CouplingModel(alpha=1.0), 0, 1.0)
+        ising_signaling_time(ring(4), CouplingModel(alpha=1.0), 0, 1.0 + 1e-9)
     with pytest.raises(ValueError):
         ising_signaling_time(ring(4), CouplingModel(alpha=1.0), 0, 0.0)
 
