@@ -12,8 +12,9 @@ Subcommands map the library onto reproducible tables:
 Output is CSV (default) or JSON. CSV starts with one comment line
 recording the tool version, a hash of the resolved configuration, and
 the method tag, so identical configurations yield byte-identical files.
-Floats are written with 17 significant digits. Exit codes: 0 success,
-2 invalid input, 3 solver failure.
+Floats are written with 17 significant digits. Each command accepts
+only the flags and config keys it reads (``READS``, plus ``RUN_KEYS``).
+Exit codes: 0 success, 2 invalid input, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .analysis import MODELS, fit_model
+from .analysis import fit_model
 from .bounds import analytic_bound, exact_sum_bound, free_particle_envelope
 from .dynamics import ising_exact_oracle, state_transfer_protocol, trajectory
 from .kernels import fourier_spectrum, lambda_upper_bound, self_hop_lambda
@@ -134,20 +135,31 @@ def _lambda_task(task: dict) -> list[tuple]:
 def _bound_task(task: dict) -> list[tuple]:
     alpha, n = task["alpha"], task["N"]
     method = task["method"]
-    rows = []
+    if method == "exact_sum" and task["D"] != 1:
+        raise ValueError("the exact series bound is defined on 1D rings only")
+    if task["boundary"] != "periodic":
+        raise ValueError(f"bound --method {method} is defined on periodic lattices only")
     spec = _lattice(n, task["D"], "periodic")
     if method == "envelope":
         value = free_particle_envelope(spec, CouplingModel(alpha=alpha))
         return [(method, n, alpha, "", "", value)]
+    if task["r"] is not None and task["r_logspace"] is not None:
+        raise ValueError("bound takes --r or --r-logspace, not both")
+    if task["r_logspace"]:
+        ks = np.unique(np.round(np.logspace(0, math.log10(max(n // 2, 1)), task["r_logspace"])))
+        r_tokens = [str(int(k)) for k in ks]
+    else:
+        r_tokens = task["r"] or ["1"]
     if method == "exact_sum":
         spectrum = fourier_spectrum(n, alpha)
         lam = spectrum.lam
     else:
         params = self_hop_lambda(spec, CouplingModel(alpha=alpha))
         lam = params.lam
-    for r_tok in task["r"]:
+    rows = []
+    for r_tok in r_tokens:
         r = _resolve_r(r_tok, spec)
-        for t in task["t"]:
+        for t in task["t"] or [0.0]:
             t_abs = t / lam if task["t_unit"] == "inv_lambda" else t
             if method == "exact_sum":
                 value = exact_sum_bound(n, alpha, r, t_abs, spectrum=spectrum).value
@@ -170,116 +182,43 @@ def _signaling_task(task: dict) -> list[tuple]:
         res = many_site_signaling_time(spec, model, [0], list(range(1, n)), delta)
         return [(method, n, alpha, "", n - 1, delta, res.t_star)]
     rows = []
+    r_tokens = task["r"] or ["1"]
     if method == "analytic":
         params = self_hop_lambda(spec, model)
         sig = SignalingSpec(delta=delta, kac_rescale=kac)
-        for r_tok in task["r"]:
+        for r_tok in r_tokens:
             r = _resolve_r(r_tok, spec)
             res = signaling_time_analytic(params, sig, float(r))
             rows.append((method, n, alpha, r_tok, r, delta, res.t_star))
         return rows
     # exact_sum: one spectrum shared across the r sweep
+    if task["D"] != 1 or task["boundary"] != "periodic":
+        raise ValueError("the exact series bound is defined on 1D rings only")
     spectrum = fourier_spectrum(n, alpha)
-    for r_tok in task["r"]:
+    for r_tok in r_tokens:
         r = _resolve_r(r_tok, spec)
         res = exact_sum_signaling_time(n, alpha, r, delta, spectrum=spectrum, kac_rescale=kac)
         rows.append((method, n, alpha, r_tok, r, delta, res.t_star))
     return rows
 
 
-def _run_task(payload: tuple) -> list[tuple]:
-    kind, task = payload
-    if kind == "lambda":
-        return _lambda_task(task)
-    if kind == "bound":
-        return _bound_task(task)
-    return _signaling_task(task)
+SWEEPS = {"lambda": _lambda_task, "bound": _bound_task, "signaling": _signaling_task}
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _sweep(kind: str, tasks: list[dict], workers: int) -> list[tuple]:
-    payloads = [(kind, t) for t in tasks]
-    if workers <= 1 or len(payloads) <= 1:
-        results = [_run_task(p) for p in payloads]
+def _sweep(cfg: dict) -> list[tuple]:
+    """One task per (alpha, N) in grid order, so rows do not depend on the worker count."""
+    task_fn = SWEEPS[cfg["command"]]
+    tasks = [dict(cfg, alpha=a, N=n) for a in cfg["alpha"] for n in cfg["N"]]
+    if cfg["workers"] <= 1 or len(tasks) <= 1:
+        results = [task_fn(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, payloads))
+        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
+            results = list(pool.map(task_fn, tasks))
     return [row for chunk in results for row in chunk]
-
-
-def _cmd_lambda(cfg: dict) -> list[tuple]:
-    tasks = [
-        {"alpha": a, "N": n, "D": cfg["D"], "boundary": cfg["boundary"]}
-        for a in cfg["alpha"]
-        for n in cfg["N"]
-    ]
-    return _sweep("lambda", tasks, cfg["workers"])
-
-
-def _cmd_bound(cfg: dict) -> list[tuple]:
-    if cfg["method"] not in ("analytic", "exact_sum", "envelope"):
-        raise ValueError(f"bound method must be analytic, exact_sum, or envelope, got {cfg['method']!r}")
-    if cfg["method"] == "exact_sum" and cfg["D"] != 1:
-        raise ValueError("the exact series bound is defined on 1D rings only")
-    if cfg["boundary"] != "periodic":
-        raise ValueError(f"bound --method {cfg['method']} is defined on periodic lattices only")
-    r_list = list(cfg["r"]) if cfg["r"] else ["1"]
-    if cfg["r_logspace"]:
-        r_list = None  # resolved per N below
-    tasks = []
-    for a in cfg["alpha"]:
-        for n in cfg["N"]:
-            if r_list is None:
-                ks = np.unique(
-                    np.round(np.logspace(0, math.log10(max(n // 2, 1)), cfg["r_logspace"]))
-                ).astype(int)
-                rs = [str(int(k)) for k in ks]
-            else:
-                rs = r_list
-            tasks.append(
-                {
-                    "alpha": a,
-                    "N": n,
-                    "D": cfg["D"],
-                    "method": cfg["method"],
-                    "r": rs,
-                    "t": cfg["t"] or [0.0],
-                    "t_unit": cfg["t_unit"],
-                }
-            )
-    return _sweep("bound", tasks, cfg["workers"])
-
-
-def _cmd_signaling(cfg: dict) -> list[tuple]:
-    if cfg["method"] not in ("analytic", "exact_sum", "many_site", "ising"):
-        raise ValueError(
-            f"signaling method must be analytic, exact_sum, many_site, or ising, got {cfg['method']!r}"
-        )
-    if cfg["method"] == "exact_sum" and (cfg["D"] != 1 or cfg["boundary"] != "periodic"):
-        raise ValueError("the exact series bound is defined on 1D rings only")
-    unused = ("t", "r_logspace", "r") if cfg["method"] in ("many_site", "ising") else ("t", "r_logspace")
-    for key in unused:
-        if cfg[key] is not None:
-            raise ValueError(f"signaling --method {cfg['method']} does not use --{key.replace('_', '-')}")
-    tasks = [
-        {
-            "alpha": a,
-            "N": n,
-            "D": cfg["D"],
-            "boundary": cfg["boundary"],
-            "method": cfg["method"],
-            "r": cfg["r"] or ["1"],
-            "delta": cfg["delta"],
-            "kac": cfg["kac"],
-            "i": cfg["i"],
-        }
-        for a in cfg["alpha"]
-        for n in cfg["N"]
-    ]
-    return _sweep("signaling", tasks, cfg["workers"])
 
 
 def _read_table(path: str) -> list[dict]:
@@ -292,8 +231,6 @@ def _read_table(path: str) -> list[dict]:
 
 
 def _cmd_fit(cfg: dict) -> list[tuple]:
-    if cfg["model"] not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {cfg['model']!r}")
     if not cfg["input"]:
         raise ValueError("fit requires --input pointing at a table written by this tool")
     records = _read_table(cfg["input"])
@@ -414,6 +351,31 @@ _DEFAULTS = {
     "r_logspace": None,
 }
 
+# The config keys each command reads, per method where it has methods.
+# Every other key given as a flag or in a config file exits 2, so no
+# value is dropped without a word. bound reads boundary, and the
+# exact_sum methods read D, only to reject lattices they are not
+# defined on with a message that says so.
+_LATTICE = ("alpha", "N", "D", "boundary")
+_SERIES = _LATTICE + ("method", "r", "r_logspace", "t", "t_unit")
+_SIGNAL = _LATTICE + ("method", "delta", "kac")
+READS = {
+    ("lambda", None): _LATTICE,
+    ("bound", "analytic"): _SERIES,
+    ("bound", "exact_sum"): _SERIES,
+    ("bound", "envelope"): _LATTICE + ("method",),
+    ("signaling", "analytic"): _SIGNAL + ("r",),
+    ("signaling", "exact_sum"): _SIGNAL + ("r",),
+    ("signaling", "many_site"): _SIGNAL,
+    ("signaling", "ising"): _SIGNAL + ("i",),
+    ("fit", None): ("model", "input"),
+    ("protocol", None): ("alpha", "N", "D"),
+    ("ising-oracle", None): _LATTICE + ("t", "i"),
+}
+# Output and execution keys every command accepts; --workers is used
+# only by the commands in SWEEPS.
+RUN_KEYS = ("fmt", "out", "workers", "plot_data")
+
 
 def _merge_config(args: argparse.Namespace) -> dict:
     file_cfg = {}
@@ -429,10 +391,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
         )
     cfg = dict(_DEFAULTS)
     cfg.update(file_cfg)
+    given = set(file_cfg)
     for key in _DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+            given.add(key)
+    command = args.command
+    methods = [m for c, m in READS if c == command and m is not None]
+    method = cfg["method"] if methods else None
+    if methods and method not in methods:
+        raise ValueError(f"{command} --method must be one of {', '.join(methods)}, got {method!r}")
+    dropped = [k for k in _DEFAULTS if k in given and k not in READS[command, method] + RUN_KEYS]
+    if dropped:
+        where = f"{command} --method {method}" if method else command
+        flags = ", ".join("--" + k.replace("_", "-") for k in dropped)
+        raise ValueError(f"{where} does not use {flags}")
     # Grids arrive as comma strings (flags or config), lists, or bare
     # config numbers, which are one-element grids.
     for key in ("alpha", "N", "r", "t"):
@@ -449,7 +423,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         cfg["r"] = [str(tok) for tok in cfg["r"]]
     if cfg["workers"] is None:
         cfg["workers"] = int(os.environ.get(WORKERS_ENV, "1"))
-    cfg["command"] = args.command
+    cfg["command"] = command
     return cfg
 
 
@@ -487,12 +461,8 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         command = cfg["command"]
         trace_rows = None
-        if command == "lambda":
-            rows = _cmd_lambda(cfg)
-        elif command == "bound":
-            rows = _cmd_bound(cfg)
-        elif command == "signaling":
-            rows = _cmd_signaling(cfg)
+        if command in SWEEPS:
+            rows = _sweep(cfg)
         elif command == "fit":
             rows = _cmd_fit(cfg)
         elif command == "protocol":

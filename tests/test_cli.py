@@ -1,8 +1,11 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
+import lr_horizon.cli as cli
 from lr_horizon import CouplingModel, NoCrossingError, chain, ring, site_hop_strength
 from lr_horizon.cli import main
 
@@ -369,3 +372,146 @@ def test_floats_carry_17_significant_digits(capsys):
     lam_text = _rows(out)[0]["lambda"]
     assert float(lam_text) == float(format(float(lam_text), ".17g"))
     assert len(lam_text.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+# ---------------------------------------------------------------------------
+# The READS table: each key a command reads changes its rows (or is
+# rejected for a stated reason); every other key exits 2.
+
+# A non-default value per key: (flag tokens, config-file value). The
+# values of method and input depend on the command; see _other.
+_OTHER = {
+    "alpha": (["--alpha", "0.9"], 0.9),
+    "N": (["--N", "9"], 9),
+    "r": (["--r", "3"], 3),
+    "t": (["--t", "0.3"], 0.3),
+    "t_unit": (["--t-unit", "inv_lambda"], "inv_lambda"),
+    "delta": (["--delta", "0.5"], 0.5),
+    "kac": (["--kac"], True),
+    "D": (["--D", "2"], 2),
+    "boundary": (["--boundary", "open"], "open"),
+    "i": (["--i", "3"], 3),
+    "model": (["--model", "pure_power"], "pure_power"),
+    "r_logspace": (["--r-logspace", "3"], 3),
+}
+# On a ring every probe site is alike, so i is varied on an open chain.
+_CONTEXT = {"i": ["--boundary", "open"]}
+
+
+def _methods(command):
+    return [m for c, m in cli.READS if c == command and m is not None]
+
+
+def _base(command, method, tables):
+    """A run that exits 0 and gives only keys the command reads; every
+    value at t = 0 is 0, so a command that reads t gets a nonzero one."""
+    argv = [command] + (["--method", method] if method else [])
+    if command == "fit":
+        return argv + ["--input", str(tables[0])]
+    argv += ["--N", "4" if command == "ising-oracle" else "16"]
+    return argv + (["--t", "0.1"] if "t" in cli.READS[command, method] else [])
+
+
+def _other(command, method, key, tables):
+    """Flag tokens and config value giving ``key`` a non-default value."""
+    if key == "input":
+        return ["--input", str(tables[1])], str(tables[1])
+    if key == "method":
+        other = next((m for m in _methods(command) if m != method), "analytic")
+        return ["--method", other], other
+    return _OTHER[key]
+
+
+@pytest.fixture(scope="module")
+def fit_tables(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fit")
+    tables = (base / "a.csv", base / "b.csv")
+    for path, alpha in zip(tables, ("0,0.5", "0.25")):
+        argv = ["signaling", "--method", "analytic", "--alpha", alpha, "--N", "1e3,1e4,1e5,1e6", "--out", str(path)]
+        assert main(argv) == 0
+    return tables
+
+
+_REJECTED = [
+    (command, method, key, form)
+    for (command, method), reads in cli.READS.items()
+    for key in cli._DEFAULTS
+    if key not in reads + cli.RUN_KEYS
+    for form in ("flag", "config")
+]
+
+
+@pytest.mark.parametrize("command,method,key,form", _REJECTED)
+def test_unread_key_exit2(tmp_path, capsys, fit_tables, command, method, key, form):
+    flag, value = _other(command, method, key, fit_tables)
+    argv = _base(command, method, fit_tables)
+    if form == "flag":
+        argv += flag
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfg)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input:")
+    assert f"does not use --{key.replace('_', '-')}" in captured.err
+
+
+_READ = [(command, method, key) for (command, method), reads in cli.READS.items() for key in reads]
+
+
+@pytest.mark.parametrize("command,method,key", _READ)
+def test_read_key_changes_rows_or_exit2(capsys, fit_tables, command, method, key):
+    base = _base(command, method, fit_tables) + _CONTEXT.get(key, [])
+    code, before = _run(capsys, base)
+    assert code == 0
+    code = main(base + _other(command, method, key, fit_tables)[0])
+    captured = capsys.readouterr()
+    if code == 0:
+        assert _rows(captured.out) != _rows(before)
+    else:
+        assert code == 2
+        assert captured.err.startswith("invalid input:")
+        assert "does not use" not in captured.err
+
+
+def test_every_config_key_in_the_table():
+    listed = set(cli.RUN_KEYS).union(*cli.READS.values())
+    assert listed == set(cli._DEFAULTS)
+
+
+@pytest.mark.parametrize("method", ["analytic", "exact_sum"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_bound_r_beside_r_logspace_exit2(tmp_path, capsys, method, form):
+    argv = ["bound", "--method", method, "--N", "64", "--r-logspace", "3", "--t", "0.1"]
+    if form == "flag":
+        argv += ["--r", "5"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 5}))
+        argv += ["--config", str(cfg)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "takes --r or --r-logspace, not both" in captured.err
+
+
+def test_unknown_method_lists_the_table(capsys):
+    code = main(["signaling", "--method", "magic", "--N", "16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "one of analytic, exact_sum, many_site, ising, got 'magic'" in err
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("lr-horizon ")]
+    assert {shlex.split(ln)[1] for ln in lines} == set(cli.COLUMNS)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
