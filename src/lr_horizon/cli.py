@@ -88,6 +88,16 @@ def _finite(flag: str, values: list) -> list:
     return values
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int, at least ``least`` if given: ``1e6`` is one, ``100.7`` is invalid."""
+    x = float(value)
+    if not x.is_integer():
+        raise ValueError(f"{name} takes integers, got {value}")
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(x)
+
+
 def _resolve_r(token: str, spec: LatticeSpec) -> int:
     """Resolve a ``--r`` token; an r beyond the lattice's largest distance is invalid."""
     n_sites = spec.site_count
@@ -97,7 +107,7 @@ def _resolve_r(token: str, spec: LatticeSpec) -> int:
     elif tok == "N/4":
         r = max(1, n_sites // 4)
     else:
-        r = int(float(tok))
+        r = _integer("--r", tok)
     reach = spec.linear_size // 2 if spec.boundary == "periodic" else spec.linear_size - 1
     largest = math.sqrt(spec.dimension) * reach
     if r > largest:
@@ -145,7 +155,7 @@ def _bound_task(task: dict) -> list[tuple]:
         return [(method, n, alpha, "", "", value)]
     if task["r"] is not None and task["r_logspace"] is not None:
         raise ValueError("bound takes --r or --r-logspace, not both")
-    if task["r_logspace"]:
+    if task["r_logspace"] is not None:
         ks = np.unique(np.round(np.logspace(0, math.log10(max(n // 2, 1)), task["r_logspace"])))
         r_tokens = [str(int(k)) for k in ks]
     else:
@@ -172,34 +182,27 @@ def _bound_task(task: dict) -> list[tuple]:
 def _signaling_task(task: dict) -> list[tuple]:
     alpha, n, delta = task["alpha"], task["N"], task["delta"]
     method = task["method"]
-    kac = task["kac"]
-    model = CouplingModel(alpha=alpha, kac_normalize=kac)
+    model = CouplingModel(alpha=alpha)
     spec = _lattice(n, task["D"], task["boundary"])
-    if method == "ising":
-        t = ising_signaling_time(spec, model, task["i"], delta)
-        return [(method, n, alpha, "", n - 1, delta, t)]
-    if method == "many_site":
-        res = many_site_signaling_time(spec, model, [0], list(range(1, n)), delta)
-        return [(method, n, alpha, "", n - 1, delta, res.t_star)]
-    rows = []
-    r_tokens = task["r"] or ["1"]
-    if method == "analytic":
-        params = self_hop_lambda(spec, model)
-        sig = SignalingSpec(delta=delta, kac_rescale=kac)
-        for r_tok in r_tokens:
-            r = _resolve_r(r_tok, spec)
-            res = signaling_time_analytic(params, sig, float(r))
-            rows.append((method, n, alpha, r_tok, r, delta, res.t_star))
-        return rows
-    # exact_sum: one spectrum shared across the r sweep
-    if task["D"] != 1 or task["boundary"] != "periodic":
+    if method == "exact_sum" and (task["D"] != 1 or task["boundary"] != "periodic"):
         raise ValueError("the exact series bound is defined on 1D rings only")
-    spectrum = fourier_spectrum(n, alpha)
-    for r_tok in r_tokens:
-        r = _resolve_r(r_tok, spec)
-        res = exact_sum_signaling_time(n, alpha, r, delta, spectrum=spectrum, kac_rescale=kac)
-        rows.append((method, n, alpha, r_tok, r, delta, res.t_star))
-    return rows
+    if method == "ising":
+        times = [("", n - 1, ising_signaling_time(spec, model, task["i"], delta))]
+    elif method == "many_site":
+        res = many_site_signaling_time(spec, model, [0], list(range(1, n)), delta)
+        times = [("", n - 1, res.t_star)]
+    else:
+        rs = [(tok, _resolve_r(tok, spec)) for tok in task["r"] or ["1"]]
+        if method == "analytic":
+            params, sig = self_hop_lambda(spec, model), SignalingSpec(delta=delta)
+            times = [(k, r, signaling_time_analytic(params, sig, float(r)).t_star) for k, r in rs]
+        else:  # exact_sum: one spectrum shared across the r sweep
+            spectrum = fourier_spectrum(n, alpha)
+            res = [exact_sum_signaling_time(n, alpha, r, delta, spectrum=spectrum) for _, r in rs]
+            times = [(k, r, x.t_star) for (k, r), x in zip(rs, res)]
+    # Kac rescaling, in one place: lambda * t is the time under the coupling J / lambda.
+    scale = self_hop_lambda(spec, model).lam if task["kac"] else 1.0
+    return [(method, n, alpha, r_spec, r, delta, scale * t) for r_spec, r, t in times]
 
 
 SWEEPS = {"lambda": _lambda_task, "bound": _bound_task, "signaling": _signaling_task}
@@ -415,14 +418,18 @@ def _merge_config(args: argparse.Namespace) -> dict:
         elif isinstance(cfg[key], (int, float)):
             cfg[key] = [cfg[key]]
     cfg["alpha"] = [float(a) for a in _finite("alpha", cfg["alpha"])]
-    cfg["N"] = sorted(int(float(n)) for n in _finite("N", cfg["N"]))
+    cfg["N"] = sorted(_integer("--N", n) for n in _finite("N", cfg["N"]))
     if cfg["t"] is not None:
         cfg["t"] = [float(t) for t in _finite("t", cfg["t"])]
     _finite("delta", [cfg["delta"]])
     if cfg["r"] is not None:
         cfg["r"] = [str(tok) for tok in cfg["r"]]
+    if cfg["r_logspace"] is not None:
+        cfg["r_logspace"] = _integer("--r-logspace", cfg["r_logspace"], 1)
     if cfg["workers"] is None:
-        cfg["workers"] = int(os.environ.get(WORKERS_ENV, "1"))
+        cfg["workers"] = _integer(f"${WORKERS_ENV}", os.environ.get(WORKERS_ENV, "1"), 1)
+    else:
+        cfg["workers"] = _integer("--workers", cfg["workers"], 1)
     cfg["command"] = command
     return cfg
 

@@ -171,6 +171,7 @@ def state_transfer_protocol(n_sites: int, alpha: float, dimension: int = 1) -> P
     """
     if n_sites < 4:
         raise ValueError("protocol needs at least 4 sites")
+    alpha = CouplingModel(alpha=alpha).alpha  # the one alpha >= 0 check
     if dimension == 1:
         length = float(n_sites - 1)
     else:

@@ -101,13 +101,11 @@ def chain(n_sites: int) -> LatticeSpec:
 class CouplingModel:
     """Power-law coupling ``J(r) = r**(-alpha)``.
 
-    ``kac_normalize`` does not change any coupling; it marks that
-    reported times should be rescaled by the self-hop strength (handled
-    by the signaling solvers).
+    Times computed with it are physical; the CLI's ``--kac`` rescales
+    them to the Kac-normalized coupling J / lambda.
     """
 
     alpha: float
-    kac_normalize: bool = False
 
     def __post_init__(self) -> None:
         if self.alpha < 0:

@@ -9,6 +9,7 @@ its complement).
 The analytic and many-site bounds are closed form in t, and so is their
 t* (``PairSum.crossing``, no bracket). The ring series takes safeguarded
 Newton steps; ``signaling_time_numeric`` bisects any monotone bound.
+Every time here is physical; the CLI's ``--kac`` multiplies it by lambda.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class SignalingSpec:
 
     delta: float = 1.0
     prefactor: BoundPrefactor = UNIT_PREFACTOR
-    kac_rescale: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.delta < self.prefactor.trivial_bound:
@@ -49,7 +49,7 @@ class SignalingSpec:
 
 @dataclass(frozen=True)
 class SignalingTime:
-    """Earliest time a bound reaches delta; a lower bound on t_si."""
+    """Earliest physical time a bound reaches delta (t_star, bracket); a lower bound on t_si."""
 
     t_star: float
     method: str
@@ -60,12 +60,10 @@ def signaling_time_analytic(params: HopParameters, sig: SignalingSpec, r: float)
     """Invert the closed-form bound: t* = ln(1 + delta lam p r^alpha / s) / (2 lam (1+p)).
 
     ``s`` is the prefactor scale 2||A||||B|||X||Y|; this is
-    ``PairSum.crossing`` for one pair. With ``kac_rescale`` the reported
-    time is multiplied by lam.
+    ``PairSum.crossing`` for one pair.
     """
-    scale = params.lam if sig.kac_rescale else 1.0
     t = PairSum.one_pair(params, sig.prefactor.scale, r).crossing(sig.delta)
-    return SignalingTime(t_star=scale * t, method="analytic")
+    return SignalingTime(t_star=t, method="analytic")
 
 
 def _expand_bracket(bound_fn, delta: float, t_init: float) -> tuple[float, float, float]:
@@ -151,13 +149,11 @@ def many_site_signaling_time(
     many-site signaling bound and a scrambling-time lower bound. The
     bound ``many_site_bound`` is closed form in t, so lambda and the
     pair sum are computed once and ``PairSum.crossing`` inverts it
-    exactly; there is no bracket. Honors ``model.kac_normalize`` by
-    rescaling the reported time by lambda.
+    exactly; there is no bracket.
     """
     pre = BoundPrefactor(norm_A=norms[0], norm_B=norms[1])
     bound = PairSum.between(spec, model, region_x, region_y, pre.scale)
-    scale = bound.params.lam if model.kac_normalize else 1.0
-    return SignalingTime(t_star=scale * bound.crossing(delta), method="many_site")
+    return SignalingTime(t_star=bound.crossing(delta), method="many_site")
 
 
 def exact_sum_signaling_time(
@@ -167,7 +163,6 @@ def exact_sum_signaling_time(
     delta: float = 1.0,
     pre: BoundPrefactor = UNIT_PREFACTOR,
     spectrum: FourierSpectrum | None = None,
-    kac_rescale: bool = False,
 ) -> SignalingTime:
     """Safeguarded Newton solve of the ring series bound; the workhorse for the N sweeps.
 
@@ -179,8 +174,7 @@ def exact_sum_signaling_time(
     evaluated at t*(1 -+ ``BISECT_REL_TOL`` / 2); if either lands on the
     wrong side of delta, bisection finishes the bracket. So the solve
     ends with B < delta at ``lo`` and B >= delta at ``hi``, a relative
-    ``BISECT_REL_TOL`` apart, and ``t_star`` inside. With ``kac_rescale``
-    both ``t_star`` and the bracket are multiplied by lam.
+    ``BISECT_REL_TOL`` apart, and ``t_star`` inside.
 
     Pass a precomputed spectrum to amortize the FFT across many r or
     delta values at fixed (N, alpha).
@@ -188,8 +182,7 @@ def exact_sum_signaling_time(
     if delta <= 0:
         raise ValueError("delta must be positive")
     series = RingSeries(n_sites, alpha, r, pre, spectrum)
-    lam = series.spectrum.lam
-    t_init = 1.0 / (2.0 * lam * (1.0 + 2.0 ** (alpha + 1)))
+    t_init = 1.0 / (2.0 * series.spectrum.lam * (1.0 + 2.0 ** (alpha + 1)))
     lo, hi, value = _expand_bracket(series, delta, t_init)
 
     t_star = hi
@@ -223,10 +216,7 @@ def exact_sum_signaling_time(
     lo, hi = _bisect(series, delta, lo, hi)
     if not lo <= t_star <= hi:
         t_star = 0.5 * (lo + hi)
-    scale = lam if kac_rescale else 1.0
-    return SignalingTime(
-        t_star=scale * t_star, method="exact_sum", bracket=(scale * lo, scale * hi)
-    )
+    return SignalingTime(t_star=t_star, method="exact_sum", bracket=(lo, hi))
 
 
 def ising_signal(spec: LatticeSpec, model: CouplingModel, i: int, t: float) -> float:
@@ -246,6 +236,4 @@ def ising_signaling_time(spec: LatticeSpec, model: CouplingModel, i: int, delta:
     """First time |sin(2 lambda_i t)| reaches delta in (0, 1]: arcsin(delta) / (2 lambda_i)."""
     if not 0 < delta <= 1:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    lam_i = site_hop_strength(spec, model, i)
-    t = math.asin(delta) / (2.0 * lam_i)
-    return t * lam_i if model.kac_normalize else t
+    return math.asin(delta) / (2.0 * site_hop_strength(spec, model, i))

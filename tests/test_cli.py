@@ -196,6 +196,54 @@ def test_signaling_kac_flag_rescales(capsys):
     assert float(_rows(out1)[0]["t_star"]) == pytest.approx(lam * float(_rows(out0)[0]["t_star"]), rel=1e-12)
 
 
+_LATTICES = {
+    "ring": ["--N", "16"],
+    "open_chain": ["--N", "16", "--boundary", "open"],
+    "open_box_2d": ["--N", "64", "--D", "2", "--boundary", "open"],
+}
+
+
+@pytest.mark.parametrize(
+    "method,lattice",
+    [
+        ("analytic", "ring"),
+        ("analytic", "open_chain"),
+        ("analytic", "open_box_2d"),
+        ("exact_sum", "ring"),  # the series bound is defined on rings only
+        ("many_site", "ring"),
+        ("many_site", "open_chain"),
+        ("many_site", "open_box_2d"),
+        ("ising", "ring"),
+        ("ising", "open_chain"),
+        ("ising", "open_box_2d"),
+    ],
+)
+def test_kac_rescales_every_method_by_lambda(capsys, method, lattice):
+    """--kac multiplies each t_star by the lambda that `lambda` prints, exactly."""
+    grid = ["--alpha", "0,0.5,1.7"] + _LATTICES[lattice]
+    _, out = _run(capsys, ["lambda"] + grid)
+    lams = [float(row["lambda"]) for row in _rows(out)]
+    extra = {"analytic": ["--r", "1,3"], "exact_sum": ["--r", "1,3"], "ising": ["--i", "3", "--delta", "0.5"]}
+    argv = ["signaling", "--method", method] + grid + extra.get(method, [])
+    code_plain, plain = _run(capsys, argv)
+    code_kac, kac = _run(capsys, argv + ["--kac"])
+    assert code_plain == code_kac == 0
+    per_alpha = len(_rows(plain)) // len(lams)
+    for k, (p, q) in enumerate(zip(_rows(plain), _rows(kac), strict=True)):
+        assert float(q["t_star"]) == lams[k // per_alpha] * float(p["t_star"])
+
+
+def test_ising_kac_on_open_lattice_uses_lambda(capsys):
+    """On an open chain lambda exceeds the end site's row sum, so t_star * lambda > asin(delta) / 2."""
+    argv = ["signaling", "--method", "ising", "--alpha", "0.5", "--N", "16", "--boundary", "open", "--delta", "0.5"]
+    _, plain = _run(capsys, argv)
+    _, kac = _run(capsys, argv + ["--kac"])
+    t_plain, t_kac = float(_rows(plain)[0]["t_star"]), float(_rows(kac)[0]["t_star"])
+    lam_end = site_hop_strength(chain(16), CouplingModel(alpha=0.5), 0)
+    assert t_plain == pytest.approx(math.asin(0.5) / (2 * lam_end), rel=1e-15)
+    assert t_kac > 1.1 * math.asin(0.5) / 2
+
+
 def test_signaling_solver_failure_exit3(capsys, monkeypatch):
     import lr_horizon.cli as cli
 
@@ -227,6 +275,77 @@ def test_non_finite_numbers_exit2(capsys, argv, flag):
     assert code == 2
     assert captured.out == ""
     assert f"invalid input: {flag} must be finite" in captured.err
+
+
+def _exit2(tmp_path, capsys, argv, config=None):
+    """Run ``argv`` (with ``config`` as its --config file) and return stderr; it must exit 2."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_r_logspace_below_one_exit2(tmp_path, capsys, count):
+    argv = ["bound", "--method", "analytic", "--N", "64", "--t", "0.1"]
+    message = f"invalid input: --r-logspace must be at least 1, got {count}\n"
+    assert _exit2(tmp_path, capsys, argv + ["--r-logspace", str(count)]) == message
+    assert _exit2(tmp_path, capsys, argv, {"r_logspace": count}) == message
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_workers_below_one_exit2(tmp_path, capsys, monkeypatch, source):
+    argv = ["signaling", "--N", "16"]
+    if source == "flag":
+        err = _exit2(tmp_path, capsys, argv + ["--workers", "0"])
+    elif source == "config":
+        err = _exit2(tmp_path, capsys, argv, {"workers": 0})
+    else:
+        monkeypatch.setenv("LR_HORIZON_WORKERS", "-3")
+        err = _exit2(tmp_path, capsys, ["lambda", "--N", "16"])
+    name = "$LR_HORIZON_WORKERS" if source == "env" else "--workers"
+    assert err.startswith(f"invalid input: {name} must be at least 1, got ")
+
+
+def test_protocol_negative_alpha_exit2(tmp_path, capsys):
+    err = _exit2(tmp_path, capsys, ["protocol", "--N", "4", "--alpha", "-2"])
+    assert err == "invalid input: alpha must be >= 0, got -2.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        (["lambda"], "N", "100.7"),
+        (["bound", "--method", "analytic", "--N", "16"], "r", "2.7"),
+        (["signaling", "--method", "exact_sum", "--N", "16"], "r", "1.5"),
+    ],
+    ids=["lambda-N", "bound-r", "signaling-r"],
+)
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_non_integral_counts_exit2(tmp_path, capsys, argv, key, value, form):
+    if form == "flag":
+        err = _exit2(tmp_path, capsys, argv + [f"--{key}", value])
+    else:
+        err = _exit2(tmp_path, capsys, argv, {key: float(value)})
+    assert err.startswith(f"invalid input: --{key} takes integers, got {value}")
+
+
+def test_integral_tokens_still_resolve(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 1e6}))
+    code, from_config = _run(capsys, ["lambda", "--alpha", "0", "--config", str(cfg)])
+    assert code == 0
+    assert _rows(from_config)[0]["N"] == "1000000"
+    _, from_flag = _run(capsys, ["lambda", "--alpha", "0", "--N", "1e6"])
+    assert _rows(from_flag) == _rows(from_config)
+    code, out = _run(capsys, ["bound", "--method", "analytic", "--N", "16", "--r", "N/2,N/4,3.0", "--t", "0.1"])
+    assert code == 0
+    assert [row["r"] for row in _rows(out)] == ["8", "4", "3"]
 
 
 def test_fit_round_trip_through_table(tmp_path, capsys):

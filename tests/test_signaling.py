@@ -126,19 +126,20 @@ def test_many_site_scaling_exponent():
 
 
 @pytest.mark.parametrize(
-    "spec, region_x, region_y, norms, kac",
+    "spec, region_x, region_y, norms",
     [
-        (ring(48), [0, 5], list(range(10, 40)), (1.0, 1.0), False),
-        (chain(64), [0, 1, 2], list(range(3, 64)), (0.7, 1.3), False),
-        (LatticeSpec(dimension=2, linear_size=6, boundary="open"), [0, 7], [20, 28, 35], (2.0, 0.5), True),
-        (chain(40), [10], list(range(20, 40)), (1.0, 1.0), True),
+        (ring(48), [0, 5], list(range(10, 40)), (1.0, 1.0)),
+        (chain(64), [0, 1, 2], list(range(3, 64)), (0.7, 1.3)),
+        (LatticeSpec(dimension=2, linear_size=6, boundary="open"), [0, 7], [20, 28, 35], (2.0, 0.5)),
+        (chain(40), [10], list(range(20, 40)), (1.0, 1.0)),
     ],
+    # The last two ids are kept from when these cases also checked Kac rescaling.
     ids=["ring", "open_chain", "open_box_2d_kac", "open_chain_kac"],
 )
 @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.7])
-def test_many_site_closed_form_matches_bisection(spec, region_x, region_y, norms, kac, alpha):
+def test_many_site_closed_form_matches_bisection(spec, region_x, region_y, norms, alpha):
     """The closed-form inversion agrees with bisecting many_site_bound itself."""
-    model = CouplingModel(alpha=alpha, kac_normalize=kac)
+    model = CouplingModel(alpha=alpha)
     delta = 0.8
     res = many_site_signaling_time(spec, model, region_x, region_y, delta, norms)
     params = self_hop_lambda(spec, model)
@@ -147,8 +148,7 @@ def test_many_site_closed_form_matches_bisection(spec, region_x, region_y, norms
         delta,
         t_init=1.0 / (2.0 * params.lam * (1.0 + params.p)),
     )
-    want = ref.t_star * (params.lam if kac else 1.0)
-    assert res.t_star == pytest.approx(want, rel=1e-9)
+    assert res.t_star == pytest.approx(ref.t_star, rel=1e-9)
     assert res.bracket is None
 
 
@@ -257,34 +257,3 @@ def test_ising_signaling_time_delta_window():
 def test_ising_signaling_time_scaling():
     pts = [(n, ising_signaling_time(ring(n), CouplingModel(alpha=0.5), 0, 0.5)) for n in (256, 1024, 4096, 16384)]
     assert fit_pure_power(pts).coefficients[1] == pytest.approx(-0.5, abs=0.05)
-
-
-def test_kac_rescaling_multiplies_times_by_lambda():
-    spec = ring(16)
-    plain = CouplingModel(alpha=0.5)
-    kac = CouplingModel(alpha=0.5, kac_normalize=True)
-    lam = self_hop_lambda(spec, plain).lam
-
-    params = self_hop_lambda(spec, plain)
-    t0 = signaling_time_analytic(params, SignalingSpec(delta=1.0), 4.0).t_star
-    t1 = signaling_time_analytic(params, SignalingSpec(delta=1.0, kac_rescale=True), 4.0).t_star
-    assert t1 == pytest.approx(lam * t0, rel=1e-12)
-
-    e0 = exact_sum_signaling_time(16, 0.5, 4, 1.0).t_star
-    e1 = exact_sum_signaling_time(16, 0.5, 4, 1.0, kac_rescale=True).t_star
-    assert e1 == pytest.approx(lam * e0, rel=1e-9)
-
-    m0 = many_site_signaling_time(spec, plain, [0], [8], 1.0).t_star
-    m1 = many_site_signaling_time(spec, kac, [0], [8], 1.0).t_star
-    assert m1 == pytest.approx(lam * m0, rel=1e-9)
-
-    # The many-site time is closed form and has no bracket to rescale.
-    plain_res = exact_sum_signaling_time(16, 0.5, 4, 1.0)
-    kac_res = exact_sum_signaling_time(16, 0.5, 4, 1.0, kac_rescale=True)
-    lo, hi = kac_res.bracket
-    assert lo <= kac_res.t_star <= hi
-    assert (lo, hi) == pytest.approx(tuple(lam * t for t in plain_res.bracket), rel=1e-12)
-
-    i0 = ising_signaling_time(spec, plain, 0, 0.5)
-    i1 = ising_signaling_time(spec, kac, 0, 0.5)
-    assert i1 == pytest.approx(lam * i0, rel=1e-12)
