@@ -13,7 +13,8 @@ Output is CSV (default) or JSON. CSV starts with one comment line
 recording the tool version, a hash of the resolved configuration, and
 the method tag, so identical configurations yield byte-identical files.
 Floats are written with 17 significant digits. Each command accepts
-only the flags and config keys it reads (``READS``, plus ``RUN_KEYS``).
+only the flags and config keys it reads (``READS``, plus ``RUN_KEYS``),
+and a flag's text and a config file's value share one parser (``_KEYS``).
 Exit codes: 0 success, 2 invalid input, 3 solver failure.
 """
 
@@ -26,6 +27,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -80,22 +82,70 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _finite(flag: str, values: list) -> list:
-    """Return ``values`` unchanged; a nan or inf among them is invalid input for ``--flag``."""
-    for v in values:
-        if not math.isfinite(float(v)):
-            raise ValueError(f"--{flag} must be finite, got {v}")
-    return values
+def _csv(columns: tuple, rows: list[tuple]) -> str:
+    return "".join(",".join(_fmt(x) for x in row) + "\n" for row in [columns, *rows])
 
 
-def _integer(name: str, value, least: int | None = None) -> int:
+def _number(flag: str, value) -> float:
+    """A finite float from a JSON number or numeric text; bool, list and dict are invalid."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{flag} takes numbers, got {value!r}")
+    try:
+        x = float(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{flag} takes numbers, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{flag} must be finite, got {value}")
+    return x
+
+
+def _integer(flag: str, value, least: int | None = None) -> int:
     """``value`` as an int, at least ``least`` if given: ``1e6`` is one, ``100.7`` is invalid."""
-    x = float(value)
+    x = _number(flag, value)
     if not x.is_integer():
-        raise ValueError(f"{name} takes integers, got {value}")
+        raise ValueError(f"{flag} takes integers, got {value}")
     if least is not None and x < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
     return int(x)
+
+
+_count = partial(_integer, least=1)
+
+
+def _grid(item):
+    """A parser for comma text, a flat list, or a bare scalar (a one-element grid) of ``item``s."""
+    def parse(flag: str, value) -> list:
+        if isinstance(value, str):
+            value = [tok for tok in value.split(",") if tok]
+        elif not isinstance(value, list):
+            value = [value]
+        return [item(flag, v) for v in value]
+
+    return parse
+
+
+def _token(flag: str, value) -> str:
+    """An r token, N/2, N/4 or an integer, kept as its text for the header hash."""
+    if not (isinstance(value, str) and value.strip() in ("N/2", "N/4")):
+        _integer(flag, value)
+    return str(value)
+
+
+def _choice(*choices):
+    """A parser for one of ``choices``, type-exact: the text "false" is not the switch False."""
+    def parse(flag: str, value):
+        if not any(type(value) is type(c) and value == c for c in choices):
+            raise ValueError(f"{flag} must be one of {', '.join(map(str, choices))}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _string(flag: str, value) -> str:
+    """A path or a name; ``method`` and ``model`` are checked where they are used."""
+    if not isinstance(value, str):
+        raise ValueError(f"{flag} takes a string, got {value!r}")
+    return value
 
 
 def _resolve_r(token: str, spec: LatticeSpec) -> int:
@@ -123,11 +173,6 @@ def _lattice(n_sites: int, dimension: int, boundary: str) -> LatticeSpec:
         if side**dimension != n_sites:
             raise ValueError(f"N = {n_sites} is not a perfect power for D = {dimension}")
     return LatticeSpec(dimension=dimension, linear_size=side, boundary=boundary)
-
-
-def _config_hash(params: dict) -> str:
-    blob = json.dumps(params, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +231,7 @@ def _signaling_task(task: dict) -> list[tuple]:
     spec = _lattice(n, task["D"], task["boundary"])
     if method == "exact_sum" and (task["D"] != 1 or task["boundary"] != "periodic"):
         raise ValueError("the exact series bound is defined on 1D rings only")
+    lam = None  # lambda, where the solve already holds it (many_site holds its own inside)
     if method == "ising":
         times = [("", n - 1, ising_signaling_time(spec, model, task["i"], delta))]
     elif method == "many_site":
@@ -195,17 +241,33 @@ def _signaling_task(task: dict) -> list[tuple]:
         rs = [(tok, _resolve_r(tok, spec)) for tok in task["r"] or ["1"]]
         if method == "analytic":
             params, sig = self_hop_lambda(spec, model), SignalingSpec(delta=delta)
+            lam = params.lam
             times = [(k, r, signaling_time_analytic(params, sig, float(r)).t_star) for k, r in rs]
         else:  # exact_sum: one spectrum shared across the r sweep
             spectrum = fourier_spectrum(n, alpha)
+            lam = spectrum.lam
             res = [exact_sum_signaling_time(n, alpha, r, delta, spectrum=spectrum) for _, r in rs]
             times = [(k, r, x.t_star) for (k, r), x in zip(rs, res)]
     # Kac rescaling, in one place: lambda * t is the time under the coupling J / lambda.
-    scale = self_hop_lambda(spec, model).lam if task["kac"] else 1.0
+    if task["kac"] and lam is None:
+        lam = self_hop_lambda(spec, model).lam
+    scale = lam if task["kac"] else 1.0
     return [(method, n, alpha, r_spec, r, delta, scale * t) for r_spec, r, t in times]
 
 
-SWEEPS = {"lambda": _lambda_task, "bound": _bound_task, "signaling": _signaling_task}
+def _ising_oracle_task(task: dict) -> list[tuple]:
+    spec = _lattice(task["N"], task["D"], task["boundary"])
+    model = CouplingModel(alpha=task["alpha"])
+    rows = []
+    for t in task["t"] or [0.0]:
+        exact = ising_exact_oracle(spec, model, task["i"], t)
+        closed = ising_signal(spec, model, task["i"], t)
+        rows.append((task["N"], task["alpha"], task["i"], t, exact, closed, abs(exact - closed)))
+    return rows
+
+
+SWEEPS = {"lambda": _lambda_task, "bound": _bound_task, "signaling": _signaling_task,
+          "ising-oracle": _ising_oracle_task}
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +311,9 @@ def _cmd_fit(cfg: dict) -> list[tuple]:
     rows = []
     for (alpha, r_spec), pts in sorted(groups.items()):
         fit = fit_model(cfg["model"], pts)
-        coef = list(fit.coefficients) + [""] * (3 - len(fit.coefficients))
-        se = list(fit.standard_errors) + [""] * (3 - len(fit.standard_errors))
-        ci = list(fit.ci95) + [""] * (3 - len(fit.ci95))
-        rows.append(
-            (
-                alpha,
-                r_spec,
-                fit.model,
-                *coef,
-                *se,
-                *ci,
-                fit.residual_rms,
-                fit.n_points,
-                fit.condition_warning,
-            )
-        )
+        # coefficients, their SEs and CI95 half-widths, each padded to three cells
+        cells = [x for xs in (fit.coefficients, fit.standard_errors, fit.ci95) for x in (*xs, "", "", "")[:3]]
+        rows.append((alpha, r_spec, fit.model, *cells, fit.residual_rms, fit.n_points, fit.condition_warning))
     return rows
 
 
@@ -273,9 +322,7 @@ def _cmd_protocol(cfg: dict) -> tuple[list[tuple], list[tuple]]:
     for a in cfg["alpha"]:
         for n in cfg["N"]:
             res = state_transfer_protocol(n, a, cfg["D"])
-            rows.append(
-                (n, a, cfg["D"], res.total_time, res.fidelity, res.amplitude, res.bound, res.ratio)
-            )
+            rows.append((n, a, cfg["D"], res.total_time, res.fidelity, res.amplitude, res.bound, res.ratio))
             if cfg["plot_data"]:
                 psi0 = np.zeros(n, dtype=complex)
                 psi0[res.source] = 1.0
@@ -286,21 +333,37 @@ def _cmd_protocol(cfg: dict) -> tuple[list[tuple], list[tuple]]:
     return rows, trace_rows
 
 
-def _cmd_ising_oracle(cfg: dict) -> list[tuple]:
-    rows = []
-    for a in cfg["alpha"]:
-        for n in cfg["N"]:
-            spec = _lattice(n, cfg["D"], cfg["boundary"])
-            model = CouplingModel(alpha=a)
-            for t in cfg["t"] or [0.0]:
-                exact = ising_exact_oracle(spec, model, cfg["i"], t)
-                closed = ising_signal(spec, model, cfg["i"], t)
-                rows.append((n, a, cfg["i"], t, exact, closed, abs(exact - closed)))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # wiring
+
+
+# Every flag and config key: (default, parser, help). A given flag's text or
+# config value goes through its key's parser; an unset key keeps its default.
+_KEYS = {
+    "alpha": ([0.5], _grid(_number), "comma-separated coupling exponents"),
+    "N": ([100], lambda f, v: sorted(_grid(_integer)(f, v)), "comma-separated site counts (1e6 accepted)"),
+    "r": (None, _grid(_token), "comma-separated separations; tokens N/2 and N/4 allowed"),
+    "t": (None, _grid(_number), "comma-separated times"),
+    "t_unit": ("abs", _choice("abs", "inv_lambda"), "abs or inv_lambda: --t as given or in 1/lambda"),
+    "delta": (1.0, _number, "signaling threshold"),
+    "method": ("exact_sum", _string, "evaluation method for bound/signaling"),
+    "fmt": ("csv", _choice("csv", "json"), "output format: csv or json"),
+    "out": (None, _string, "output path (default stdout)"),
+    "workers": (None, _count, f"parallel workers (default ${WORKERS_ENV} or 1)"),
+    "kac": (False, _choice(True, False), "rescale times by lambda"),
+    "plot_data": (None, _string, "also write a tidy comment-free CSV here"),
+    "D": (1, _count, "lattice dimension (default 1)"),
+    "boundary": ("periodic", _choice("periodic", "open"), "periodic or open"),
+    "i": (0, _integer, "probe site for the Ising protocol"),
+    "model": ("power_log", _string, "fit model: power_log, loglog_power, pure_power"),
+    "input": (None, _string, "table to fit (fit command)"),
+    "r_logspace": (None, _count, "log-spaced r count in [1, N/2]"),
+}
+_DEFAULTS = {key: default for key, (default, _, _) in _KEYS.items()}
+
+
+def _flag(key: str) -> str:
+    return "--format" if key == "fmt" else "--" + key.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -309,50 +372,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bounds, signaling times, and scaling fits for strongly long-range lattices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("lambda", "bound", "signaling", "fit", "protocol", "ising-oracle"):
+    for name in COLUMNS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON file of defaults; flags override")
-        p.add_argument("--alpha", help="comma-separated coupling exponents")
-        p.add_argument("--N", help="comma-separated site counts (1e6 accepted)")
-        p.add_argument("--r", help="comma-separated separations; tokens N/2 and N/4 allowed")
-        p.add_argument("--t", help="comma-separated times")
-        p.add_argument("--t-unit", choices=("abs", "inv_lambda"), dest="t_unit")
-        p.add_argument("--delta", type=float, help="signaling threshold")
-        p.add_argument("--method", help="evaluation method for bound/signaling")
-        p.add_argument("--format", choices=("csv", "json"), dest="fmt")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--workers", type=int, help=f"parallel workers (default ${WORKERS_ENV} or 1)")
-        p.add_argument("--kac", action="store_true", default=None, help="rescale times by lambda")
-        p.add_argument("--plot-data", dest="plot_data", help="also write a tidy comment-free CSV here")
-        p.add_argument("--D", type=int, help="lattice dimension (default 1)")
-        p.add_argument("--boundary", choices=("periodic", "open"))
-        p.add_argument("--i", type=int, help="probe site for the Ising protocol")
-        p.add_argument("--model", help="fit model: power_log, loglog_power, pure_power")
-        p.add_argument("--input", help="table to fit (fit command)")
-        p.add_argument("--r-logspace", type=int, dest="r_logspace", help="log-spaced r count in [1, N/2]")
+        for key, (_, _, text) in _KEYS.items():
+            if key == "kac":
+                p.add_argument("--kac", action="store_const", const=True, help=text)
+            else:
+                p.add_argument(_flag(key), dest=key, help=text)
     return parser
 
-
-_DEFAULTS = {
-    "alpha": [0.5],
-    "N": [100],
-    "r": None,
-    "t": None,
-    "t_unit": "abs",
-    "delta": 1.0,
-    "method": "exact_sum",
-    "fmt": "csv",
-    "out": None,
-    "workers": None,
-    "kac": False,
-    "plot_data": None,
-    "D": 1,
-    "boundary": "periodic",
-    "i": 0,
-    "model": "power_log",
-    "input": None,
-    "r_logspace": None,
-}
 
 # The config keys each command reads, per method where it has methods.
 # Every other key given as a flag or in a config file exits 2, so no
@@ -387,64 +416,37 @@ def _merge_config(args: argparse.Namespace) -> dict:
             file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
-    unknown = sorted(set(file_cfg) - set(_DEFAULTS))
+    unknown = sorted(set(file_cfg) - set(_KEYS))
     if unknown:
-        raise ValueError(
-            f"unknown config key(s) {', '.join(unknown)}; valid keys: {', '.join(_DEFAULTS)}"
-        )
-    cfg = dict(_DEFAULTS)
-    cfg.update(file_cfg)
-    given = set(file_cfg)
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-            given.add(key)
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}; valid keys: {', '.join(_KEYS)}")
+    # A given flag overrides the config file; a null config value is unset.
+    merged = {**file_cfg, **{k: v for k, v in vars(args).items() if v is not None}}
+    given = {k: merged[k] for k in _KEYS if merged.get(k) is not None}
     command = args.command
     methods = [m for c, m in READS if c == command and m is not None]
-    method = cfg["method"] if methods else None
+    method = given.get("method", _DEFAULTS["method"]) if methods else None
     if methods and method not in methods:
         raise ValueError(f"{command} --method must be one of {', '.join(methods)}, got {method!r}")
-    dropped = [k for k in _DEFAULTS if k in given and k not in READS[command, method] + RUN_KEYS]
+    dropped = [k for k in given if k not in READS[command, method] + RUN_KEYS]
     if dropped:
         where = f"{command} --method {method}" if method else command
-        flags = ", ".join("--" + k.replace("_", "-") for k in dropped)
-        raise ValueError(f"{where} does not use {flags}")
-    # Grids arrive as comma strings (flags or config), lists, or bare
-    # config numbers, which are one-element grids.
-    for key in ("alpha", "N", "r", "t"):
-        if isinstance(cfg[key], str):
-            cfg[key] = [tok for tok in cfg[key].split(",") if tok]
-        elif isinstance(cfg[key], (int, float)):
-            cfg[key] = [cfg[key]]
-    cfg["alpha"] = [float(a) for a in _finite("alpha", cfg["alpha"])]
-    cfg["N"] = sorted(_integer("--N", n) for n in _finite("N", cfg["N"]))
-    if cfg["t"] is not None:
-        cfg["t"] = [float(t) for t in _finite("t", cfg["t"])]
-    _finite("delta", [cfg["delta"]])
-    if cfg["r"] is not None:
-        cfg["r"] = [str(tok) for tok in cfg["r"]]
-    if cfg["r_logspace"] is not None:
-        cfg["r_logspace"] = _integer("--r-logspace", cfg["r_logspace"], 1)
+        raise ValueError(f"{where} does not use {', '.join(map(_flag, dropped))}")
+    cfg = dict(_DEFAULTS, command=command)
+    cfg.update((key, _KEYS[key][1](_flag(key), value)) for key, value in given.items())
     if cfg["workers"] is None:
-        cfg["workers"] = _integer(f"${WORKERS_ENV}", os.environ.get(WORKERS_ENV, "1"), 1)
-    else:
-        cfg["workers"] = _integer("--workers", cfg["workers"], 1)
-    cfg["command"] = command
+        cfg["workers"] = _count(f"${WORKERS_ENV}", os.environ.get(WORKERS_ENV, "1"))
     return cfg
 
 
 def _write_output(cfg: dict, columns: tuple, rows: list[tuple], trace_rows=None) -> None:
     tag = cfg.get("method", cfg["command"]) if cfg["command"] in ("bound", "signaling") else cfg["command"]
     hashable = {k: v for k, v in cfg.items() if k not in ("out", "workers", "plot_data")}
-    header = f"# lr-horizon v{__version__} config={_config_hash(hashable)} method={tag}"
-    lines = [header, ",".join(columns)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+    digest = hashlib.sha256(json.dumps(hashable, sort_keys=True, default=str).encode()).hexdigest()
+    header = f"# lr-horizon v{__version__} config={digest[:12]} method={tag}"
     if cfg["fmt"] == "json":
-        records = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(records, indent=2, default=str) + "\n"
+        text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2, default=str) + "\n"
     else:
-        text = "\n".join(lines) + "\n"
+        text = header + "\n" + _csv(columns, rows)
     if cfg["out"]:
         with open(cfg["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -456,10 +458,8 @@ def _write_output(cfg: dict, columns: tuple, rows: list[tuple], trace_rows=None)
             plot_rows = trace_rows or []
         else:
             plot_cols, plot_rows = columns, rows
-        plot_lines = [",".join(plot_cols)]
-        plot_lines.extend(",".join(_fmt(x) for x in row) for row in plot_rows)
         with open(cfg["plot_data"], "w", encoding="utf-8") as fh:
-            fh.write("\n".join(plot_lines) + "\n")
+            fh.write(_csv(plot_cols, plot_rows))
 
 
 def main(argv=None) -> int:
@@ -472,10 +472,8 @@ def main(argv=None) -> int:
             rows = _sweep(cfg)
         elif command == "fit":
             rows = _cmd_fit(cfg)
-        elif command == "protocol":
-            rows, trace_rows = _cmd_protocol(cfg)
         else:
-            rows = _cmd_ising_oracle(cfg)
+            rows, trace_rows = _cmd_protocol(cfg)
         _write_output(cfg, COLUMNS[command], rows, trace_rows)
     except RuntimeError as exc:  # NoCrossingError and numerical failures
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -233,6 +233,26 @@ def test_kac_rescales_every_method_by_lambda(capsys, method, lattice):
         assert float(q["t_star"]) == lams[k // per_alpha] * float(p["t_star"])
 
 
+@pytest.mark.parametrize("method,calls", [("analytic", 1), ("exact_sum", 0)])
+def test_kac_reuses_the_lambda_of_the_solve(capsys, monkeypatch, method, calls):
+    argv = ["signaling", "--method", method, "--N", "64", "--r", "1,N/2"]
+    _, plain = _run(capsys, argv)
+    counted, real = [], cli.self_hop_lambda
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "self_hop_lambda", counting)
+    code, kac = _run(capsys, argv + ["--kac"])
+    assert code == 0
+    assert len(counted) == calls
+    lam = real(ring(64), CouplingModel(alpha=0.5)).lam
+    assert [row["t_star"] for row in _rows(kac)] == [
+        format(lam * float(row["t_star"]), ".17g") for row in _rows(plain)
+    ]
+
+
 def test_ising_kac_on_open_lattice_uses_lambda(capsys):
     """On an open chain lambda exceeds the end site's row sum, so t_star * lambda > asin(delta) / 2."""
     argv = ["signaling", "--method", "ising", "--alpha", "0.5", "--N", "16", "--boundary", "open", "--delta", "0.5"]
@@ -471,6 +491,12 @@ def test_workers_do_not_change_output(tmp_path, capsys):
     assert main(args + ["--out", str(a), "--workers", "1"]) == 0
     assert main(args + ["--out", str(b), "--workers", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # ising-oracle runs one task per (alpha, N) too
+    args = ["ising-oracle", "--alpha", "0.5,1", "--N", "4,6", "--t", "0.1,0.2", "--i", "1"]
+    assert main(args + ["--out", str(a), "--workers", "1"]) == 0
+    assert main(args + ["--out", str(b), "--workers", "3"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(_rows(a.read_text())) == 2 * 2 * 2
 
 
 def test_workers_env_default(tmp_path, capsys, monkeypatch):
@@ -634,3 +660,74 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
+
+
+# A config value of the wrong JSON type for each key. Numeric text such
+# as {"delta": "0.5"} is not wrong: it parses as the flag text would.
+_WRONG_TYPE = {
+    "alpha": [[0.5]],
+    "N": {"n": 16},
+    "r": [True],
+    "t": [True],
+    "t_unit": 1,
+    "delta": True,
+    "method": 5,
+    "fmt": ["csv"],
+    "out": 7,
+    "workers": [2],
+    "kac": "false",
+    "plot_data": 7,
+    "D": [2],
+    "boundary": False,
+    "i": [0],
+    "model": 5,
+    "input": 7,
+    "r_logspace": True,
+}
+# Values of the right type outside what the key accepts.
+_BAD_VALUE = [("t_unit", "bogus"), ("fmt", "xml"), ("kac", 1), ("i", 1.5), ("D", 1.5), ("D", 0), ("r", "N/3")]
+
+
+def _reader(key):
+    """A command (with its method, unless key is method) that reads ``key``."""
+    command, method = next(cm for cm, reads in cli.READS.items() if key in reads + cli.RUN_KEYS)
+    return [command] + (["--method", method] if method and key != "method" else [])
+
+
+_BAD = [(key, _WRONG_TYPE[key]) for key in cli._DEFAULTS] + _BAD_VALUE
+
+
+@pytest.mark.parametrize("key,value", _BAD, ids=[f"{k}={json.dumps(v)}" for k, v in _BAD])
+def test_bad_config_value_exit2(tmp_path, capsys, key, value):
+    err = _exit2(tmp_path, capsys, _reader(key), {key: value})
+    flag = "--format" if key == "fmt" else "--" + key.replace("_", "-")
+    assert err.startswith("invalid input:")
+    assert flag in err
+    assert "Traceback" not in err
+
+
+# (key, flag tokens, config value) that must resolve to the same
+# configuration: every key of _OTHER, an int delta, and numeric text.
+_SAME = [(key, *_OTHER[key]) for key in _OTHER] + [
+    ("delta", ["--delta", "1"], 1),
+    ("delta", ["--delta", "0.5"], "0.5"),
+    ("D", ["--D", "2"], "2"),
+    ("D", ["--D", "2"], 2.0),
+    ("i", ["--i", "3"], 3.0),
+    ("N", ["--N", "9,16"], "16,9"),
+]
+
+
+@pytest.mark.parametrize("key,flag,value", _SAME, ids=[f"{k}={json.dumps(v)}" for k, _, v in _SAME])
+def test_flag_and_config_write_the_same_bytes(tmp_path, capsys, fit_tables, key, flag, value):
+    command, method = next(cm for cm, reads in cli.READS.items() if key in reads)
+    argv = _base(command, method, fit_tables) + _CONTEXT.get(key, [])
+    if flag[0] in argv:  # the base run's own --N or --t would override the config file
+        at = argv.index(flag[0])
+        del argv[at : at + 2]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    from_flag, from_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    assert main(argv + flag + ["--out", str(from_flag)]) == 0
+    assert main(argv + ["--config", str(cfg), "--out", str(from_config)]) == 0
+    assert from_flag.read_bytes() == from_config.read_bytes()
