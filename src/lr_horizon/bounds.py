@@ -87,10 +87,6 @@ class HopSchedule:
             if duration <= 0:
                 raise ValueError("segment durations must be positive")
 
-    @property
-    def total_time(self) -> float:
-        return sum(duration for duration, _ in self.segments)
-
 
 def _flag(value: float, t: float, r: float, method: str, pre: BoundPrefactor) -> BoundValue:
     saturated = not math.isfinite(value) or value > pre.trivial_bound

@@ -119,16 +119,18 @@ def _grid(item):
             value = [tok for tok in value.split(",") if tok]
         elif not isinstance(value, list):
             value = [value]
+        if not value:
+            raise ValueError(f"{flag} takes at least one value, got an empty grid")
         return [item(flag, v) for v in value]
 
     return parse
 
 
 def _token(flag: str, value) -> str:
-    """An r token, N/2, N/4 or an integer, kept as its text for the header hash."""
-    if not (isinstance(value, str) and value.strip() in ("N/2", "N/4")):
-        _integer(flag, value)
-    return str(value)
+    """An r token as canonical text, "N/2", "N/4" or an integer's digits: one spelling, one hash."""
+    if isinstance(value, str) and value.strip() in ("N/2", "N/4"):
+        return value.strip()
+    return str(_integer(flag, value))
 
 
 def _choice(*choices):
@@ -149,30 +151,16 @@ def _string(flag: str, value) -> str:
 
 
 def _resolve_r(token: str, spec: LatticeSpec) -> int:
-    """Resolve a ``--r`` token; an r beyond the lattice's largest distance is invalid."""
-    n_sites = spec.site_count
-    tok = token.strip()
-    if tok == "N/2":
-        r = n_sites // 2
-    elif tok == "N/4":
-        r = max(1, n_sites // 4)
+    """Resolve a canonical ``_token``; an r beyond the lattice's largest distance is invalid."""
+    if token == "N/2":
+        r = spec.site_count // 2
+    elif token == "N/4":
+        r = max(1, spec.site_count // 4)
     else:
-        r = _integer("--r", tok)
-    reach = spec.linear_size // 2 if spec.boundary == "periodic" else spec.linear_size - 1
-    largest = math.sqrt(spec.dimension) * reach
-    if r > largest:
-        raise ValueError(f"r = {r} exceeds the largest distance {largest:.6g} on this lattice")
+        r = int(token)
+    if r > spec.largest_distance:
+        raise ValueError(f"r = {r} exceeds the largest distance {spec.largest_distance:.6g} on this lattice")
     return r
-
-
-def _lattice(n_sites: int, dimension: int, boundary: str) -> LatticeSpec:
-    if dimension == 1:
-        side = n_sites
-    else:
-        side = round(n_sites ** (1.0 / dimension))
-        if side**dimension != n_sites:
-            raise ValueError(f"N = {n_sites} is not a perfect power for D = {dimension}")
-    return LatticeSpec(dimension=dimension, linear_size=side, boundary=boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +168,7 @@ def _lattice(n_sites: int, dimension: int, boundary: str) -> LatticeSpec:
 
 
 def _lambda_task(task: dict) -> list[tuple]:
-    spec = _lattice(task["N"], task["D"], task["boundary"])
+    spec = LatticeSpec.from_sites(task["N"], task["D"], task["boundary"])
     model = CouplingModel(alpha=task["alpha"])
     params = self_hop_lambda(spec, model)
     ub = lambda_upper_bound(task["D"], task["alpha"], spec.linear_size)
@@ -194,7 +182,7 @@ def _bound_task(task: dict) -> list[tuple]:
         raise ValueError("the exact series bound is defined on 1D rings only")
     if task["boundary"] != "periodic":
         raise ValueError(f"bound --method {method} is defined on periodic lattices only")
-    spec = _lattice(n, task["D"], "periodic")
+    spec = LatticeSpec.from_sites(n, task["D"], "periodic")
     if method == "envelope":
         value = free_particle_envelope(spec, CouplingModel(alpha=alpha))
         return [(method, n, alpha, "", "", value)]
@@ -228,7 +216,7 @@ def _signaling_task(task: dict) -> list[tuple]:
     alpha, n, delta = task["alpha"], task["N"], task["delta"]
     method = task["method"]
     model = CouplingModel(alpha=alpha)
-    spec = _lattice(n, task["D"], task["boundary"])
+    spec = LatticeSpec.from_sites(n, task["D"], task["boundary"])
     if method == "exact_sum" and (task["D"] != 1 or task["boundary"] != "periodic"):
         raise ValueError("the exact series bound is defined on 1D rings only")
     lam = None  # lambda, where the solve already holds it (many_site holds its own inside)
@@ -256,7 +244,7 @@ def _signaling_task(task: dict) -> list[tuple]:
 
 
 def _ising_oracle_task(task: dict) -> list[tuple]:
-    spec = _lattice(task["N"], task["D"], task["boundary"])
+    spec = LatticeSpec.from_sites(task["N"], task["D"], task["boundary"])
     model = CouplingModel(alpha=task["alpha"])
     rows = []
     for t in task["t"] or [0.0]:

@@ -157,7 +157,7 @@ def state_transfer_protocol(n_sites: int, alpha: float, dimension: int = 1) -> P
     """Run the two-stage fan-out/fan-in transfer and score it.
 
     Stage one couples the source uniformly to the N-2 middle sites with
-    strength 1/L**alpha (L = largest pairwise distance); after T/2 the
+    strength 1/L**alpha (L = the open box's ``largest_distance``); after T/2 the
     excitation sits in the symmetric W state over the middles. Stage
     two couples the middles to the target for another T/2, completing
     the transfer at T = pi L**alpha / sqrt(N-2).
@@ -172,13 +172,7 @@ def state_transfer_protocol(n_sites: int, alpha: float, dimension: int = 1) -> P
     if n_sites < 4:
         raise ValueError("protocol needs at least 4 sites")
     alpha = CouplingModel(alpha=alpha).alpha  # the one alpha >= 0 check
-    if dimension == 1:
-        length = float(n_sites - 1)
-    else:
-        side = round(n_sites ** (1.0 / dimension))
-        if side**dimension != n_sites:
-            raise ValueError(f"N = {n_sites} is not a {dimension}-dimensional hypercube")
-        length = math.sqrt(dimension) * (side - 1)
+    length = LatticeSpec.from_sites(n_sites, dimension, "open").largest_distance
     source, target = 0, n_sites - 1
     middles = list(range(1, n_sites - 1))
     m = len(middles)
@@ -270,7 +264,7 @@ def ising_exact_oracle(spec: LatticeSpec, model: CouplingModel, i: int, t: float
     n = spec.site_count
     if n > ISING_ORACLE_MAX_SITES:
         raise ValueError(f"N = {n} exceeds dense oracle cap {ISING_ORACLE_MAX_SITES}")
-    spec._check_index(i)
+    spec.check_index(i)
     J = coupling_matrix(spec, model)
     dim = 1 << n
     idx = np.arange(dim)

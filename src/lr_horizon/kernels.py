@@ -40,7 +40,6 @@ class HopParameters:
     lam: float
     p: float
     alpha: float
-    site_count: int
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def self_hop_lambda(spec: LatticeSpec, model: CouplingModel) -> HopParameters:
     row directly, the per-row reference the tests compare against.
     """
     lam = float(row_sums(spec, model.alpha).max())
-    return HopParameters(lam, 2.0 ** (model.alpha + 1), model.alpha, spec.site_count)
+    return HopParameters(lam, 2.0 ** (model.alpha + 1), model.alpha)
 
 
 def site_hop_strength(spec: LatticeSpec, model: CouplingModel, i: int) -> float:

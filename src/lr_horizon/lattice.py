@@ -1,12 +1,18 @@
 """Lattice geometry, site indexing, distances, and power-law couplings.
 
-Sites of a hypercubic lattice with unit spacing are addressed by a flat
-row-major index. Distances are computed on demand (never as an N x N
-matrix) so that rings with N = 10**6 sites stay cheap.
+This module decides the geometry every command rests on: how N sites
+form an L**D box (``LatticeSpec.from_sites``), the metric, and the
+largest separation (``LatticeSpec.largest_distance``). The distance
+between two sites is the Euclidean norm of their coordinate difference,
+after the per-axis minimum image ``min(|d|, L - |d|)`` when periodic; on
+a ring that is ``min(|i - j|, N - |i - j|)``. Sites are addressed by a
+flat row-major index. Distances are computed on demand (never as an
+N x N matrix) so that rings with N = 10**6 sites stay cheap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +32,6 @@ class LatticeSpec:
         Sites per axis, L >= 2.
     boundary : str
         ``"open"`` or ``"periodic"``.
-
-    Notes
-    -----
-    For periodic boundaries in one dimension the metric is the ring
-    distance ``min(|i - j|, N - |i - j|)``. Open boundaries use the
-    Euclidean distance between integer coordinate vectors. Periodic
-    lattices with D >= 2 apply the per-axis minimum image before taking
-    the Euclidean norm.
     """
 
     dimension: int
@@ -48,43 +46,49 @@ class LatticeSpec:
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
 
+    @classmethod
+    def from_sites(cls, n_sites: int, dimension: int, boundary: str = "periodic") -> LatticeSpec:
+        """The lattice of ``n_sites`` = L**D sites; an N that is no perfect D-th power is invalid."""
+        # A negative N has no real root, and D < 1 no root at all; kept as the side, N fails a check below.
+        side = round(n_sites ** (1.0 / dimension)) if n_sites > 0 and dimension > 0 else n_sites
+        if side**dimension != n_sites:
+            raise ValueError(f"N = {n_sites} is not a perfect power for D = {dimension}")
+        return cls(dimension, side, boundary)
+
     @property
     def site_count(self) -> int:
         """Total number of sites N = L**D."""
         return self.linear_size ** self.dimension
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """(L,) * D, the grid whose row-major flat index is the site index."""
+        return (self.linear_size,) * self.dimension
+
+    @property
+    def largest_distance(self) -> float:
+        """sqrt(D) * floor(L/2) periodic (the minimum image), sqrt(D) * (L - 1) open."""
+        reach = self.linear_size // 2 if self.boundary == "periodic" else self.linear_size - 1
+        return math.sqrt(self.dimension) * reach
+
+    def check_index(self, i: int) -> None:
+        """Raise ``ValueError`` unless ``i`` is a site index in [0, N)."""
+        if not 0 <= i < self.site_count:
+            raise ValueError(f"site index {i} outside [0, {self.site_count})")
+
     def index_to_coords(self, i: int) -> tuple[int, ...]:
         """Convert a flat row-major site index to a coordinate vector."""
-        self._check_index(i)
-        coords = []
-        for _ in range(self.dimension):
-            coords.append(i % self.linear_size)
-            i //= self.linear_size
-        return tuple(reversed(coords))
+        self.check_index(i)
+        return tuple(int(c) for c in np.unravel_index(i, self.shape))
 
     def coords_to_index(self, coords) -> int:
         """Convert a coordinate vector back to the flat row-major index."""
         if len(coords) != self.dimension:
             raise ValueError(f"expected {self.dimension} coordinates, got {len(coords)}")
-        i = 0
         for c in coords:
             if not 0 <= c < self.linear_size:
                 raise ValueError(f"coordinate {c} outside [0, {self.linear_size})")
-            i = i * self.linear_size + int(c)
-        return i
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.site_count:
-            raise ValueError(f"site index {i} outside [0, {self.site_count})")
-
-    def _coord_array(self) -> np.ndarray:
-        """(N, D) integer coordinates of every site, row-major order."""
-        L, D = self.linear_size, self.dimension
-        idx = np.arange(self.site_count)
-        cols = []
-        for axis in range(D - 1, -1, -1):
-            cols.append((idx // L**axis) % L)
-        return np.stack(cols, axis=1)
+        return int(np.ravel_multi_index(tuple(int(c) for c in coords), self.shape))
 
 
 def ring(n_sites: int) -> LatticeSpec:
@@ -112,42 +116,24 @@ class CouplingModel:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 
-def distance(spec: LatticeSpec, i: int, j: int) -> float:
-    """Metric distance between sites ``i`` and ``j``.
-
-    Returns the ring distance on periodic 1D lattices and the Euclidean
-    (minimum-image Euclidean when periodic) distance otherwise.
-    """
-    spec._check_index(i)
-    spec._check_index(j)
-    if i == j:
-        return 0.0
-    if spec.dimension == 1:
-        d = abs(i - j)
-        if spec.boundary == "periodic":
-            d = min(d, spec.site_count - d)
-        return float(d)
-    ci = np.array(spec.index_to_coords(i), dtype=float)
-    cj = np.array(spec.index_to_coords(j), dtype=float)
-    diff = np.abs(ci - cj)
+def _metric(spec: LatticeSpec, a, b) -> np.ndarray:
+    """Euclidean norm over axis 0 of |a - b|, after the per-axis minimum image when periodic."""
+    diff = np.abs(np.subtract(a, b, dtype=float))
     if spec.boundary == "periodic":
-        diff = np.minimum(diff, spec.linear_size - diff)
-    return float(np.sqrt(np.sum(diff * diff)))
+        np.minimum(diff, spec.linear_size - diff, out=diff)
+    diff *= diff
+    return np.sqrt(diff.sum(axis=0))
+
+
+def distance(spec: LatticeSpec, i: int, j: int) -> float:
+    """Metric distance between sites ``i`` and ``j``."""
+    return float(_metric(spec, spec.index_to_coords(i), spec.index_to_coords(j)))
 
 
 def distances_from(spec: LatticeSpec, i: int) -> np.ndarray:
     """Distances from site ``i`` to every site, as a length-N array."""
-    spec._check_index(i)
-    if spec.dimension == 1:
-        d = np.abs(np.arange(spec.site_count) - i).astype(float)
-        if spec.boundary == "periodic":
-            d = np.minimum(d, spec.site_count - d)
-        return d
-    coords = spec._coord_array().astype(float)
-    diff = np.abs(coords - coords[i])
-    if spec.boundary == "periodic":
-        diff = np.minimum(diff, spec.linear_size - diff)
-    return np.sqrt(np.sum(diff * diff, axis=1))
+    coords = np.unravel_index(np.arange(spec.site_count), spec.shape)
+    return _metric(spec, coords, np.array(spec.index_to_coords(i))[:, None])
 
 
 def coupling(spec: LatticeSpec, model: CouplingModel, i: int, j: int) -> float:

@@ -10,6 +10,9 @@ The analytic and many-site bounds are closed form in t, and so is their
 t* (``PairSum.crossing``, no bracket). The ring series takes safeguarded
 Newton steps; ``signaling_time_numeric`` bisects any monotone bound.
 Every time here is physical; the CLI's ``--kac`` multiplies it by lambda.
+The solvers of the prefactor bounds take delta in (0, 2||A||||B||), as
+no commutator norm reaches that trivial bound; the Ising protocol's
+signal is a sine, so its delta lies in (0, 1].
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ class NoCrossingError(RuntimeError):
     """The bound never reached delta within the bracket expansion."""
 
 
+def _check_delta(delta: float, pre: BoundPrefactor) -> None:
+    """A threshold lies in (0, 2||A||||B||): no commutator norm reaches the trivial bound."""
+    if not 0 < delta < pre.trivial_bound:
+        raise ValueError(f"delta must lie in (0, {pre.trivial_bound}), got {delta}")
+
+
 @dataclass(frozen=True)
 class SignalingSpec:
     """Threshold and prefactors for a signaling-time query."""
@@ -41,10 +50,7 @@ class SignalingSpec:
     prefactor: BoundPrefactor = UNIT_PREFACTOR
 
     def __post_init__(self) -> None:
-        if not 0 < self.delta < self.prefactor.trivial_bound:
-            raise ValueError(
-                f"delta must lie in (0, {self.prefactor.trivial_bound}), got {self.delta}"
-            )
+        _check_delta(self.delta, self.prefactor)
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,7 @@ def many_site_signaling_time(
     exactly; there is no bracket.
     """
     pre = BoundPrefactor(norm_A=norms[0], norm_B=norms[1])
+    _check_delta(delta, pre)
     bound = PairSum.between(spec, model, region_x, region_y, pre.scale)
     return SignalingTime(t_star=bound.crossing(delta), method="many_site")
 
@@ -179,8 +186,7 @@ def exact_sum_signaling_time(
     Pass a precomputed spectrum to amortize the FFT across many r or
     delta values at fixed (N, alpha).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta, pre)
     series = RingSeries(n_sites, alpha, r, pre, spectrum)
     t_init = 1.0 / (2.0 * series.spectrum.lam * (1.0 + 2.0 ** (alpha + 1)))
     lo, hi, value = _expand_bracket(series, delta, t_init)

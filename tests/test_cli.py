@@ -662,6 +662,16 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
 
 
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    fidelity, bound, ratio = map(float, lines[-1].split())
+    assert (fidelity, bound, ratio) == pytest.approx((1.0, math.pi / 2, 2 / math.pi), rel=1e-12)
+
+
 # A config value of the wrong JSON type for each key. Numeric text such
 # as {"delta": "0.5"} is not wrong: it parses as the flag text would.
 _WRONG_TYPE = {
@@ -731,3 +741,61 @@ def test_flag_and_config_write_the_same_bytes(tmp_path, capsys, fit_tables, key,
     assert main(argv + flag + ["--out", str(from_flag)]) == 0
     assert main(argv + ["--config", str(cfg), "--out", str(from_config)]) == 0
     assert from_flag.read_bytes() == from_config.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["lambda", "--N", ""], None),
+        (["lambda", "--alpha", ","], None),
+        (["bound", "--method", "analytic", "--N", "16", "--t", ","], None),
+        (["bound", "--method", "analytic", "--N", "16", "--t", "0.1", "--r", ""], None),
+        (["lambda"], {"alpha": []}),
+        (["ising-oracle", "--N", "4"], {"t": []}),
+        (["signaling", "--method", "analytic", "--N", "16"], {"r": ""}),
+    ],
+    ids=["N-flag", "alpha-flag", "t-flag", "r-flag", "alpha-config", "t-config", "r-config"],
+)
+def test_empty_grid_exit2(tmp_path, capsys, argv, config):
+    err = _exit2(tmp_path, capsys, argv, config)
+    assert err.startswith("invalid input: --")
+    assert "takes at least one value" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lambda", "--N", "50", "--D", "2"], ["lambda", "--N", "-4", "--D", "2"], ["protocol", "--N", "50", "--D", "2"]],
+)
+def test_site_count_that_is_no_power_exit2(tmp_path, capsys, argv):
+    n_sites = argv[argv.index("--N") + 1]
+    assert _exit2(tmp_path, capsys, argv) == f"invalid input: N = {n_sites} is not a perfect power for D = 2\n"
+
+
+# An r spelling and the canonical token it names; r = 10**6 needs N >= 2 * 10**6.
+_SPELLINGS = [("3.0", "3"), ("1e6", "1000000"), (3.0, "3"), (1e6, "1000000"), (" N/2", "N/2")]
+
+
+@pytest.mark.parametrize("command", ["bound", "signaling"])
+@pytest.mark.parametrize("spelling,canonical", _SPELLINGS, ids=[json.dumps(s) for s, _ in _SPELLINGS])
+def test_r_spellings_write_the_same_bytes(tmp_path, command, spelling, canonical):
+    argv = [command, "--method", "analytic", "--N", "2000000"] + (["--t", "0.1"] if command == "bound" else [])
+    if isinstance(spelling, str):
+        given = ["--r", spelling]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": spelling}))
+        given = ["--config", str(cfg)]
+    spelled, plain = tmp_path / "spelled.csv", tmp_path / "canonical.csv"
+    assert main(argv + given + ["--out", str(spelled)]) == 0
+    assert main(argv + ["--r", canonical, "--out", str(plain)]) == 0
+    assert spelled.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["analytic", "exact_sum", "many_site"])
+def test_delta_window_is_the_same_for_every_prefactor_method(tmp_path, capsys, method):
+    argv = ["signaling", "--method", method, "--N", "64"]
+    err = _exit2(tmp_path, capsys, argv + ["--delta", "2"])
+    assert err == "invalid input: delta must lie in (0, 2.0), got 2.0\n"
+    code, out = _run(capsys, argv + ["--delta", "1.9"])
+    assert code == 0
+    assert float(_rows(out)[0]["t_star"]) > 0

@@ -117,12 +117,59 @@ def test_ring_translational_invariance():
         )
 
 
-def test_distances_from_matches_pairwise():
-    spec = LatticeSpec(dimension=2, linear_size=4, boundary="periodic")
-    d = distances_from(spec, 5)
-    assert d.shape == (16,)
-    for j in range(16):
-        assert d[j] == pytest.approx(distance(spec, 5, j), rel=1e-14)
+# Odd and even sides in each dimension.
+_BOXES = [(1, 7), (1, 8), (2, 5), (2, 4), (3, 3), (3, 4)]
+
+
+def _reference_distance(spec, i, j):
+    """Plain-Python metric: Euclidean, after the per-axis minimum image when periodic."""
+    sq = 0
+    for a, b in zip(spec.index_to_coords(i), spec.index_to_coords(j)):
+        d = abs(a - b)
+        if spec.boundary == "periodic":
+            d = min(d, spec.linear_size - d)
+        sq += d * d
+    return math.sqrt(sq)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("dimension,side", _BOXES)
+def test_distances_from_matches_pairwise(dimension, side, boundary):
+    spec = LatticeSpec(dimension=dimension, linear_size=side, boundary=boundary)
+    n = spec.site_count
+    for i in range(n):
+        d = distances_from(spec, i)
+        assert d.shape == (n,)
+        for j in range(n):
+            reference = _reference_distance(spec, i, j)
+            assert d[j] == pytest.approx(reference, rel=1e-14)
+            assert distance(spec, i, j) == pytest.approx(reference, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "n_sites,dimension,side",
+    [(7, 1, 7), (10**6, 1, 10**6), (64, 2, 8), (10**6, 2, 1000), (64, 3, 4), (10**6, 3, 100)],
+)
+def test_from_sites_finds_the_side(n_sites, dimension, side):
+    for boundary in ("open", "periodic"):
+        spec = LatticeSpec.from_sites(n_sites, dimension, boundary)
+        assert spec == LatticeSpec(dimension=dimension, linear_size=side, boundary=boundary)
+
+
+@pytest.mark.parametrize("n_sites,dimension", [(50, 2), (63, 3), (2, 2), (-4, 2), (16, 0), (16, -1)])
+def test_from_sites_rejects_a_non_power(n_sites, dimension):
+    with pytest.raises(ValueError, match=f"N = {n_sites} is not a perfect power for D = {dimension}"):
+        LatticeSpec.from_sites(n_sites, dimension)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("dimension,side", _BOXES)
+def test_largest_distance_is_the_largest_pair_distance(dimension, side, boundary):
+    spec = LatticeSpec(dimension=dimension, linear_size=side, boundary=boundary)
+    largest = max(distances_from(spec, i).max() for i in range(spec.site_count))
+    assert spec.largest_distance == pytest.approx(largest, rel=1e-15)
+    reach = side // 2 if boundary == "periodic" else side - 1
+    assert spec.largest_distance == pytest.approx(math.sqrt(dimension) * reach, rel=1e-15)
 
 
 def test_coupling_row_zero_self_entry():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lr_horizon import (
+    BoundPrefactor,
     CouplingModel,
     LatticeSpec,
     NoCrossingError,
@@ -29,6 +30,29 @@ from lr_horizon import bounds, kernels, signaling
 from lr_horizon.bounds import RingSeries
 
 RING4_ALPHA1 = self_hop_lambda(ring(4), CouplingModel(alpha=1.0))
+
+
+def _prefactor_solvers(norm_a):
+    """The three solvers whose delta window is (0, 2||A||||B||), as delta -> t_star, with ||B|| = 1."""
+    spec, model = ring(64), CouplingModel(alpha=0.5)
+    pre = BoundPrefactor(norm_A=norm_a)
+    params = self_hop_lambda(spec, model)
+    return [
+        lambda d: signaling_time_analytic(params, SignalingSpec(delta=d, prefactor=pre), 1.0),
+        lambda d: exact_sum_signaling_time(64, 0.5, 1, d, pre=pre),
+        lambda d: many_site_signaling_time(spec, model, [0], range(1, 64), d, norms=(norm_a, 1.0)),
+    ]
+
+
+@pytest.mark.parametrize("norm_a", [1.0, 2.0])
+@pytest.mark.parametrize("which", range(3), ids=["analytic", "exact_sum", "many_site"])
+def test_prefactor_solvers_share_the_delta_window(norm_a, which):
+    solve = _prefactor_solvers(norm_a)[which]
+    trivial = 2.0 * norm_a
+    for delta in (0.0, -1.0, trivial, trivial + 1.0):
+        with pytest.raises(ValueError, match=rf"delta must lie in \(0, {trivial}\), got {delta}"):
+            solve(delta)
+    assert solve(0.95 * trivial).t_star > 0
 
 
 def test_signaling_spec_threshold_window():
