@@ -28,6 +28,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -82,8 +83,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv(columns: tuple, rows: list[tuple]) -> str:
-    return "".join(",".join(_fmt(x) for x in row) + "\n" for row in [columns, *rows])
+def _csv(columns: tuple, rows: list[tuple]):
+    """The table's lines, one at a time, so no table is held as one string."""
+    return (",".join(map(_fmt, row)) + "\n" for row in chain([columns], rows))
 
 
 def _number(flag: str, value) -> float:
@@ -432,14 +434,14 @@ def _write_output(cfg: dict, columns: tuple, rows: list[tuple], trace_rows=None)
     digest = hashlib.sha256(json.dumps(hashable, sort_keys=True, default=str).encode()).hexdigest()
     header = f"# lr-horizon v{__version__} config={digest[:12]} method={tag}"
     if cfg["fmt"] == "json":
-        text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2, default=str) + "\n"
+        lines = [json.dumps([dict(zip(columns, row)) for row in rows], indent=2, default=str) + "\n"]
     else:
-        text = header + "\n" + _csv(columns, rows)
+        lines = chain([header + "\n"], _csv(columns, rows))
     if cfg["out"]:
         with open(cfg["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     if cfg["plot_data"]:
         if cfg["command"] == "protocol":
             plot_cols = ("N", "alpha", "time", "site", "prob")
@@ -447,7 +449,7 @@ def _write_output(cfg: dict, columns: tuple, rows: list[tuple], trace_rows=None)
         else:
             plot_cols, plot_rows = columns, rows
         with open(cfg["plot_data"], "w", encoding="utf-8") as fh:
-            fh.write(_csv(plot_cols, plot_rows))
+            fh.writelines(_csv(plot_cols, plot_rows))
 
 
 def main(argv=None) -> int:

@@ -6,12 +6,18 @@ per-segment eigendecomposition) and the diagonal Ising evolution of a
 GHZ state (dense 2**N state vector). Bosons and fermions evolve
 identically in the single-excitation sector, so one simulator serves
 both.
+
+Each segment of a ``SingleParticleHamiltonian`` is decomposed once, on
+first use, and every later ``evolve`` on that Hamiltonian reuses the
+result; a segment's ``hop`` and ``onsite`` arrays must not be mutated
+after that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +71,11 @@ class SingleParticleHamiltonian:
     def total_time(self) -> float:
         return sum(seg.duration for seg in self.segments)
 
+    @cached_property
+    def eigensystems(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(w, v) = ``eigh`` of each segment's matrix, computed once, on first use."""
+        return tuple(np.linalg.eigh(_segment_matrix(seg)) for seg in self.segments)
+
 
 def _segment_matrix(seg: Segment) -> np.ndarray:
     h = np.asarray(seg.hop, dtype=complex)
@@ -73,18 +84,19 @@ def _segment_matrix(seg: Segment) -> np.ndarray:
     return h
 
 
-def _apply_segment(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
+def _apply_segment(w: np.ndarray, v: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
     return v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
 
 
 def evolve(ham: SingleParticleHamiltonian, psi0: np.ndarray, t: float | None = None) -> np.ndarray:
     """Evolve an amplitude vector through the schedule, exactly.
 
-    Each segment applies exp(-i H_seg dt) via eigendecomposition. With
-    ``t`` given, evolution stops inside the schedule at that time;
-    otherwise the full schedule runs. Norm preservation is checked to
-    ``NORM_TOL`` relative.
+    Each segment applies exp(-i H_seg dt) through its eigendecomposition,
+    which ``ham.eigensystems`` computes once, on the first call, and
+    keeps; the segments' ``hop`` and ``onsite`` arrays must not be
+    mutated after that. With ``t`` given, evolution stops inside the
+    schedule at that time; otherwise the full schedule runs. Norm
+    preservation is checked to ``NORM_TOL`` relative.
     """
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (ham.n_sites,):
@@ -95,11 +107,11 @@ def evolve(ham: SingleParticleHamiltonian, psi0: np.ndarray, t: float | None = N
         raise ValueError(f"t = {t} outside the schedule [0, {ham.total_time}]")
     norm_in = float(np.linalg.norm(psi))
     remaining = t
-    for seg in ham.segments:
+    for seg, (w, v) in zip(ham.segments, ham.eigensystems):
         if remaining <= 0:
             break
         dt = min(seg.duration, remaining)
-        psi = _apply_segment(_segment_matrix(seg), dt, psi)
+        psi = _apply_segment(w, v, dt, psi)
         remaining -= dt
     if abs(float(np.linalg.norm(psi)) - norm_in) > NORM_TOL * max(norm_in, 1.0):
         raise RuntimeError("evolution failed to preserve the norm")

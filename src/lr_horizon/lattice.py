@@ -116,24 +116,35 @@ class CouplingModel:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 
 
-def _metric(spec: LatticeSpec, a, b) -> np.ndarray:
-    """Euclidean norm over axis 0 of |a - b|, after the per-axis minimum image when periodic."""
-    diff = np.abs(np.subtract(a, b, dtype=float))
+def _metric(spec: LatticeSpec, diff: np.ndarray) -> np.ndarray:
+    """Euclidean norm over axis 0 of a (D, n) float difference, taken in place in ``diff``.
+
+    |diff|, then the per-axis minimum image when periodic, squared and
+    summed over the axes; no other (D, n) buffer is made.
+    """
+    np.abs(diff, out=diff)
     if spec.boundary == "periodic":
-        np.minimum(diff, spec.linear_size - diff, out=diff)
-    diff *= diff
-    return np.sqrt(diff.sum(axis=0))
+        # min(d, L - d) = L/2 - |L/2 - d|, exact for integer d and L.
+        half = spec.linear_size / 2
+        np.subtract(half, diff, out=diff)
+        np.abs(diff, out=diff)
+        np.subtract(half, diff, out=diff)
+    np.multiply(diff, diff, out=diff)
+    squares = diff[0] if spec.dimension == 1 else diff.sum(axis=0)
+    return np.sqrt(squares, out=squares)
 
 
 def distance(spec: LatticeSpec, i: int, j: int) -> float:
     """Metric distance between sites ``i`` and ``j``."""
-    return float(_metric(spec, spec.index_to_coords(i), spec.index_to_coords(j)))
+    diff = np.subtract(spec.index_to_coords(i), spec.index_to_coords(j), dtype=float)
+    return float(_metric(spec, diff[:, None])[0])
 
 
 def distances_from(spec: LatticeSpec, i: int) -> np.ndarray:
     """Distances from site ``i`` to every site, as a length-N array."""
-    coords = np.unravel_index(np.arange(spec.site_count), spec.shape)
-    return _metric(spec, coords, np.array(spec.index_to_coords(i))[:, None])
+    diff = np.indices(spec.shape, dtype=float).reshape(spec.dimension, -1)
+    np.subtract(diff, np.array(spec.index_to_coords(i), dtype=float)[:, None], out=diff)
+    return _metric(spec, diff)
 
 
 def coupling(spec: LatticeSpec, model: CouplingModel, i: int, j: int) -> float:

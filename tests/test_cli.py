@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shlex
@@ -660,6 +661,39 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
+
+
+# sha256 of the files the README line `protocol --alpha 0.5 --N 7 --plot-data`
+# writes (with --out added), recorded before the segment decompositions were
+# cached and the tables written line by line. Any drift in the evolution or
+# the formatting changes them. The last bits of eigh can differ between LAPACK
+# builds; these were recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.
+README_PROTOCOL_SHA256 = {
+    "protocol.csv": "9bc32bdf28a1cc0d5dbd31e705c162ab9814b37461de15e967171103954e0eab",
+    "trajectory.csv": "e6d75a66f2853e373b815d4e249df93d77161a740f280da085f55e6bcd90db21",
+}
+
+
+def test_readme_protocol_bytes_are_pinned(tmp_path):
+    out, plot = tmp_path / "protocol.csv", tmp_path / "trajectory.csv"
+    argv = ["protocol", "--alpha", "0.5", "--N", "7", "--plot-data", str(plot), "--out", str(out)]
+    assert main(argv) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, plot)}
+    assert digests == README_PROTOCOL_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--method", "analytic", "--alpha", "0.5", "--N", "64,256", "--r", "1,N/4", "--t", "0.01,0.1"],
+        ["lambda", "--alpha", "0,1,2", "--N", "100,1000", "--format", "json"],
+    ],
+)
+def test_stdout_and_out_file_hold_the_same_bytes(tmp_path, capsys, argv):
+    code, stdout = _run(capsys, argv)
+    assert code == 0
+    assert main(argv + ["--out", str(tmp_path / "table")]) == 0
+    assert stdout.encode() == (tmp_path / "table").read_bytes()
 
 
 def test_readme_library_quick_start_runs(capsys):

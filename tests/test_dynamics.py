@@ -164,6 +164,67 @@ def test_trajectory_probabilities_normalized():
     assert rows[-1][1][res.target] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The matrices handed to ``np.linalg.eigh`` while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_trajectory_decomposes_each_segment_once(eigh_calls):
+    h1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+    h2 = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 1.0], [0.3, 1.0, 0.0]])
+    ham = SingleParticleHamiltonian(
+        segments=(Segment(duration=0.5, hop=h1), Segment(duration=0.7, hop=h2, onsite=np.ones(3)))
+    )
+    rows = trajectory(ham, np.eye(3, dtype=complex)[0], np.linspace(0.0, ham.total_time, 101))
+    assert len(rows) == 101
+    assert len(eigh_calls) == 2
+
+
+def test_protocol_and_its_trajectory_decompose_each_segment_once(eigh_calls):
+    res = state_transfer_protocol(16, 0.5)
+    psi0 = np.zeros(16, dtype=complex)
+    psi0[res.source] = 1.0
+    trajectory(res.hamiltonian, psi0, np.linspace(0.0, res.total_time, 101))
+    assert len(eigh_calls) == 2
+
+
+def _evolve_fresh(ham, psi, t):
+    """The reference evolution: ``eigh`` called afresh for each segment on every call."""
+    remaining = t
+    for seg in ham.segments:
+        if remaining <= 0:
+            break
+        dt = min(seg.duration, remaining)
+        w, v = np.linalg.eigh(np.asarray(seg.hop, dtype=complex) + np.diag(seg.onsite))
+        psi = v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
+        remaining -= dt
+    return psi
+
+
+def test_cached_decompositions_evolve_bit_identically():
+    rng = np.random.default_rng(20260818)
+    for _ in range(20):
+        n = int(rng.integers(3, 12))
+        segs = []
+        for _ in range(3):
+            h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = (h + h.conj().T) / 2
+            segs.append(Segment(duration=float(rng.uniform(0.05, 0.4)), hop=h, onsite=rng.normal(size=n)))
+        ham = SingleParticleHamiltonian(segments=tuple(segs))
+        psi0 = np.eye(n, dtype=complex)[int(rng.integers(n))]
+        for t in [*rng.uniform(0.0, ham.total_time, size=4), ham.total_time]:
+            assert np.array_equal(evolve(ham, psi0, float(t)), _evolve_fresh(ham, psi0, float(t)))
+
+
 def test_ising_oracle_zero_time():
     assert ising_exact_oracle(ring(4), CouplingModel(alpha=1.0), 0, 0.0) == pytest.approx(0.0, abs=1e-14)
 
