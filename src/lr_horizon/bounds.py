@@ -6,7 +6,8 @@ Four evaluators share the ``BoundValue`` result type:
   2 ||A|| ||B|| |X| |Y| (exp(2 lam (1+p) t) - 1) / (lam p r**alpha),
   the one-pair ``PairSum`` (which also inverts it for t).
 * ``exact_sum_bound`` -- the full hop series summed on a ring through
-  the circulant Fourier spectrum (tighter; D = 1 only).
+  the circulant Fourier spectrum (tighter; D = 1 only), the prefactor
+  scale times ``kernels.FourierSpectrum.series``.
 * ``free_particle_bound`` -- the schedule integral
   int_0^t sqrt(sum_i |J_iX(tau)|**2) dtau for piecewise-constant
   schedules, valid for non-interacting particles.
@@ -21,15 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import FourierSpectrum, HopParameters, fourier_spectrum, self_hop_lambda
+from .kernels import _EXP_ARG_MAX, FourierSpectrum, HopParameters, self_hop_lambda, spectrum_for
 from .lattice import CouplingModel, LatticeSpec, distances_from
-
-# Inverse-transform values below -NEGATIVE_FLOOR * (series max) indicate
-# a real sign error rather than roundoff.
-NEGATIVE_FLOOR = 1e-8
-
-# exp overflows past ~709.78; beyond this the bound saturates anyway.
-_EXP_ARG_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -42,10 +36,10 @@ class BoundPrefactor:
     size_Y: int = 1
 
     def __post_init__(self) -> None:
-        if self.norm_A <= 0 or self.norm_B <= 0:
-            raise ValueError("operator norms must be positive")
-        if self.size_X < 1 or self.size_Y < 1:
-            raise ValueError("region sizes must be >= 1")
+        if not (0 < self.norm_A < math.inf and 0 < self.norm_B < math.inf):
+            raise ValueError(f"operator norms must be positive and finite, got {self.norm_A}, {self.norm_B}")
+        if not (1 <= self.size_X < math.inf and 1 <= self.size_Y < math.inf):
+            raise ValueError(f"region sizes must be finite and >= 1, got {self.size_X}, {self.size_Y}")
 
     @property
     def scale(self) -> float:
@@ -84,8 +78,13 @@ class HopSchedule:
 
     def __post_init__(self) -> None:
         for duration, _ in self.segments:
-            if duration <= 0:
-                raise ValueError("segment durations must be positive")
+            if not 0 < duration < math.inf:
+                raise ValueError(f"segment durations must be positive and finite, got {duration}")
+
+
+def _check_time(t: float) -> None:
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
 
 
 def _flag(value: float, t: float, r: float, method: str, pre: BoundPrefactor) -> BoundValue:
@@ -111,8 +110,8 @@ class PairSum:
 
     @classmethod
     def one_pair(cls, params: HopParameters, scale: float, r: float) -> PairSum:
-        if r < 1:
-            raise ValueError("separation r must be >= 1")
+        if not 1 <= r < math.inf:
+            raise ValueError(f"separation r must be finite and >= 1, got {r}")
         return cls(params, scale, r ** (-params.alpha), r)
 
     @classmethod
@@ -141,8 +140,8 @@ class PairSum:
 
     def crossing(self, delta: float) -> float:
         """The t at which B(t) = delta: ln(1 + delta lam p / (s W)) / (2 lam (1+p))."""
-        if delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         lam, p = self.params.lam, self.params.p
         return math.log1p(delta * lam * p / (self.scale * self.weight)) / (2.0 * lam * (1.0 + p))
 
@@ -160,87 +159,8 @@ def analytic_bound(
     Exponential overflow returns +inf flagged as saturated.
     """
     bound = PairSum.one_pair(params, pre.scale, r)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     return _flag(bound(t), t, r, "analytic", pre)
-
-
-class RingSeries:
-    """The ring hop series at one separation r, as a function of t.
-
-    ``series(t)`` is B(t) = s sum_p c_p expm1(2 omega_p t) over the half
-    spectrum p = 0 .. N // 2, with s = 2||A||||B|||X||Y| and weights
-    c_p = w_p cos(2 pi p r / N) / N. ``w_p = 2`` folds in the mirror
-    eigenvalue omega(N - p) = omega(p); p = 0 and, for even N, p = N / 2
-    are their own mirrors, so w_p = 1. The weights are built once, so a
-    solver evaluating many t at one r pays one exponential array per t,
-    and ``slope(t)`` reuses the exponentials of the last ``series(t)``.
-    """
-
-    def __init__(
-        self,
-        n_sites: int,
-        alpha: float,
-        r: int,
-        pre: BoundPrefactor = UNIT_PREFACTOR,
-        spectrum: FourierSpectrum | None = None,
-    ) -> None:
-        if not 1 <= r <= n_sites // 2:
-            raise ValueError(f"r must be in [1, N/2], got r={r} with N={n_sites}")
-        if spectrum is None:
-            spectrum = fourier_spectrum(n_sites, alpha)
-        elif spectrum.n_sites != n_sites or spectrum.alpha != alpha:
-            raise ValueError("spectrum was computed for different (N, alpha)")
-        weights = np.cos((2.0 * math.pi * r / n_sites) * np.arange(n_sites // 2 + 1))
-        weights *= 2.0 / n_sites
-        weights[0] *= 0.5
-        if n_sites % 2 == 0:
-            weights[-1] *= 0.5
-        self.spectrum = spectrum
-        self.scale = pre.scale
-        self._weights = weights
-        self._slope: tuple[np.ndarray, float] | None = None  # c_p 2 omega_p and their sum
-        self._last: tuple[float, np.ndarray | None] = (math.nan, None)
-
-    def _terms(self, t: float) -> np.ndarray | None:
-        """expm1(2 t omega_p), or None once the largest exponent overflows."""
-        t_last, terms = self._last
-        if t != t_last:
-            if 2.0 * t * self.spectrum.omega_max > _EXP_ARG_MAX:
-                terms = None
-            else:
-                terms = np.expm1(2.0 * t * self.spectrum.omega)
-            self._last = (t, terms)
-        return terms
-
-    def __call__(self, t: float) -> float:
-        """B(t), or +inf past overflow.
-
-        Tiny negative sums from roundoff are clamped to zero; one below
-        -``NEGATIVE_FLOOR`` times the largest term (over N) is a sign
-        error, not roundoff, and raises.
-        """
-        terms = self._terms(t)
-        if terms is None:
-            return math.inf
-        raw = float(np.dot(self._weights, terms))
-        if raw < 0.0:
-            floor = NEGATIVE_FLOOR * float(terms.max()) / self.spectrum.n_sites
-            if raw < -floor:
-                raise RuntimeError(f"inverse transform returned {raw:.3e}, beyond roundoff floor")
-            raw = 0.0
-        return self.scale * raw
-
-    def slope(self, t: float) -> float:
-        """dB/dt = s sum_p c_p 2 omega_p e^(2 omega_p t), or +inf past overflow."""
-        terms = self._terms(t)
-        if terms is None:
-            return math.inf
-        if self._slope is None:
-            slope_weights = self._weights * (2.0 * self.spectrum.omega)
-            self._slope = (slope_weights, float(slope_weights.sum()))
-        slope_weights, at_zero = self._slope
-        return self.scale * (float(np.dot(slope_weights, terms)) + at_zero)
 
 
 def exact_sum_bound(
@@ -255,18 +175,17 @@ def exact_sum_bound(
 
     Evaluates 2||A||||B|||X||Y| * (1/N) sum_p cos(2 pi p r / N)
     (e^(2 omega(p) t) - 1) as one weighted sum over the half spectrum
-    (see ``RingSeries``).
-    Pass a precomputed ``spectrum`` to amortize the FFT across a sweep;
-    it must match ``(n_sites, alpha)``.
+    (``FourierSpectrum.series``). Pass a precomputed ``spectrum`` to
+    amortize the FFT, and the weights of each r, across a sweep; it must
+    match ``(n_sites, alpha)``.
 
     Tiny negative results from roundoff are clamped to zero; a negative
     value beyond roundoff scale raises. Overflow returns +inf flagged
     saturated.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    value = RingSeries(n_sites, alpha, r, pre, spectrum)(t)
-    return _flag(value, t, float(r), "exact_sum", pre)
+    _check_time(t)
+    spectrum = spectrum_for(n_sites, alpha, spectrum)
+    return _flag(pre.scale * spectrum.series(r, t), t, float(r), "exact_sum", pre)
 
 
 def exact_sum_bound_alpha0_closed_form(n_sites: int, t: float) -> float:
@@ -274,13 +193,14 @@ def exact_sum_bound_alpha0_closed_form(n_sites: int, t: float) -> float:
 
     (e^(4(N-1)t) - e^(2(N-2)t)) / N, before the 2||A||||B|||X||Y|
     prefactor. The looser displayed form (e^(4Nt) - 1)/N bounds it from
-    above for every t >= 0.
+    above for every t >= 0. Past the overflow limit it returns +inf.
     """
     if n_sites < 3:
         raise ValueError("need at least 3 sites")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     n = n_sites
+    if 4.0 * (n - 1) * t > _EXP_ARG_MAX:
+        return math.inf
     return (math.exp(4.0 * (n - 1) * t) - math.exp(2.0 * (n - 2) * t)) / n
 
 
@@ -320,8 +240,7 @@ def many_site_bound(
     ``analytic_bound`` when both regions are single sites.
     ``separation`` reports the minimum pair distance.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     pre = BoundPrefactor(norm_A=norms[0], norm_B=norms[1])
     bound = PairSum.between(spec, model, region_x, region_y, pre.scale)
     return _flag(bound(t), t, bound.separation, "many_site", pre)

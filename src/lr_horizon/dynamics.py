@@ -54,8 +54,8 @@ class SingleParticleHamiltonian:
         if n > EVOLVE_MAX_SITES:
             raise ValueError(f"N = {n} exceeds evolution cap {EVOLVE_MAX_SITES}")
         for seg in self.segments:
-            if seg.duration <= 0:
-                raise ValueError("segment durations must be positive")
+            if not 0 < seg.duration < math.inf:
+                raise ValueError(f"segment durations must be positive and finite, got {seg.duration}")
             h = np.asarray(seg.hop)
             if h.shape != (n, n):
                 raise ValueError("all segments must share one site count")
@@ -103,7 +103,7 @@ def evolve(ham: SingleParticleHamiltonian, psi0: np.ndarray, t: float | None = N
         raise ValueError(f"state must have shape ({ham.n_sites},)")
     if t is None:
         t = ham.total_time
-    if t < 0 or t > ham.total_time * (1 + 1e-12):
+    if not 0 <= t <= ham.total_time * (1 + 1e-12):
         raise ValueError(f"t = {t} outside the schedule [0, {ham.total_time}]")
     norm_in = float(np.linalg.norm(psi))
     remaining = t

@@ -4,9 +4,10 @@ Everything here feeds the commutator bounds: the coupling row sums and
 the self-hop strength lambda (the largest one, also the diagonal entry
 of the hop matrix), the composition constant p = 2**(alpha + 1),
 closed-form upper bounds on lambda, a brute-force certification of the
-hop-composition inequality, the circulant Fourier spectrum of the ring
-coupling sequence, and a dense matrix-exponential oracle that sums the
-hop series exactly.
+hop-composition inequality, the ring hop series summed through the
+circulant Fourier spectrum of the ring coupling sequence
+(``FourierSpectrum``, the one home of that arithmetic), and a dense
+matrix-exponential oracle that sums the hop series exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ ORACLE_MAX_SITES = 512
 # misuse of the transform rather than roundoff.
 FFT_IMAG_TOL = 1e-10
 
+# Inverse-transform values below -NEGATIVE_FLOOR * (series max) indicate
+# a real sign error rather than roundoff.
+NEGATIVE_FLOOR = 1e-8
+
+# exp overflows past ~709.78; beyond this a bound saturates anyway.
+_EXP_ARG_MAX = 700.0
+
 
 @dataclass(frozen=True)
 class HopParameters:
@@ -40,26 +48,6 @@ class HopParameters:
     lam: float
     p: float
     alpha: float
-
-
-@dataclass(frozen=True)
-class FourierSpectrum:
-    """Distinct circulant eigenvalues of the ring hop sequence.
-
-    ``omega[p] = sum_r cos(2 pi p r / N) J(r)`` with ``J(0) = lam`` and
-    ``J(r) = r**(-alpha)`` in the ring metric, stored for
-    ``p = 0 .. N // 2`` only (length ``N // 2 + 1``): the sequence is
-    real and even, so ``omega[N - p] = omega[p]`` and the other half of
-    the full spectrum repeats these values. ``omega[0] = 2 * lam``;
-    ``omega_max`` is the largest entry, stored so that a bound's
-    overflow check needs no pass over ``omega``.
-    """
-
-    omega: np.ndarray
-    n_sites: int
-    alpha: float
-    lam: float
-    omega_max: float
 
 
 def _inverse_power_grid(dimension: int, side: int, alpha: float) -> np.ndarray:
@@ -100,7 +88,15 @@ def self_hop_lambda(spec: LatticeSpec, model: CouplingModel) -> HopParameters:
     row directly, the per-row reference the tests compare against.
     """
     lam = float(row_sums(spec, model.alpha).max())
-    return HopParameters(lam, 2.0 ** (model.alpha + 1), model.alpha)
+    return HopParameters(lam, composition_constant(model.alpha), model.alpha)
+
+
+def composition_constant(alpha: float) -> float:
+    """p = 2**(alpha + 1); an alpha whose p overflows a float is invalid."""
+    try:
+        return 2.0 ** (float(alpha) + 1)
+    except OverflowError:
+        raise ValueError(f"alpha = {alpha} is too large: p = 2**(alpha + 1) overflows a float") from None
 
 
 def site_hop_strength(spec: LatticeSpec, model: CouplingModel, i: int) -> float:
@@ -133,8 +129,7 @@ def lambda_upper_bound(dimension: int, alpha: float, linear_size: int) -> float:
     """
     if linear_size < 2:
         raise ValueError("linear_size must be >= 2")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    CouplingModel(alpha=alpha)  # rejects a negative or non-finite alpha
     d = dimension
     w = surface_area_constant(d)
     corner = (2.0 * math.sqrt(d) + 3.0) ** d
@@ -193,33 +188,113 @@ def reproducibility_check(spec: LatticeSpec, model: CouplingModel) -> Reproducib
     )
 
 
-def ring_hop_sequence(n_sites: int, alpha: float) -> np.ndarray:
-    """Length-N ring sequence J(r): the ring grid of ``row_sums``, with J(0) = lambda its total."""
-    if n_sites < 2:
-        raise ValueError("need at least 2 sites")
-    seq = _inverse_power_grid(1, n_sites, alpha)
-    seq[0] = seq.sum()
-    return seq
+class FourierSpectrum:
+    """The ring hop series of one (N, alpha), summed through its circulant spectrum.
+
+    ``omega[p] = sum_r cos(2 pi p r / N) J(r)``, with ``J(0) = lam`` and
+    ``J(r) = r**(-alpha)`` in the ring metric, for ``p = 0 .. N // 2``:
+    the sequence is real and even, so ``omega[N - p] = omega[p]``.
+    ``omega[0] = 2 * lam``; ``omega_max`` is the largest entry.
+
+    ``series(r, t)`` is S = sum_p c_p expm1(2 omega_p t), which the ring
+    bound multiplies by 2||A||||B|||X||Y|, with c_p = w_p cos(2 pi p r / N)
+    / N: ``w_p = 2`` folds in the mirror omega(N - p), and ``w_p = 1`` at
+    p = 0 and, for even N, p = N / 2. The weights of the last r and the
+    exponentials of the last t are kept, each freed before its successor
+    is built, so ``slope(r, t)`` reuses those of ``series(r, t)``; that
+    cache makes one spectrum unsafe to share between threads.
+    """
+
+    def __init__(self, omega: np.ndarray, n_sites: int, alpha: float, lam: float) -> None:
+        self.omega, self.n_sites, self.alpha, self.lam = omega, n_sites, alpha, lam
+        self.omega_max = float(omega.max())
+        self._r = self._weights = None  # c_p at r
+        self._slope: tuple[np.ndarray, float] | None = None  # c_p 2 omega_p at r, and their sum
+        self._t, self._terms = math.nan, None  # expm1(2 t omega_p), None past overflow
+
+    def _weights_at(self, r) -> np.ndarray:
+        if r != self._r:
+            if not 1 <= r <= self.n_sites // 2:
+                raise ValueError(f"r must be in [1, N/2], got r={r} with N={self.n_sites}")
+            self._r = self._weights = self._slope = None
+            weights = np.arange(self.n_sites // 2 + 1, dtype=float)
+            weights *= 2.0 * math.pi * r / self.n_sites
+            np.cos(weights, out=weights)
+            weights *= 2.0 / self.n_sites
+            weights[0] *= 0.5
+            if self.n_sites % 2 == 0:
+                weights[-1] *= 0.5
+            self._r, self._weights = r, weights
+        return self._weights
+
+    def _terms_at(self, t: float) -> np.ndarray | None:
+        if t != self._t:
+            self._t, self._terms = t, None
+            if 2.0 * t * self.omega_max <= _EXP_ARG_MAX:
+                terms = 2.0 * t * self.omega
+                self._terms = np.expm1(terms, out=terms)
+        return self._terms
+
+    def series(self, r, t: float) -> float:
+        """S(r, t), or +inf once the largest exponent passes the overflow limit.
+
+        Tiny negative sums from roundoff are clamped to zero; one below
+        -``NEGATIVE_FLOOR`` times the largest term (over N) is a sign
+        error, not roundoff, and raises.
+        """
+        weights = self._weights_at(r)
+        terms = self._terms_at(t)
+        if terms is None:
+            return math.inf
+        raw = float(np.dot(weights, terms))
+        if raw < 0.0:
+            floor = NEGATIVE_FLOOR * float(terms.max()) / self.n_sites
+            if raw < -floor:
+                raise RuntimeError(f"inverse transform returned {raw:.3e}, beyond roundoff floor")
+            raw = 0.0
+        return raw
+
+    def slope(self, r, t: float) -> float:
+        """dS/dt = sum_p c_p 2 omega_p e^(2 omega_p t), or +inf past overflow."""
+        weights = self._weights_at(r)
+        terms = self._terms_at(t)
+        if terms is None:
+            return math.inf
+        if self._slope is None:
+            slope_weights = 2.0 * self.omega
+            slope_weights *= weights
+            self._slope = (slope_weights, float(slope_weights.sum()))
+        slope_weights, at_zero = self._slope
+        return float(np.dot(slope_weights, terms)) + at_zero
 
 
 def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
-    """Distinct circulant eigenvalues omega(p), p = 0 .. N // 2, of the ring hop sequence.
+    """The ring hop series of (N, alpha); the only constructor of ``FourierSpectrum``.
 
-    Computed with one O(N log N) real FFT of the real, even sequence
-    J(r). The transform of such a sequence is real; any imaginary
-    residue beyond roundoff scale signals a bug and raises.
+    J(r) is the ring grid of ``row_sums`` with J(0) = lambda, its total.
+    One O(N log N) real FFT of this real, even sequence gives omega; any
+    imaginary residue beyond roundoff scale signals a bug and raises.
     """
-    seq = ring_hop_sequence(n_sites, alpha)
-    lam = float(seq[0])
+    if n_sites < 2:
+        raise ValueError("need at least 2 sites")
+    CouplingModel(alpha=alpha)  # rejects a negative or non-finite alpha
+    seq = _inverse_power_grid(1, n_sites, alpha)
+    lam = float(seq.sum())
+    seq[0] = lam
     transform = np.fft.rfft(seq)
     imag_max = float(np.abs(transform.imag).max())
     if imag_max > FFT_IMAG_TOL * max(lam, 1.0):
         raise RuntimeError(f"non-real spectrum (imag residue {imag_max:.3e}); input not even?")
-    omega = np.ascontiguousarray(transform.real)
-    return FourierSpectrum(
-        omega=omega, n_sites=n_sites, alpha=alpha, lam=lam, omega_max=float(omega.max())
-    )
+    return FourierSpectrum(np.ascontiguousarray(transform.real), n_sites, alpha, lam)
 
+
+def spectrum_for(n_sites: int, alpha: float, spectrum: FourierSpectrum | None = None) -> FourierSpectrum:
+    """``spectrum``, which must have been computed for (N, alpha), or a new one if it is None."""
+    if spectrum is None:
+        return fourier_spectrum(n_sites, alpha)
+    if spectrum.n_sites != n_sites or spectrum.alpha != alpha:
+        raise ValueError("spectrum was computed for different (N, alpha)")
+    return spectrum
 
 def series_oracle(spec: LatticeSpec, model: CouplingModel, t: float) -> np.ndarray:
     """Dense oracle for the hop series: entrywise exp(2 t J) - I.
@@ -230,8 +305,8 @@ def series_oracle(spec: LatticeSpec, model: CouplingModel, t: float) -> np.ndarr
     Evaluated by eigendecomposition of the symmetric J; N is capped at
     ``ORACLE_MAX_SITES``.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     n = spec.site_count
     if n > ORACLE_MAX_SITES:
         raise ValueError(f"N = {n} exceeds dense oracle cap {ORACLE_MAX_SITES}")

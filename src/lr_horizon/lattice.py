@@ -112,8 +112,8 @@ class CouplingModel:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 def _metric(spec: LatticeSpec, diff: np.ndarray) -> np.ndarray:

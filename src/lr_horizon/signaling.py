@@ -8,7 +8,8 @@ lower bound (scrambling from a region is no faster than signaling to
 its complement).
 The analytic and many-site bounds are closed form in t, and so is their
 t* (``PairSum.crossing``, no bracket). The ring series takes safeguarded
-Newton steps; ``signaling_time_numeric`` bisects any monotone bound.
+Newton steps on ``FourierSpectrum.series`` and ``slope`` at one r;
+``signaling_time_numeric`` bisects any monotone bound.
 Every time here is physical; the CLI's ``--kac`` multiplies it by lambda.
 The solvers of the prefactor bounds take delta in (0, 2||A||||B||), as
 no commutator norm reaches that trivial bound; the Ising protocol's
@@ -20,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import UNIT_PREFACTOR, BoundPrefactor, PairSum, RingSeries
-from .kernels import FourierSpectrum, HopParameters, site_hop_strength
+from .bounds import UNIT_PREFACTOR, BoundPrefactor, PairSum
+from .kernels import FourierSpectrum, HopParameters, composition_constant, site_hop_strength, spectrum_for
 from .lattice import CouplingModel, LatticeSpec
 
 # Relative width in t of the bracket every numeric solve ends on;
@@ -116,10 +117,10 @@ def signaling_time_numeric(bound_fn, delta: float, t_init: float = 1.0) -> Signa
         If delta is not reached after ``MAX_BRACKET_DOUBLINGS``
         doublings, i.e. delta sits above the bound's achievable range.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if t_init <= 0:
-        raise ValueError("t_init must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if not 0 < t_init < math.inf:
+        raise ValueError(f"t_init must be positive and finite, got {t_init}")
     lo, hi, _ = _expand_bracket(bound_fn, delta, t_init)
     lo, hi = _bisect(bound_fn, delta, lo, hi)
     return SignalingTime(t_star=0.5 * (lo + hi), method="numeric", bracket=(lo, hi))
@@ -133,10 +134,10 @@ def signaling_contour(n_sites: float, alpha: float, r: float, delta: float = 1.0
     appear in the expression); use for fits and plots, never as a
     numeric equality.
     """
-    if alpha >= 1:
-        raise ValueError("contour is stated for alpha < 1")
-    if r < 1 or n_sites < 2:
-        raise ValueError("need r >= 1 and N >= 2")
+    if not 0 <= alpha < 1:
+        raise ValueError(f"contour is stated for 0 <= alpha < 1, got {alpha}")
+    if not (1 <= r < math.inf and 2 <= n_sites < math.inf):
+        raise ValueError(f"need finite r >= 1 and N >= 2, got r={r}, N={n_sites}")
     scale = n_sites ** (1.0 - alpha)
     return math.log(scale * r**alpha) / scale
 
@@ -184,11 +185,17 @@ def exact_sum_signaling_time(
     ``BISECT_REL_TOL`` apart, and ``t_star`` inside.
 
     Pass a precomputed spectrum to amortize the FFT across many r or
-    delta values at fixed (N, alpha).
+    delta values at fixed (N, alpha); it must match ``(n_sites, alpha)``.
     """
     _check_delta(delta, pre)
-    series = RingSeries(n_sites, alpha, r, pre, spectrum)
-    t_init = 1.0 / (2.0 * series.spectrum.lam * (1.0 + 2.0 ** (alpha + 1)))
+    p = composition_constant(alpha)
+    spectrum = spectrum_for(n_sites, alpha, spectrum)
+    scale = pre.scale
+
+    def series(t: float) -> float:
+        return scale * spectrum.series(r, t)
+
+    t_init = 1.0 / (2.0 * spectrum.lam * (1.0 + p))
     lo, hi, value = _expand_bracket(series, delta, t_init)
 
     t_star = hi
@@ -196,7 +203,7 @@ def exact_sum_signaling_time(
     for _ in range(MAX_NEWTON_STEPS):
         newton = math.nan
         if 0.0 < value < math.inf:
-            slope = series.slope(t_star)
+            slope = scale * spectrum.slope(r, t_star)
             if slope > 0.0:
                 newton = t_star - math.log(value / delta) * value / slope
         if lo <= newton <= hi and abs(newton - t_star) <= 0.5 * step_before:

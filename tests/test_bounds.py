@@ -30,6 +30,45 @@ def test_prefactor_validation():
         BoundPrefactor(size_X=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["norm_A", "norm_B", "size_X", "size_Y"])
+def test_prefactor_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        BoundPrefactor(**{field: bad})
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda t: exact_sum_bound(16, 0.5, 2, t),
+        lambda t: exact_sum_bound(16, 0.5, 2, t, spectrum=fourier_spectrum(16, 0.5)),
+        lambda t: analytic_bound(RING4_ALPHA1, r=2.0, t=t),
+        lambda t: exact_sum_bound_alpha0_closed_form(16, t),
+        lambda t: many_site_bound(ring(8), CouplingModel(alpha=0.5), [0], [3], t),
+    ],
+    ids=["exact_sum", "exact_sum_spectrum", "analytic", "alpha0_closed_form", "many_site"],
+)
+def test_bounds_reject_non_finite_or_negative_time(evaluate, t):
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        evaluate(t)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.5])
+def test_analytic_bound_rejects_bad_separation(r):
+    with pytest.raises(ValueError, match="separation r must be finite and >= 1"):
+        analytic_bound(RING4_ALPHA1, r=r, t=1.0)
+
+
+def test_alpha0_closed_form_saturates_like_the_series():
+    """Both forms turn +inf where the largest exponent 4 (N - 1) t passes the overflow limit."""
+    assert exact_sum_bound_alpha0_closed_form(16, 100.0) == math.inf
+    assert exact_sum_bound(16, 0.0, 1, 100.0).value == math.inf
+    t = 0.99 * 700.0 / (4 * 15)
+    assert math.isfinite(exact_sum_bound_alpha0_closed_form(16, t))
+    assert 2 * exact_sum_bound_alpha0_closed_form(16, t) == pytest.approx(exact_sum_bound(16, 0.0, 1, t).value, rel=1e-12)
+
+
 def test_analytic_bound_zero_time():
     assert analytic_bound(RING4_ALPHA1, r=2.0, t=0.0).value == 0.0
 
@@ -75,7 +114,7 @@ def test_exact_sum_bound_spectrum_mismatch_rejected():
         exact_sum_bound(16, 1.0, 4, 0.2, spectrum=spectrum)
 
 
-@pytest.mark.parametrize("r", [0, -3, 9, 100])
+@pytest.mark.parametrize("r", [0, -3, 9, 100, math.nan])
 def test_exact_sum_bound_r_out_of_range(r):
     with pytest.raises(ValueError):
         exact_sum_bound(16, 0.5, r, 0.1)

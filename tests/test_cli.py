@@ -298,6 +298,25 @@ def test_non_finite_numbers_exit2(capsys, argv, flag):
     assert f"invalid input: {flag} must be finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda", "--alpha", "2000", "--N", "16"],
+        ["signaling", "--method", "analytic", "--alpha", "1100", "--N", "16"],
+        ["signaling", "--method", "exact_sum", "--alpha", "1100", "--N", "16"],
+        ["bound", "--method", "envelope", "--alpha", "600", "--N", "16"],
+    ],
+)
+def test_alpha_whose_p_overflows_exit2(capsys, argv):
+    """p = 2**(alpha + 1) past the float range is invalid input, not a traceback."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "invalid input: alpha = " in captured.err
+    assert "p = 2**(alpha + 1) overflows a float" in captured.err
+
+
 def _exit2(tmp_path, capsys, argv, config=None):
     """Run ``argv`` (with ``config`` as its --config file) and return stderr; it must exit 2."""
     if config is not None:
@@ -335,7 +354,7 @@ def test_workers_below_one_exit2(tmp_path, capsys, monkeypatch, source):
 
 def test_protocol_negative_alpha_exit2(tmp_path, capsys):
     err = _exit2(tmp_path, capsys, ["protocol", "--N", "4", "--alpha", "-2"])
-    assert err == "invalid input: alpha must be >= 0, got -2.0\n"
+    assert err == "invalid input: alpha must be finite and >= 0, got -2.0\n"
 
 
 @pytest.mark.parametrize(

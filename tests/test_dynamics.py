@@ -30,6 +30,17 @@ def test_evolve_zero_hamiltonian_is_identity():
     assert np.allclose(evolve(ham, psi0), psi0)
 
 
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_non_finite_segment_duration_rejected(duration):
+    with pytest.raises(ValueError, match="positive and finite"):
+        _single(np.zeros((2, 2)), duration=duration)
+
+
+def test_evolve_rejects_nan_time():
+    with pytest.raises(ValueError, match="outside the schedule"):
+        evolve(_single(np.zeros((2, 2))), np.array([1.0, 0.0], dtype=complex), t=math.nan)
+
+
 @pytest.mark.parametrize("J,t", [(1.0, 0.3), (0.3, 0.7), (2.0, 1.9)])
 def test_two_site_rabi(J, t):
     ham = _single([[0.0, J], [J, 0.0]], duration=t)

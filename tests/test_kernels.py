@@ -12,7 +12,6 @@ from lr_horizon import (
     lambda_upper_bound,
     reproducibility_check,
     ring,
-    ring_hop_sequence,
     row_sums,
     self_hop_lambda,
     series_oracle,
@@ -142,8 +141,16 @@ def test_reproducibility_size_cap():
         reproducibility_check(ring(4096), CouplingModel(alpha=0.5))
 
 
+def ring_hop_sequence(n: int, alpha: float) -> np.ndarray:
+    """The ring hop sequence built site by site, apart from lr_horizon: J(d) = d**(-alpha), J(0) = lambda."""
+    seq = [float(min(d, n - d)) ** -alpha if d else 0.0 for d in range(n)]
+    seq[0] = sum(seq)
+    return np.array(seq)
+
+
 def test_ring_hop_sequence_layout():
     seq = ring_hop_sequence(6, 1.0)
+    assert fourier_spectrum(6, 1.0).lam == pytest.approx(seq[0])
     lam = self_hop_lambda(ring(6), CouplingModel(alpha=1.0)).lam
     assert seq[0] == pytest.approx(lam)
     assert seq[1] == seq[5] == 1.0
@@ -153,6 +160,28 @@ def test_ring_hop_sequence_layout():
 def test_fourier_spectrum_n3_alpha0():
     spec = fourier_spectrum(3, 0.0)
     assert np.allclose(spec.omega, [4.0, 1.0])
+
+
+@pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+def test_fourier_spectrum_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        fourier_spectrum(16, alpha)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+def test_lambda_upper_bound_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        lambda_upper_bound(1, alpha, 16)
+
+
+@pytest.mark.parametrize("alpha", [1023.0, 1100.0, 2000.0])
+def test_p_past_the_float_range_is_invalid(alpha):
+    with pytest.raises(ValueError, match=r"p = 2\*\*\(alpha \+ 1\) overflows"):
+        self_hop_lambda(ring(16), CouplingModel(alpha=alpha))
+
+
+def test_p_at_the_top_of_the_float_range():
+    assert self_hop_lambda(ring(16), CouplingModel(alpha=1022.0)).p == 2.0**1023
 
 
 @pytest.mark.parametrize("n,alpha", [(8, 0.5), (16, 1.0), (33, 0.25)])

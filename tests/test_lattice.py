@@ -90,6 +90,12 @@ def test_negative_alpha_rejected():
         CouplingModel(alpha=-0.1)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -0.1])
+def test_non_finite_or_negative_alpha_rejected_with_message(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        CouplingModel(alpha=alpha)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
 def test_coupling_symmetry_grid(alpha):
     spec = ring(20)

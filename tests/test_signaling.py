@@ -27,7 +27,7 @@ from lr_horizon import (
     signaling_time_numeric,
 )
 from lr_horizon import bounds, kernels, signaling
-from lr_horizon.bounds import RingSeries
+from lr_horizon.kernels import FourierSpectrum
 
 RING4_ALPHA1 = self_hop_lambda(ring(4), CouplingModel(alpha=1.0))
 
@@ -203,13 +203,13 @@ def test_exact_sum_newton_matches_bisection(n, alpha, monkeypatch):
     spectrum = fourier_spectrum(n, alpha)
     t_init = 1.0 / (2 * spectrum.lam * (1 + 2 ** (alpha + 1)))
     evaluations = []
-    evaluate = RingSeries.__call__
+    evaluate = FourierSpectrum.series
 
-    def counted(series, t):
+    def counted(spectrum, r, t):
         evaluations.append(t)
-        return evaluate(series, t)
+        return evaluate(spectrum, r, t)
 
-    monkeypatch.setattr(RingSeries, "__call__", counted)
+    monkeypatch.setattr(FourierSpectrum, "series", counted)
     for r in sorted({1, n // 4, n // 2}):
         for delta in (0.5, 1.0):
 
@@ -230,8 +230,8 @@ def test_exact_sum_newton_matches_bisection(n, alpha, monkeypatch):
 def test_exact_sum_confirmation_falls_back_to_bisection(monkeypatch):
     """A slope far too steep stops Newton at once, away from t*; the bracket check catches it."""
     n, alpha, r = 1000, 0.5, 1
-    slope = RingSeries.slope
-    monkeypatch.setattr(RingSeries, "slope", lambda series, t: 1e12 * slope(series, t))
+    slope = FourierSpectrum.slope
+    monkeypatch.setattr(FourierSpectrum, "slope", lambda spectrum, r, t: 1e12 * slope(spectrum, r, t))
     res = exact_sum_signaling_time(n, alpha, r, 1.0)
     monkeypatch.undo()
     ref = exact_sum_signaling_time(n, alpha, r, 1.0)
@@ -240,6 +240,51 @@ def test_exact_sum_confirmation_falls_back_to_bisection(monkeypatch):
     assert lo <= res.t_star <= hi
     assert hi - lo <= signaling.BISECT_REL_TOL * hi
     assert exact_sum_bound(n, alpha, r, lo).value < 1.0 <= exact_sum_bound(n, alpha, r, hi).value
+
+
+def test_one_spectrum_matches_fresh_spectra_when_calls_interleave():
+    """The weights kept per r, slope weights and exponentials kept per t never leak across calls.
+
+    Every value from one shared spectrum equals the value from a fresh
+    spectrum per call, while bounds alternate r and t and solves at
+    other r run between them.
+    """
+    n, alpha = 1000, 0.5
+    spectrum = fourier_spectrum(n, alpha)
+    r1, r2, r3 = 1, n // 4, n // 2
+    t1, t2 = 0.3 / spectrum.lam, 1.0 / spectrum.lam
+
+    def bound(r, t, shared=None):
+        return exact_sum_bound(n, alpha, r, t, spectrum=shared).value
+
+    def solve(r, shared=None):
+        res = exact_sum_signaling_time(n, alpha, r, 1.0, spectrum=shared)
+        return res.t_star, res.bracket
+
+    for r, t in [(r1, t1), (r2, t1), (r1, t2), (r2, t2), (r2, t1)]:
+        assert bound(r, t, spectrum) == bound(r, t)
+    assert solve(r1, spectrum) == solve(r1)
+    assert solve(r3, spectrum) == solve(r3)
+    assert bound(r1, t1, spectrum) == bound(r1, t1)
+    assert solve(r2, spectrum) == solve(r2)
+    assert bound(r3, t2, spectrum) == bound(r3, t2)
+
+
+def test_exact_sum_solve_rejects_alpha_whose_p_overflows():
+    with pytest.raises(ValueError, match="overflows"):
+        exact_sum_signaling_time(16, 1100.0, 1, 1.0)
+
+
+@pytest.mark.parametrize("delta,t_init", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
+def test_numeric_solver_rejects_non_finite_inputs(delta, t_init):
+    with pytest.raises(ValueError, match="positive and finite"):
+        signaling_time_numeric(lambda t: t, delta, t_init=t_init)
+
+
+@pytest.mark.parametrize("n,alpha,r", [(100, math.nan, 2), (100, -0.5, 2), (100, 0.5, math.nan), (math.inf, 0.5, 2)])
+def test_contour_rejects_non_finite_inputs(n, alpha, r):
+    with pytest.raises(ValueError):
+        signaling_contour(n, alpha, r)
 
 
 def test_ising_signal_values():
