@@ -8,6 +8,13 @@ initialization knobs):
 * ``loglog_power``:  t = a * ln(N)**b * ln(ln(N))**c
 * ``pure_power``:    t = a * N**gamma
 
+One table (``_MODELS``) states each model, and ``fit_model`` fits any of
+them through one thin SVD of the design, which gives the coefficients,
+their standard errors and the condition number. A fit needs one point
+more than it has coefficients, so at least one residual degree of
+freedom, and at least as many distinct N as coefficients, so the design
+has full rank.
+
 All logarithms are natural. 95% intervals use the normal approximation
 1.96 * SE; the fitted grids have few points, so treat them as
 indicative rather than exact coverage.
@@ -27,7 +34,14 @@ CI95_FACTOR = 1.96
 # split is unreliable (the fitted curve itself remains fine).
 CONDITION_WARN = 1e3
 
-MODELS = ("power_log", "loglog_power", "pure_power")
+# name: (smallest N, the offset of ln t removed before the fit or None,
+# the regressors beside the intercept); each a function of ln N.
+_MODELS = {
+    "power_log": (3, np.log, (lambda ln_n: ln_n,)),
+    "loglog_power": (16, None, (np.log, lambda ln_n: np.log(np.log(ln_n)))),
+    "pure_power": (2, None, (lambda ln_n: ln_n,)),
+}
+MODELS = tuple(_MODELS)
 
 
 @dataclass(frozen=True)
@@ -50,56 +64,52 @@ class FitResult:
     condition_warning: bool = False
 
 
-def _validate(points, min_points: int, min_n: int):
+def fit_model(model: str, points) -> FitResult:
+    """Fit one of ``MODELS`` to (N, t) points by OLS on its log-linear form.
+
+    With the design X = U diag(s) V^T, the coefficients are
+    V diag(1/s) U^T y, their covariance sigma^2 V diag(1/s^2) V^T, and
+    the condition number s_0 / s_last.
+    """
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    min_n, offset, regressors = _MODELS[model]
+    n_coef = 1 + len(regressors)
     pts = [(float(n), float(t)) for n, t in points]
-    if len(pts) < min_points:
-        raise ValueError(f"need at least {min_points} points, got {len(pts)}")
-    ns = np.array([p[0] for p in pts])
-    ts = np.array([p[1] for p in pts])
+    if len(pts) <= n_coef:
+        raise ValueError(f"need at least {n_coef + 1} points, got {len(pts)}")
+    ns, ts = np.array(pts).T
     if np.any(ns < min_n):
         raise ValueError(f"all N must be >= {min_n}")
     if np.any(ts <= 0):
         raise ValueError("all t must be positive")
-    if np.all(ns == ns[0]):
-        raise ValueError("degenerate design: all N equal")
-    return ns, ts
-
-
-def _ols(design: np.ndarray, y: np.ndarray):
-    n, k = design.shape
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    if len(set(ns.tolist())) < n_coef:
+        raise ValueError(f"degenerate design: {model} needs at least {n_coef} distinct N")
+    ln_n = np.log(ns)
+    y = np.log(ts) if offset is None else np.log(ts) - offset(ln_n)
+    design = np.column_stack([np.ones_like(ns), *(f(ln_n) for f in regressors)])
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    v_over_s = vt.T / s
+    coef = v_over_s @ (u.T @ y)
     resid = y - design @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    dof = n - k
-    sigma2 = float(resid @ resid) / dof if dof > 0 else 0.0
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    cond = float(np.linalg.cond(design))
-    return coef, se, rms, cond
-
-
-def _pack(model: str, log_a: float, rest, se_log_a: float, se_rest, rms, n_points, cond) -> FitResult:
-    a = math.exp(log_a)
-    coefficients = (a, *rest)
-    standard_errors = (a * se_log_a, *se_rest)
+    sigma2 = float(resid @ resid) / (len(pts) - n_coef)
+    se = np.sqrt(sigma2 * np.sum(v_over_s**2, axis=1))
+    a = math.exp(coef[0])
+    standard_errors = (a * float(se[0]), *se[1:].tolist())
     return FitResult(
         model=model,
-        coefficients=coefficients,
+        coefficients=(a, *coef[1:].tolist()),
         standard_errors=standard_errors,
-        ci95=tuple(CI95_FACTOR * s for s in standard_errors),
-        residual_rms=rms,
-        n_points=n_points,
-        condition_warning=cond > CONDITION_WARN,
+        ci95=tuple(CI95_FACTOR * e for e in standard_errors),
+        residual_rms=float(np.sqrt(np.mean(resid**2))),
+        n_points=len(pts),
+        condition_warning=float(s[0] / s[-1]) > CONDITION_WARN,
     )
 
 
 def fit_power_log(points) -> FitResult:
     """Fit t = a * N**gamma * ln(N) by OLS on ln t - ln ln N = ln a + gamma ln N."""
-    ns, ts = _validate(points, min_points=3, min_n=3)
-    y = np.log(ts) - np.log(np.log(ns))
-    design = np.column_stack([np.ones_like(ns), np.log(ns)])
-    coef, se, rms, cond = _ols(design, y)
-    return _pack("power_log", coef[0], (float(coef[1]),), se[0], (float(se[1]),), rms, len(ns), cond)
+    return fit_model("power_log", points)
 
 
 def fit_loglog_power(points) -> FitResult:
@@ -109,39 +119,9 @@ def fit_loglog_power(points) -> FitResult:
     narrow N ranges; ``condition_warning`` flags when the coefficient
     split (b vs c) should not be over-interpreted.
     """
-    ns, ts = _validate(points, min_points=4, min_n=16)
-    y = np.log(ts)
-    x1 = np.log(np.log(ns))
-    x2 = np.log(np.log(np.log(ns)))
-    design = np.column_stack([np.ones_like(ns), x1, x2])
-    coef, se, rms, cond = _ols(design, y)
-    return _pack(
-        "loglog_power",
-        coef[0],
-        (float(coef[1]), float(coef[2])),
-        se[0],
-        (float(se[1]), float(se[2])),
-        rms,
-        len(ns),
-        cond,
-    )
+    return fit_model("loglog_power", points)
 
 
 def fit_pure_power(points) -> FitResult:
     """Fit t = a * N**gamma by OLS on ln t = ln a + gamma ln N."""
-    ns, ts = _validate(points, min_points=3, min_n=2)
-    y = np.log(ts)
-    design = np.column_stack([np.ones_like(ns), np.log(ns)])
-    coef, se, rms, cond = _ols(design, y)
-    return _pack("pure_power", coef[0], (float(coef[1]),), se[0], (float(se[1]),), rms, len(ns), cond)
-
-
-def fit_model(model: str, points) -> FitResult:
-    """Dispatch by model name; see ``MODELS``."""
-    if model == "power_log":
-        return fit_power_log(points)
-    if model == "loglog_power":
-        return fit_loglog_power(points)
-    if model == "pure_power":
-        return fit_pure_power(points)
-    raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    return fit_model("pure_power", points)

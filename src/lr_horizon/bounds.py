@@ -108,6 +108,13 @@ class PairSum:
     weight: float
     separation: float
 
+    def __post_init__(self) -> None:
+        if not self.weight > 0:
+            raise ValueError(
+                f"pair weight r**(-alpha) is {self.weight} at alpha = {self.params.alpha}, "
+                f"separation {self.separation}: it underflows a float"
+            )
+
     @classmethod
     def one_pair(cls, params: HopParameters, scale: float, r: float) -> PairSum:
         if not 1 <= r < math.inf:

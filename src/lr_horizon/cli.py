@@ -33,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .analysis import fit_model
+from .analysis import MODELS, fit_model
 from .bounds import analytic_bound, exact_sum_bound, free_particle_envelope
 from .dynamics import ising_exact_oracle, state_transfer_protocol, trajectory
 from .kernels import fourier_spectrum, lambda_upper_bound, self_hop_lambda
@@ -345,7 +345,7 @@ _KEYS = {
     "D": (1, _count, "lattice dimension (default 1)"),
     "boundary": ("periodic", _choice("periodic", "open"), "periodic or open"),
     "i": (0, _integer, "probe site for the Ising protocol"),
-    "model": ("power_log", _string, "fit model: power_log, loglog_power, pure_power"),
+    "model": ("power_log", _string, f"fit model: {', '.join(MODELS)}"),
     "input": (None, _string, "table to fit (fit command)"),
     "r_logspace": (None, _count, "log-spaced r count in [1, N/2]"),
 }

@@ -126,13 +126,12 @@ def signaling_time_numeric(bound_fn, delta: float, t_init: float = 1.0) -> Signa
     return SignalingTime(t_star=0.5 * (lo + hi), method="numeric", bracket=(lo, hi))
 
 
-def signaling_contour(n_sites: float, alpha: float, r: float, delta: float = 1.0) -> float:
+def signaling_contour(n_sites: float, alpha: float, r: float) -> float:
     """Asymptotic comparator log(N^(1-alpha) r^alpha) / N^(1-alpha).
 
     Valid for D = 1, alpha < 1. Carries no hidden constant (the
-    threshold ``delta`` enters only through constants, so it does not
-    appear in the expression); use for fits and plots, never as a
-    numeric equality.
+    threshold delta enters only through constants); use for fits and
+    plots, never as a numeric equality.
     """
     if not 0 <= alpha < 1:
         raise ValueError(f"contour is stated for 0 <= alpha < 1, got {alpha}")
@@ -174,11 +173,12 @@ def exact_sum_signaling_time(
 ) -> SignalingTime:
     """Safeguarded Newton solve of the ring series bound; the workhorse for the N sweeps.
 
-    The bracket grows geometrically from 1 / (2 lam (1 + p)) as in
-    ``signaling_time_numeric``. Inside it, ``rtsafe`` (Numerical Recipes
-    9.4) takes Newton steps on ln(B / delta), which is close to linear in
-    t, and bisects whenever a step leaves the bracket or fails to halve
-    the step before last. Once a step is below half the tolerance, B is
+    The bracket grows geometrically from 1 / (2 omega_max), the time
+    scale of the fastest mode of the spectrum, which does not shrink as
+    alpha grows. Inside it, ``rtsafe`` (Numerical Recipes 9.4) takes
+    Newton steps on ln(B / delta), which is close to linear in t, and
+    bisects whenever a step leaves the bracket or fails to halve the
+    step before last. Once a step is below half the tolerance, B is
     evaluated at t*(1 -+ ``BISECT_REL_TOL`` / 2); if either lands on the
     wrong side of delta, bisection finishes the bracket. So the solve
     ends with B < delta at ``lo`` and B >= delta at ``hi``, a relative
@@ -188,15 +188,14 @@ def exact_sum_signaling_time(
     delta values at fixed (N, alpha); it must match ``(n_sites, alpha)``.
     """
     _check_delta(delta, pre)
-    p = composition_constant(alpha)
+    composition_constant(alpha)  # rejects an alpha whose p overflows, as every method does
     spectrum = spectrum_for(n_sites, alpha, spectrum)
     scale = pre.scale
 
     def series(t: float) -> float:
         return scale * spectrum.series(r, t)
 
-    t_init = 1.0 / (2.0 * spectrum.lam * (1.0 + p))
-    lo, hi, value = _expand_bracket(series, delta, t_init)
+    lo, hi, value = _expand_bracket(series, delta, 1.0 / (2.0 * spectrum.omega_max))
 
     t_star = hi
     step = step_before = hi - lo

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lr_horizon import fit_loglog_power, fit_model, fit_power_log, fit_pure_power
+from lr_horizon.analysis import CONDITION_WARN
 
 GRID = (10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6)
 
@@ -60,6 +61,9 @@ def test_fit_invariant_under_reordering():
 def test_degenerate_design_rejected():
     with pytest.raises(ValueError):
         fit_pure_power([(100, 1.0), (100, 2.0), (100, 3.0)])
+    # two distinct N cannot separate the three loglog coefficients
+    with pytest.raises(ValueError, match="distinct N"):
+        fit_loglog_power([(100, 1.0), (100, 1.1), (1000, 0.5), (1000, 0.6)])
 
 
 def test_insufficient_points_rejected():
@@ -122,3 +126,51 @@ def test_power_log_beats_mismatched_model_on_loglog_data():
     rms_right = fit_loglog_power(pts).residual_rms
     rms_wrong = fit_power_log(pts).residual_rms
     assert rms_right < rms_wrong
+
+
+def _reference_ols(design, y):
+    """Textbook OLS: lstsq for the coefficients, inv(X^T X) for their covariance."""
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    resid = y - design @ coef
+    sigma2 = float(resid @ resid) / (design.shape[0] - design.shape[1])
+    se = np.sqrt(np.diag(sigma2 * np.linalg.inv(design.T @ design)))
+    return coef, se, float(np.sqrt(np.mean(resid**2))), float(np.linalg.cond(design))
+
+
+def _reference_design(model, ns, ts):
+    ln_n = np.log(ns)
+    if model == "power_log":
+        return np.column_stack([np.ones_like(ns), ln_n]), np.log(ts) - np.log(ln_n)
+    if model == "loglog_power":
+        return np.column_stack([np.ones_like(ns), np.log(ln_n), np.log(np.log(ln_n))]), np.log(ts)
+    return np.column_stack([np.ones_like(ns), ln_n]), np.log(ts)
+
+
+@pytest.mark.parametrize("grid", [GRID, (20, 200, 2000, 20000, 200000)])
+@pytest.mark.parametrize("model", ["power_log", "loglog_power", "pure_power"])
+def test_fit_matches_reference_ols(model, grid):
+    rng = np.random.default_rng(31)
+    ns = np.array(grid, dtype=float)
+    ts = 1.7 * ns**-0.45 * np.log(ns) * np.exp(rng.normal(0, 0.03, ns.size))
+    fit = fit_model(model, zip(ns, ts))
+    coef, se, rms, cond = _reference_ols(*_reference_design(model, ns, ts))
+    assert fit.coefficients == pytest.approx((math.exp(coef[0]), *coef[1:]), rel=1e-12)
+    assert fit.standard_errors == pytest.approx((fit.coefficients[0] * se[0], *se[1:]), rel=1e-9)
+    assert fit.residual_rms == pytest.approx(rms, rel=1e-9)
+    assert fit.condition_warning == (cond > CONDITION_WARN)
+
+
+@pytest.mark.parametrize("fitter", [fit_power_log, fit_loglog_power, fit_pure_power])
+def test_fitters_take_a_generator(fitter):
+    ts = [2.0 * n**-0.5 for n in GRID]
+    assert fitter(zip(GRID, ts)) == fitter(list(zip(GRID, ts)))
+
+
+@pytest.mark.parametrize("fitter", [fit_power_log, fit_loglog_power, fit_pure_power])
+def test_fit_result_numbers_are_plain_floats(fitter):
+    rng = np.random.default_rng(3)
+    fit = fitter([(n, 2.0 * n**-0.5 * math.exp(rng.normal(0, 0.01))) for n in GRID])
+    numbers = (*fit.coefficients, *fit.standard_errors, *fit.ci95, fit.residual_rms)
+    assert all(type(x) is float for x in numbers)
+    assert type(fit.condition_warning) is bool
+    assert type(fit.n_points) is int

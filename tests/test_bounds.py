@@ -60,6 +60,12 @@ def test_analytic_bound_rejects_bad_separation(r):
         analytic_bound(RING4_ALPHA1, r=r, t=1.0)
 
 
+def test_analytic_bound_rejects_underflowing_pair_weight():
+    params = self_hop_lambda(ring(16), CouplingModel(alpha=1000.0))
+    with pytest.raises(ValueError, match="alpha = 1000.0, separation 4"):
+        analytic_bound(params, r=4.0, t=1.0)
+
+
 def test_alpha0_closed_form_saturates_like_the_series():
     """Both forms turn +inf where the largest exponent 4 (N - 1) t passes the overflow limit."""
     assert exact_sum_bound_alpha0_closed_form(16, 100.0) == math.inf

@@ -317,6 +317,18 @@ def test_alpha_whose_p_overflows_exit2(capsys, argv):
     assert "p = 2**(alpha + 1) overflows a float" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signaling", "--method", "analytic", "--alpha", "1000", "--N", "16", "--r", "4"],
+        ["bound", "--method", "analytic", "--alpha", "1000", "--N", "16", "--r", "4", "--t", "1"],
+    ],
+)
+def test_pair_weight_underflow_exit2(tmp_path, capsys, argv):
+    """r**(-alpha) underflowing to 0 is invalid input, not a traceback or an inf bound."""
+    assert "alpha = 1000.0, separation 4.0" in _exit2(tmp_path, capsys, argv)
+
+
 def _exit2(tmp_path, capsys, argv, config=None):
     """Run ``argv`` (with ``config`` as its --config file) and return stderr; it must exit 2."""
     if config is not None:

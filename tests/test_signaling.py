@@ -275,6 +275,13 @@ def test_exact_sum_solve_rejects_alpha_whose_p_overflows():
         exact_sum_signaling_time(16, 1100.0, 1, 1.0)
 
 
+def test_exact_sum_solve_reaches_large_alpha():
+    """The bracket seed 1 / (2 omega_max) does not shrink with p = 2**(alpha + 1)."""
+    times = {exact_sum_signaling_time(16, alpha, 1, 1.0).t_star for alpha in (150.0, 200.0, 250.0, 1000.0)}
+    assert len(times) == 1
+    assert times.pop() == pytest.approx(0.13836986929155298, rel=1e-12)
+
+
 @pytest.mark.parametrize("delta,t_init", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
 def test_numeric_solver_rejects_non_finite_inputs(delta, t_init):
     with pytest.raises(ValueError, match="positive and finite"):
