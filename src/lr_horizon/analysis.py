@@ -79,6 +79,8 @@ def fit_model(model: str, points) -> FitResult:
     if len(pts) <= n_coef:
         raise ValueError(f"need at least {n_coef + 1} points, got {len(pts)}")
     ns, ts = np.array(pts).T
+    if not np.isfinite([ns, ts]).all():
+        raise ValueError("all N and t must be finite")
     if np.any(ns < min_n):
         raise ValueError(f"all N must be >= {min_n}")
     if np.any(ts <= 0):

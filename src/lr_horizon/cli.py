@@ -28,7 +28,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -75,17 +75,19 @@ COLUMNS = {
 }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _csv(columns: tuple, rows: list[tuple]):
-    """The table's lines, one at a time, so no table is held as one string."""
-    return (",".join(map(_fmt, row)) + "\n" for row in chain([columns], rows))
+    """The table's lines, one at a time, so no table is held as one string.
+
+    Each row shape (its tuple of cell types) is formatted by one %-string:
+    bools as 0/1, floats to 17 significant digits, any other cell as str().
+    """
+    formats = {}
+    for row in chain([columns], rows):
+        shape = tuple(map(type, row))
+        if shape not in formats:
+            cells = ("%d" if issubclass(c, bool) else "%.17g" if issubclass(c, float) else "%s" for c in shape)
+            formats[shape] = ",".join(cells) + "\n"
+        yield formats[shape] % tuple(row)
 
 
 def _number(flag: str, value) -> float:
@@ -191,7 +193,8 @@ def _bound_task(task: dict) -> list[tuple]:
     if task["r"] is not None and task["r_logspace"] is not None:
         raise ValueError("bound takes --r or --r-logspace, not both")
     if task["r_logspace"] is not None:
-        ks = np.unique(np.round(np.logspace(0, math.log10(max(n // 2, 1)), task["r_logspace"])))
+        top = max(int(spec.largest_distance), 1)  # N // 2 on a ring
+        ks = np.unique(np.round(np.logspace(0, math.log10(top), task["r_logspace"])))
         r_tokens = [str(int(k)) for k in ks]
     else:
         r_tokens = task["r"] or ["1"]
@@ -318,8 +321,7 @@ def _cmd_protocol(cfg: dict) -> tuple[list[tuple], list[tuple]]:
                 psi0[res.source] = 1.0
                 times = np.linspace(0.0, res.total_time, 101)
                 for t, probs in trajectory(res.hamiltonian, psi0, times):
-                    for site, prob in enumerate(probs):
-                        trace_rows.append((n, a, t, site, float(prob)))
+                    trace_rows.extend(zip(repeat(n), repeat(a), repeat(t), range(n), probs.tolist()))
     return rows, trace_rows
 
 
@@ -347,7 +349,7 @@ _KEYS = {
     "i": (0, _integer, "probe site for the Ising protocol"),
     "model": ("power_log", _string, f"fit model: {', '.join(MODELS)}"),
     "input": (None, _string, "table to fit (fit command)"),
-    "r_logspace": (None, _count, "log-spaced r count in [1, N/2]"),
+    "r_logspace": (None, _count, "log-spaced r count in [1, largest distance]"),
 }
 _DEFAULTS = {key: default for key, (default, _, _) in _KEYS.items()}
 

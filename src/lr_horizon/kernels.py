@@ -57,9 +57,9 @@ def _inverse_power_grid(dimension: int, side: int, alpha: float) -> np.ndarray:
     if dimension > 1:
         d = np.sqrt(functools.reduce(np.add.outer, [d * d] * dimension))
     with np.errstate(divide="ignore"):
-        kernel = d ** (-alpha)
-    kernel.flat[0] = 0.0
-    return kernel
+        d **= -alpha  # in place: the same scalar-power path as d ** -alpha, so the same bits
+    d.flat[0] = 0.0
+    return d
 
 
 def row_sums(spec: LatticeSpec, alpha: float) -> np.ndarray:

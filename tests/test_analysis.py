@@ -78,6 +78,22 @@ def test_nonpositive_values_rejected():
         fit_pure_power([(10, 1.0), (100, 0.0), (1000, 0.01)])
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(10, 1.0), (100, math.inf), (1000, 0.01)],
+        [(10, 1.0), (100, math.nan), (1000, 0.01)],
+        [(10, 1.0), (math.inf, 0.5), (1000, 0.01)],
+        [(10, 1.0), (math.nan, 0.5), (1000, 0.01)],
+    ],
+)
+@pytest.mark.parametrize("model", ["power_log", "pure_power"])
+def test_nonfinite_values_rejected(model, points):
+    # nan and inf pass the t > 0 and N >= min checks, so they are rejected first
+    with pytest.raises(ValueError, match="all N and t must be finite"):
+        fit_model(model, points)
+
+
 def test_small_n_domain_guards():
     # loglog regressors need log log N > 0
     with pytest.raises(ValueError):

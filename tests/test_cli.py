@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import shlex
+from itertools import chain as chained
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lr_horizon.cli as cli
@@ -340,6 +342,34 @@ def _exit2(tmp_path, capsys, argv, config=None):
     assert code == 2
     assert captured.out == ""
     return captured.err
+
+
+@pytest.mark.parametrize(
+    "dimension, n, count, want",
+    [(1, 1000, 4, [1, 8, 63, 500]), (1, 100, 3, [1, 7, 50]), (2, 100, 5, [1, 2, 3, 4, 7]), (3, 64, 3, [1, 2, 3])],
+)
+def test_r_logspace_spans_one_to_the_largest_distance(dimension, n, count, want):
+    # [1, N // 2] on a ring, [1, floor(sqrt(D) * floor(L / 2))] on a D-torus
+    argv = ["bound", "--method", "analytic", "--D", str(dimension), "--r-logspace", str(count)]
+    cfg = cli._merge_config(cli._build_parser().parse_args(argv))
+    rows = cli._bound_task(dict(cfg, alpha=0.5, N=n))
+    assert sorted({row[3] for row in rows}) == want
+
+
+def test_r_logspace_on_a_torus_exit0(capsys):
+    code, out = _run(capsys, ["bound", "--method", "analytic", "--D", "2", "--N", "100", "--r-logspace", "5",
+                              "--t", "0.1"])
+    assert code == 0
+    assert [int(row["r"]) for row in _rows(out)] == [1, 2, 3, 4, 7]
+
+
+def test_fit_of_a_nonfinite_value_exit2(tmp_path, capsys):
+    table = tmp_path / "saturated.csv"
+    argv = ["bound", "--method", "exact_sum", "--N", "16,32,64", "--r", "1", "--t", "1000"]
+    assert main(argv + ["--out", str(table)]) == 0
+    assert {row["value"] for row in _rows(table.read_text())} == {"inf"}
+    err = _exit2(tmp_path, capsys, ["fit", "--input", str(table)])
+    assert err == "invalid input: all N and t must be finite\n"
 
 
 @pytest.mark.parametrize("count", [0, -2])
@@ -711,6 +741,106 @@ def test_readme_protocol_bytes_are_pinned(tmp_path):
     assert main(argv) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, plot)}
     assert digests == README_PROTOCOL_SHA256
+
+
+# sha256 of an ising-oracle table and of a power_log fit (with its "" and
+# bool cells) of an analytic signaling sweep, recorded before the CSV writer
+# formatted each row shape with one %-string. The fit reads its input by a
+# relative path, since the input path is part of the header's config hash.
+# Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, as above.
+PINNED_TABLE_SHA256 = {
+    "ising.csv": "bc8d825bf2a2aab99ec04751e29c21d920c940ee6ce44da138fedccf14861db6",
+    "fit.csv": "a55d0c89cb8a47c11e5d4fb91d9e0f20c289e73a569616bdc5725db67be32bdb",
+}
+
+
+def test_ising_oracle_and_fit_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["ising-oracle", "--alpha", "0.5", "--N", "8", "--t", "0,0.1,0.5,1", "--out", "ising.csv"]) == 0
+    sweep = ["signaling", "--method", "analytic", "--alpha", "0.5,0.9", "--N", "1e2,1e3,1e4,1e5,1e6"]
+    assert main(sweep + ["--out", "tstar.csv"]) == 0
+    assert main(["fit", "--model", "power_log", "--input", "tstar.csv", "--out", "fit.csv"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED_TABLE_SHA256}
+    assert digests == PINNED_TABLE_SHA256
+
+
+def _reference_line(row) -> str:
+    """One CSV line by the per-cell rule: bools as 0/1, floats to 17 digits, else str()."""
+    def cell(x):
+        if isinstance(x, bool):
+            return str(int(x))
+        if isinstance(x, float):
+            return format(x, ".17g")
+        return str(x)
+
+    return ",".join(map(cell, row)) + "\n"
+
+
+def _tables(argv):
+    """(columns, rows) of each table a command writes, from its row builders."""
+    cfg = cli._merge_config(cli._build_parser().parse_args(argv))
+    command = cfg["command"]
+    if command in cli.SWEEPS:
+        return [(cli.COLUMNS[command], cli._sweep(cfg))]
+    if command == "fit":
+        return [(cli.COLUMNS[command], cli._cmd_fit(cfg))]
+    rows, trace_rows = cli._cmd_protocol(cfg)
+    return [(cli.COLUMNS[command], rows), (("N", "alpha", "time", "site", "prob"), trace_rows)]
+
+
+# Every row shape the CLI writes.
+_SHAPES = {
+    "lambda": ["lambda", "--alpha", "0,0.5,1", "--N", "16,64"],
+    "lambda_open_2d": ["lambda", "--alpha", "1.5", "--N", "64", "--D", "2", "--boundary", "open"],
+    "bound_analytic": ["bound", "--method", "analytic", "--N", "64,256", "--r", "1,N/4", "--t", "0.01,0.1"],
+    "bound_exact_sum": ["bound", "--method", "exact_sum", "--alpha", "0.3", "--N", "1000", "--r-logspace", "4",
+                        "--t", "0.1,1", "--t-unit", "inv_lambda"],
+    "bound_saturated": ["bound", "--method", "exact_sum", "--N", "16,32", "--r", "1", "--t", "1000"],
+    "bound_envelope": ["bound", "--method", "envelope", "--alpha", "0.2,0.8", "--N", "64"],
+    "signaling_analytic": ["signaling", "--method", "analytic", "--N", "64", "--r", "1,N/2", "--kac"],
+    "signaling_exact_sum": ["signaling", "--method", "exact_sum", "--N", "128", "--r", "1,N/2"],
+    "signaling_many_site": ["signaling", "--method", "many_site", "--N", "64"],
+    "signaling_ising": ["signaling", "--method", "ising", "--N", "16", "--delta", "0.5"],
+    # --plot-data makes protocol build its trajectory rows; _tables writes no file.
+    "protocol": ["protocol", "--alpha", "0.5", "--N", "7,16", "--plot-data", "trajectory.csv"],
+    "ising_oracle": ["ising-oracle", "--alpha", "0.5", "--N", "6", "--t", "0,0.1,0.5"],
+}
+
+
+@pytest.mark.parametrize("argv", _SHAPES.values(), ids=_SHAPES)
+def test_csv_lines_match_the_per_cell_rule(argv):
+    for columns, rows in _tables(argv):
+        assert rows
+        assert list(cli._csv(columns, rows)) == [_reference_line(r) for r in chained([columns], rows)]
+
+
+@pytest.mark.parametrize("model", ["power_log", "loglog_power", "pure_power"])
+def test_csv_fit_lines_match_the_per_cell_rule(tmp_path, model):
+    table = tmp_path / "tstar.csv"
+    assert main(["signaling", "--method", "analytic", "--alpha", "0.5,0.9", "--N", "1e2,1e3,1e4,1e5",
+                 "--out", str(table)]) == 0
+    [(columns, rows)] = _tables(["fit", "--model", model, "--input", str(table)])
+    assert {type(row[-1]) for row in rows} == {bool}
+    assert ("" in rows[0]) == (model != "loglog_power")
+    assert list(cli._csv(columns, rows)) == [_reference_line(r) for r in chained([columns], rows)]
+
+
+def test_csv_numpy_scalars_and_special_floats_match_the_per_cell_rule():
+    # np.float64 subclasses float; np.int64, np.bool_ and np.float32 subclass
+    # neither bool nor float, so they are written as str() writes them.
+    rows = [
+        (np.float64(0.1), np.int64(3), np.bool_(True), np.float32(0.1), True, False),
+        (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e300),
+        (np.float64(math.nan), np.float64(-0.0), np.float64(-math.inf), np.bool_(False), np.float32(-0.0), 5e-324),
+        ("%s", "%d", "100%", "", 2**70, 1 / 3),
+        (1, 2.5, "", True),
+        (),
+        (np.float64(0.1), np.int64(-4), np.bool_(False), np.float32(1e30), False, True),
+        (0.1, 3, "x", 0.2),
+    ]
+    columns = ("a", "b", "c", "d", "e", "f")
+    assert list(cli._csv(columns, rows)) == [_reference_line(r) for r in chained([columns], rows)]
+    assert list(cli._csv(columns, rows))[1] == "0.10000000000000001,3,True,0.1,1,0\n"
 
 
 @pytest.mark.parametrize(

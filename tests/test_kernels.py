@@ -18,6 +18,7 @@ from lr_horizon import (
     site_hop_strength,
     surface_area_constant,
 )
+from lr_horizon.kernels import _inverse_power_grid
 
 
 @pytest.mark.parametrize("n", [2, 5, 30, 101])
@@ -228,3 +229,18 @@ def test_series_oracle_symmetric_nonnegative_monotone():
 def test_series_oracle_size_cap():
     with pytest.raises(ValueError):
         series_oracle(ring(1024), CouplingModel(alpha=0.5), 0.1)
+
+
+@pytest.mark.parametrize("dimension, side", [(1, 1000), (1, 1001), (2, 33), (3, 12)])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 2.5])
+def test_inverse_power_grid_is_the_power_of_the_displacement_grid(dimension, side, alpha):
+    # raised in place, the grid holds the same bits as d ** -alpha in a second array
+    d = np.arange(side, dtype=float)
+    d = np.minimum(d, side - d)
+    d = np.sqrt(sum(np.meshgrid(*[d * d] * dimension, indexing="ij")))
+    with np.errstate(divide="ignore"):
+        want = d ** -alpha
+    want.flat[0] = 0.0
+    got = _inverse_power_grid(dimension, side, alpha)
+    assert got.shape == (side,) * dimension
+    assert got.tobytes() == want.tobytes()
