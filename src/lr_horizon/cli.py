@@ -10,8 +10,8 @@ Subcommands map the library onto reproducible tables:
 * ``ising-oracle`` -- dense Ising oracle vs the closed form.
 
 Output is CSV (default) or JSON. CSV starts with one comment line
-recording the tool version, a hash of the resolved configuration, and
-the method tag, so identical configurations yield byte-identical files.
+recording the tool version, a hash of the keys the command reads (for
+``fit``, of its input table's bytes, not its path), and the method tag.
 Floats are written with 17 significant digits. Each command accepts
 only the flags and config keys it reads (``READS``, plus ``RUN_KEYS``),
 and a flag's text and a config file's value share one parser (``_KEYS``).
@@ -280,23 +280,28 @@ def _sweep(cfg: dict) -> list[tuple]:
 
 
 def _read_table(path: str) -> list[dict]:
+    """The data rows of a CSV table as dicts; every row must have the header's cell count."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
+        numbered = [(k, ln.rstrip("\n")) for k, ln in enumerate(fh, 1)]
+    lines = [(k, ln.split(",")) for k, ln in numbered if ln.strip() and not ln.startswith("#")]
+    if len(lines) < 2:
         raise ValueError(f"no rows in {path}")
-    header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    (_, header), *body = lines
+    for k, cells in body:
+        if len(cells) != len(header):
+            raise ValueError(f"line {k} of {path} has {len(cells)} cells, its header {len(header)}")
+    return [dict(zip(header, cells)) for _, cells in body]
 
 
 def _cmd_fit(cfg: dict) -> list[tuple]:
     if not cfg["input"]:
         raise ValueError("fit requires --input pointing at a table written by this tool")
     records = _read_table(cfg["input"])
-    value_col = next(
-        (c for c in ("t_star", "value", "lambda", "T", "t") if records and c in records[0]), None
-    )
+    value_col = next((c for c in ("t_star", "value", "lambda", "T", "t") if c in records[0]), None)
     if value_col is None:
         raise ValueError("input table has no fittable column (t_star/value/lambda/T/t)")
+    if "N" not in records[0]:
+        raise ValueError("input table has no N column")
     groups: dict[tuple, list[tuple[float, float]]] = {}
     for rec in records:
         key = (rec.get("alpha", ""), rec.get("r_spec", ""))
@@ -419,11 +424,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
     method = given.get("method", _DEFAULTS["method"]) if methods else None
     if methods and method not in methods:
         raise ValueError(f"{command} --method must be one of {', '.join(methods)}, got {method!r}")
-    dropped = [k for k in given if k not in READS[command, method] + RUN_KEYS]
+    reads = READS[command, method] + RUN_KEYS
+    dropped = [k for k in given if k not in reads]
     if dropped:
         where = f"{command} --method {method}" if method else command
         raise ValueError(f"{where} does not use {', '.join(map(_flag, dropped))}")
-    cfg = dict(_DEFAULTS, command=command)
+    cfg = dict({key: _DEFAULTS[key] for key in reads}, command=command)
     cfg.update((key, _KEYS[key][1](_flag(key), value)) for key, value in given.items())
     if cfg["workers"] is None:
         cfg["workers"] = _count(f"${WORKERS_ENV}", os.environ.get(WORKERS_ENV, "1"))
@@ -431,10 +437,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _write_output(cfg: dict, columns: tuple, rows: list[tuple], trace_rows=None) -> None:
-    tag = cfg.get("method", cfg["command"]) if cfg["command"] in ("bound", "signaling") else cfg["command"]
-    hashable = {k: v for k, v in cfg.items() if k not in ("out", "workers", "plot_data")}
+    hashable = {k: v for k, v in cfg.items() if k == "fmt" or k not in RUN_KEYS}
+    if "input" in hashable:  # fit: the table's bytes, not its path
+        with open(cfg["input"], "rb") as fh:
+            hashable["input"] = hashlib.sha256(fh.read()).hexdigest()
     digest = hashlib.sha256(json.dumps(hashable, sort_keys=True, default=str).encode()).hexdigest()
-    header = f"# lr-horizon v{__version__} config={digest[:12]} method={tag}"
+    header = f"# lr-horizon v{__version__} config={digest[:12]} method={cfg.get('method', cfg['command'])}"
     if cfg["fmt"] == "json":
         lines = [json.dumps([dict(zip(columns, row)) for row in rows], indent=2, default=str) + "\n"]
     else:
@@ -470,7 +478,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # NoCrossingError and numerical failures
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -183,6 +183,8 @@ def state_transfer_protocol(n_sites: int, alpha: float, dimension: int = 1) -> P
     """
     if n_sites < 4:
         raise ValueError("protocol needs at least 4 sites")
+    if n_sites > EVOLVE_MAX_SITES:  # before the two dense N x N stage matrices are built
+        raise ValueError(f"N = {n_sites} exceeds evolution cap {EVOLVE_MAX_SITES}")
     alpha = CouplingModel(alpha=alpha).alpha  # the one alpha >= 0 check
     length = LatticeSpec.from_sites(n_sites, dimension, "open").largest_distance
     source, target = 0, n_sites - 1

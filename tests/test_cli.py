@@ -460,6 +460,24 @@ def test_fit_unknown_model_exit2(tmp_path, capsys):
     assert code == 2
 
 
+# A table with no N column, one with a short data line (line 3, after the
+# header line 1 and a full row), and one with a header and no rows.
+_MALFORMED = {
+    "no_N_column": ("alpha,t_star\n0.5,1.0\n0.5,0.5\n0.5,0.25\n", "input table has no N column"),
+    "short_line": ("N,alpha,t_star\n10,0.5,1.0\n100,0.5\n1000,0.5,0.25\n", "line 3 of {} has 2 cells, its header 3"),
+    "header_only": ("# lr-horizon v0.1.0 config=0 method=analytic\nN,alpha,t_star\n", "no rows in {}"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_fit_names_what_is_wrong_with_the_table_exit2(tmp_path, capsys, case):
+    text, message = _MALFORMED[case]
+    table = tmp_path / "t.csv"
+    table.write_text(text)
+    err = _exit2(tmp_path, capsys, ["fit", "--input", str(table)])
+    assert err == f"invalid input: {message.format(table)}\n"
+
+
 def test_protocol_reference_row(capsys):
     code, out = _run(capsys, ["protocol", "--alpha", "0.5", "--N", "7"])
     assert code == 0
@@ -472,6 +490,13 @@ def test_protocol_reference_row(capsys):
 def test_protocol_small_n_exit2(capsys):
     code, _ = _run(capsys, ["protocol", "--alpha", "0.5", "--N", "3"])
     assert code == 2
+
+
+def test_protocol_above_the_evolution_cap_exit2(tmp_path, capsys):
+    # The cap is checked before the two dense N x N stage matrices are built:
+    # at N = 1e6 they would take 7.3 TiB each.
+    err = _exit2(tmp_path, capsys, ["protocol", "--alpha", "0.5", "--N", "1e6"])
+    assert err == "invalid input: N = 1000000 exceeds evolution cap 4096\n"
 
 
 def test_protocol_plot_data_trajectory(tmp_path, capsys):
@@ -689,6 +714,43 @@ def test_every_config_key_in_the_table():
     assert listed == set(cli._DEFAULTS)
 
 
+@pytest.mark.parametrize("command,method", list(cli.READS))
+def test_config_holds_only_the_keys_read(command, method):
+    argv = [command] + (["--method", method] if method else [])
+    cfg = cli._merge_config(cli._build_parser().parse_args(argv))
+    assert set(cfg) == set(cli.READS[command, method] + cli.RUN_KEYS) | {"command"}
+
+
+def test_a_key_no_command_reads_moves_no_header(capsys, monkeypatch, fit_tables):
+    def headers():
+        lines = []
+        for command, method in cli.READS:
+            code, out = _run(capsys, _base(command, method, fit_tables))
+            assert code == 0
+            lines.append(out.splitlines()[0])
+        return lines
+
+    before = headers()
+    monkeypatch.setitem(cli._KEYS, "unread", ("x", cli._string, "a key no command reads"))
+    monkeypatch.setitem(cli._DEFAULTS, "unread", "x")
+    assert headers() == before
+
+
+def test_fit_header_hashes_the_table_bytes_not_its_path(tmp_path, fit_tables):
+    here, there = tmp_path / "a.csv", tmp_path / "elsewhere" / "b.csv"
+    there.parent.mkdir()
+    for path in (here, there):
+        path.write_bytes(fit_tables[0].read_bytes())
+    outs = [tmp_path / f"fit{k}.csv" for k in range(3)]
+    assert main(["fit", "--input", str(here), "--out", str(outs[0])]) == 0
+    assert main(["fit", "--input", str(there), "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # The same path, one data row written twice: the header names a new table.
+    here.write_text(here.read_text() + here.read_text().splitlines()[-1] + "\n")
+    assert main(["fit", "--input", str(here), "--out", str(outs[2])]) == 0
+    assert outs[2].read_text().splitlines()[0] != outs[0].read_text().splitlines()[0]
+
+
 @pytest.mark.parametrize("method", ["analytic", "exact_sum"])
 @pytest.mark.parametrize("form", ["flag", "config"])
 def test_bound_r_beside_r_logspace_exit2(tmp_path, capsys, method, form):
@@ -727,10 +789,12 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
 # sha256 of the files the README line `protocol --alpha 0.5 --N 7 --plot-data`
 # writes (with --out added), recorded before the segment decompositions were
 # cached and the tables written line by line. Any drift in the evolution or
-# the formatting changes them. The last bits of eigh can differ between LAPACK
-# builds; these were recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.
+# the formatting changes them. protocol.csv was re-recorded when the header
+# hash came to cover only the keys a command reads; only its line 1 moved.
+# The last bits of eigh can differ between LAPACK builds; these were recorded
+# with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.
 README_PROTOCOL_SHA256 = {
-    "protocol.csv": "9bc32bdf28a1cc0d5dbd31e705c162ab9814b37461de15e967171103954e0eab",
+    "protocol.csv": "074d17b05ae6a2e5783fe41bc8477b4c27fb5c8d03bbe4c0705e3c59a4c46ad6",
     "trajectory.csv": "e6d75a66f2853e373b815d4e249df93d77161a740f280da085f55e6bcd90db21",
 }
 
@@ -745,12 +809,12 @@ def test_readme_protocol_bytes_are_pinned(tmp_path):
 
 # sha256 of an ising-oracle table and of a power_log fit (with its "" and
 # bool cells) of an analytic signaling sweep, recorded before the CSV writer
-# formatted each row shape with one %-string. The fit reads its input by a
-# relative path, since the input path is part of the header's config hash.
+# formatted each row shape with one %-string, and re-recorded when the header
+# hash came to cover only the keys a command reads (only line 1 moved).
 # Recorded with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, as above.
 PINNED_TABLE_SHA256 = {
-    "ising.csv": "bc8d825bf2a2aab99ec04751e29c21d920c940ee6ce44da138fedccf14861db6",
-    "fit.csv": "a55d0c89cb8a47c11e5d4fb91d9e0f20c289e73a569616bdc5725db67be32bdb",
+    "ising.csv": "50b01587ab5234432500b2a81af241c31bf6eef4e07081e1bf3671afc7e4bf79",
+    "fit.csv": "a2009bbe2369ee51cc8453cc01e2aad8d9373f3f8ea2b6ac968694a7066723dd",
 }
 
 
