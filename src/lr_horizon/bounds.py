@@ -124,10 +124,18 @@ class PairSum:
     @classmethod
     def between(cls, spec: LatticeSpec, model: CouplingModel, region_x, region_y, scale: float) -> PairSum:
         """All pairs (i in X, j in Y) of two disjoint nonempty regions; lambda is computed once."""
-        xs, ys = sorted(set(region_x)), sorted(set(region_y))
-        if not xs or not ys:
-            raise ValueError("regions must be nonempty")
-        if set(xs) & set(ys):
+        n = spec.site_count
+        sets = set(region_x), set(region_y)
+        xs, ys = (np.array(sorted(sites)) for sites in sets)
+        for name, region in ("X", xs), ("Y", ys):
+            if not region.size:
+                raise ValueError("regions must be nonempty")
+            if region.dtype.kind not in "iu":
+                raise ValueError(f"region {name} holds {region.dtype} sites, not integers in [0, {n})")
+            for site in region[0], region[-1]:  # sorted, so these two bound the rest
+                if not 0 <= site < n:
+                    raise ValueError(f"region {name} site {site} outside [0, {n})")
+        if sets[0] & sets[1]:
             raise ValueError("regions must be disjoint")
         weight = 0.0
         min_dist = math.inf

@@ -7,12 +7,12 @@ closed-form upper bounds on lambda, a brute-force certification of the
 hop-composition inequality, the ring hop series summed through the
 circulant Fourier spectrum of the ring coupling sequence
 (``FourierSpectrum``, the one home of that arithmetic), and a dense
-matrix-exponential oracle that sums the hop series exactly.
+matrix-exponential oracle that sums the hop series exactly. No distance
+is computed here: the d**(-alpha) grid is ``lattice.coupling_row`` of a torus.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,10 +23,6 @@ from .lattice import CouplingModel, LatticeSpec, coupling_matrix, coupling_row
 # Dense certification and oracle size limits (O(N**3) work).
 REPRO_MAX_SITES = 2000
 ORACLE_MAX_SITES = 512
-
-# FFT imaginary residue above this (relative to lambda) indicates a
-# misuse of the transform rather than roundoff.
-FFT_IMAG_TOL = 1e-10
 
 # Inverse-transform values below -NEGATIVE_FLOOR * (series max) indicate
 # a real sign error rather than roundoff.
@@ -51,15 +47,9 @@ class HopParameters:
 
 
 def _inverse_power_grid(dimension: int, side: int, alpha: float) -> np.ndarray:
-    """d**(-alpha), 0 at d = 0, on the grid whose axes hold displacements min(k, side - k)."""
-    d = np.arange(side, dtype=float)
-    np.minimum(d, side - d, out=d)
-    if dimension > 1:
-        d = np.sqrt(functools.reduce(np.add.outer, [d * d] * dimension))
-    with np.errstate(divide="ignore"):
-        d **= -alpha  # in place: the same scalar-power path as d ** -alpha, so the same bits
-    d.flat[0] = 0.0
-    return d
+    """d**(-alpha), 0 at d = 0, on the torus of ``side``: the coupling row of site 0, in grid shape."""
+    spec = LatticeSpec(dimension, side, "periodic")
+    return coupling_row(spec, CouplingModel(alpha=alpha), 0).reshape(spec.shape)
 
 
 def row_sums(spec: LatticeSpec, alpha: float) -> np.ndarray:
@@ -214,8 +204,8 @@ class FourierSpectrum:
 
     def _weights_at(self, r) -> np.ndarray:
         if r != self._r:
-            if not 1 <= r <= self.n_sites // 2:
-                raise ValueError(f"r must be in [1, N/2], got r={r} with N={self.n_sites}")
+            if not 1 <= r <= self.n_sites // 2 or r % 1:
+                raise ValueError(f"r must be an integer in [1, N/2], got r={r} with N={self.n_sites}")
             self._r = self._weights = self._slope = None
             weights = np.arange(self.n_sites // 2 + 1, dtype=float)
             weights *= 2.0 * math.pi * r / self.n_sites
@@ -272,19 +262,12 @@ def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
     """The ring hop series of (N, alpha); the only constructor of ``FourierSpectrum``.
 
     J(r) is the ring grid of ``row_sums`` with J(0) = lambda, its total.
-    One O(N log N) real FFT of this real, even sequence gives omega; any
-    imaginary residue beyond roundoff scale signals a bug and raises.
+    One O(N log N) real FFT of this real, even sequence gives omega.
     """
-    if n_sites < 2:
-        raise ValueError("need at least 2 sites")
-    CouplingModel(alpha=alpha)  # rejects a negative or non-finite alpha
-    seq = _inverse_power_grid(1, n_sites, alpha)
+    seq = _inverse_power_grid(1, n_sites, alpha)  # rejects a bad alpha, and an N that is no integer >= 2
     lam = float(seq.sum())
     seq[0] = lam
     transform = np.fft.rfft(seq)
-    imag_max = float(np.abs(transform.imag).max())
-    if imag_max > FFT_IMAG_TOL * max(lam, 1.0):
-        raise RuntimeError(f"non-real spectrum (imag residue {imag_max:.3e}); input not even?")
     return FourierSpectrum(np.ascontiguousarray(transform.real), n_sites, alpha, lam)
 
 

@@ -7,11 +7,14 @@ between two sites is the Euclidean norm of their coordinate difference,
 after the per-axis minimum image ``min(|d|, L - |d|)`` when periodic; on
 a ring that is ``min(|i - j|, N - |i - j|)``. Sites are addressed by a
 flat row-major index. Distances are computed on demand (never as an
-N x N matrix) so that rings with N = 10**6 sites stay cheap.
+N x N matrix), from one displacement array per axis and one outer sum,
+so that rings with N = 10**6 sites stay cheap. No other module computes
+a distance or a coupling row: ``kernels`` reads its grid from here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,10 +42,10 @@ class LatticeSpec:
     boundary: str = "periodic"
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.linear_size < 2:
-            raise ValueError(f"linear_size must be >= 2, got {self.linear_size}")
+        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {self.dimension!r}")
+        if not isinstance(self.linear_size, (int, np.integer)) or self.linear_size < 2:
+            raise ValueError(f"linear_size must be an integer >= 2, got {self.linear_size!r}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
 
@@ -72,7 +75,9 @@ class LatticeSpec:
         return math.sqrt(self.dimension) * reach
 
     def check_index(self, i: int) -> None:
-        """Raise ``ValueError`` unless ``i`` is a site index in [0, N)."""
+        """Raise ``ValueError`` unless ``i`` is an integer site index in [0, N)."""
+        if not isinstance(i, (int, np.integer)):
+            raise ValueError(f"site index {i!r} is not an integer")
         if not 0 <= i < self.site_count:
             raise ValueError(f"site index {i} outside [0, {self.site_count})")
 
@@ -116,35 +121,38 @@ class CouplingModel:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
-def _metric(spec: LatticeSpec, diff: np.ndarray) -> np.ndarray:
-    """Euclidean norm over axis 0 of a (D, n) float difference, taken in place in ``diff``.
+def _metric(spec: LatticeSpec, axes: list[np.ndarray]) -> np.ndarray:
+    """Euclidean norms on the grid spanned by ``axes``, one 1D float displacement array per axis.
 
-    |diff|, then the per-axis minimum image when periodic, squared and
-    summed over the axes; no other (D, n) buffer is made.
+    Each axis becomes |d|, then its minimum image when periodic, in place.
+    At D = 1 that is the result; at D >= 2, the sqrt of the outer sum of squares.
     """
-    np.abs(diff, out=diff)
-    if spec.boundary == "periodic":
-        # min(d, L - d) = L/2 - |L/2 - d|, exact for integer d and L.
-        half = spec.linear_size / 2
-        np.subtract(half, diff, out=diff)
-        np.abs(diff, out=diff)
-        np.subtract(half, diff, out=diff)
-    np.multiply(diff, diff, out=diff)
-    squares = diff[0] if spec.dimension == 1 else diff.sum(axis=0)
+    for d in axes:
+        np.abs(d, out=d)
+        if spec.boundary == "periodic":
+            # min(d, L - d) = L/2 - |L/2 - d|, exact for integer d and L.
+            half = spec.linear_size / 2
+            np.subtract(half, d, out=d)
+            np.abs(d, out=d)
+            np.subtract(half, d, out=d)
+    if spec.dimension == 1:
+        return axes[0]
+    for d in axes:
+        np.multiply(d, d, out=d)
+    squares = functools.reduce(np.add.outer, axes)
     return np.sqrt(squares, out=squares)
 
 
 def distance(spec: LatticeSpec, i: int, j: int) -> float:
     """Metric distance between sites ``i`` and ``j``."""
     diff = np.subtract(spec.index_to_coords(i), spec.index_to_coords(j), dtype=float)
-    return float(_metric(spec, diff[:, None])[0])
+    return _metric(spec, list(diff[:, None])).item()
 
 
 def distances_from(spec: LatticeSpec, i: int) -> np.ndarray:
     """Distances from site ``i`` to every site, as a length-N array."""
-    diff = np.indices(spec.shape, dtype=float).reshape(spec.dimension, -1)
-    np.subtract(diff, np.array(spec.index_to_coords(i), dtype=float)[:, None], out=diff)
-    return _metric(spec, diff)
+    L = spec.linear_size
+    return _metric(spec, [np.arange(-c, L - c, dtype=float) for c in spec.index_to_coords(i)]).ravel()
 
 
 def coupling(spec: LatticeSpec, model: CouplingModel, i: int, j: int) -> float:
@@ -156,10 +164,10 @@ def coupling(spec: LatticeSpec, model: CouplingModel, i: int, j: int) -> float:
 
 def coupling_row(spec: LatticeSpec, model: CouplingModel, i: int) -> np.ndarray:
     """Couplings from site ``i`` to all sites, with the ``i`` entry set to 0."""
-    d = distances_from(spec, i)
-    row = np.zeros_like(d)
-    mask = d > 0
-    row[mask] = d[mask] ** (-model.alpha)
+    row = distances_from(spec, i)
+    with np.errstate(divide="ignore"):
+        row **= -model.alpha  # in place: the same scalar-power path as d ** -alpha, so the same bits
+    row[i] = 0.0
     return row
 
 

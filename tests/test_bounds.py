@@ -120,10 +120,16 @@ def test_exact_sum_bound_spectrum_mismatch_rejected():
         exact_sum_bound(16, 1.0, 4, 0.2, spectrum=spectrum)
 
 
-@pytest.mark.parametrize("r", [0, -3, 9, 100, math.nan])
+@pytest.mark.parametrize("r", [0, -3, 9, 100, math.nan, 2.5])
 def test_exact_sum_bound_r_out_of_range(r):
     with pytest.raises(ValueError):
         exact_sum_bound(16, 0.5, r, 0.1)
+
+
+def test_exact_sum_bound_takes_integral_r_spellings():
+    want = exact_sum_bound(16, 0.5, 2, 0.1).value
+    assert exact_sum_bound(16, 0.5, 2.0, 0.1).value == want
+    assert exact_sum_bound(16, 0.5, np.int64(2), 0.1).value == want
 
 
 def test_exact_sum_overflow_saturates():
@@ -250,6 +256,7 @@ def test_many_site_hand_value():
     b = many_site_bound(ring(4), CouplingModel(alpha=1.0), [0], [1, 2, 3], 0.1)
     assert b.value == pytest.approx(2 * (math.exp(2.5) - 1) * 0.25, rel=1e-12)
     assert b.separation == 1.0
+    assert many_site_bound(ring(4), CouplingModel(alpha=1.0), {0}, (j for j in (3, 1, 2)), 0.1) == b
 
 
 def test_many_site_zero_time():
@@ -259,6 +266,19 @@ def test_many_site_zero_time():
 def test_many_site_overlap_rejected():
     with pytest.raises(ValueError):
         many_site_bound(ring(6), CouplingModel(alpha=1.0), [0, 1], [1, 2], 0.1)
+
+
+@pytest.mark.parametrize(
+    "site,message",
+    [(-1, "site -1 outside"), (6, "site 6 outside"), (1.5, "holds float64 sites, not integers in")],
+    ids=["-1", "N", "1.5"],
+)
+@pytest.mark.parametrize("name", ["X", "Y"])
+def test_many_site_region_site_outside_the_lattice_rejected(name, site, message):
+    # each bad site shares its region with a valid one, on the side where sorting puts it
+    region_x, region_y = ([1, site], [3]) if name == "X" else ([0], [site, 2])
+    with pytest.raises(ValueError, match=rf"region {name} {message} \[0, 6\)"):
+        many_site_bound(ring(6), CouplingModel(alpha=1.0), region_x, region_y, 0.1)
 
 
 def test_many_site_empty_region_rejected():

@@ -169,6 +169,12 @@ def test_fourier_spectrum_rejects_bad_alpha(alpha):
         fourier_spectrum(16, alpha)
 
 
+@pytest.mark.parametrize("n", [1, 0, 10.5, math.inf])
+def test_fourier_spectrum_rejects_a_bad_site_count(n):
+    with pytest.raises(ValueError, match="linear_size must be"):
+        fourier_spectrum(n, 0.5)
+
+
 @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
 def test_lambda_upper_bound_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be finite and >= 0"):

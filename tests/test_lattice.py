@@ -28,6 +28,12 @@ def test_linear_size_must_be_at_least_two(bad):
         LatticeSpec(dimension=1, linear_size=bad, boundary="open")
 
 
+@pytest.mark.parametrize("dimension,side", [(1, 4.0), (2.0, 4), (1, 10.5)])
+def test_lattice_sizes_must_be_integers(dimension, side):
+    with pytest.raises(ValueError, match="must be an integer"):
+        LatticeSpec(dimension=dimension, linear_size=side)
+
+
 def test_bad_boundary_rejected():
     with pytest.raises(ValueError):
         LatticeSpec(dimension=1, linear_size=4, boundary="twisted")
@@ -176,6 +182,43 @@ def test_largest_distance_is_the_largest_pair_distance(dimension, side, boundary
     assert spec.largest_distance == pytest.approx(largest, rel=1e-15)
     reach = side // 2 if boundary == "periodic" else side - 1
     assert spec.largest_distance == pytest.approx(math.sqrt(dimension) * reach, rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("dimension,side", _BOXES)
+def test_coupling_row_is_the_power_of_the_distances(dimension, side, boundary, alpha):
+    spec = LatticeSpec(dimension=dimension, linear_size=side, boundary=boundary)
+    for i in range(spec.site_count):
+        with np.errstate(divide="ignore"):
+            want = distances_from(spec, i) ** -alpha
+        want[i] = 0.0
+        assert coupling_row(spec, CouplingModel(alpha=alpha), i).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec,sites", [(ring(10**6), (0, 123457, 10**6 - 1)), (chain(1001), (0, 500, 1000))])
+def test_distances_from_in_1d_is_the_index_difference(spec, sites):
+    n = spec.site_count
+    k = np.arange(n)
+    for i in sites:
+        d = np.abs(k - i)
+        if spec.boundary == "periodic":
+            d = np.minimum(d, n - d)
+        assert distances_from(spec, i).tobytes() == d.astype(float).tobytes()
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: distances_from(ring(6), 1.5),
+        lambda: distance(ring(6), 0, 2.0),
+        lambda: coupling_row(ring(6), CouplingModel(alpha=1.0), 1.5),
+    ],
+    ids=["distances_from", "distance", "coupling_row"],
+)
+def test_site_index_must_be_an_integer(evaluate):
+    with pytest.raises(ValueError, match="is not an integer"):
+        evaluate()
 
 
 def test_coupling_row_zero_self_entry():

@@ -275,6 +275,11 @@ def test_exact_sum_solve_rejects_alpha_whose_p_overflows():
         exact_sum_signaling_time(16, 1100.0, 1, 1.0)
 
 
+def test_exact_sum_solve_rejects_a_non_integral_r():
+    with pytest.raises(ValueError, match="r must be an integer in"):
+        exact_sum_signaling_time(100, 0.5, 2.5, 1.0)
+
+
 def test_exact_sum_solve_reaches_large_alpha():
     """The bracket seed 1 / (2 omega_max) does not shrink with p = 2**(alpha + 1)."""
     times = {exact_sum_signaling_time(16, alpha, 1, 1.0).t_star for alpha in (150.0, 200.0, 250.0, 1000.0)}
