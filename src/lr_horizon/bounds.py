@@ -92,6 +92,20 @@ def _flag(value: float, t: float, r: float, method: str, pre: BoundPrefactor) ->
     return BoundValue(value=value, time=t, separation=r, method=method, saturated=saturated)
 
 
+def _distinct_sites(region) -> np.ndarray:
+    """The sites of a region (any iterable) sorted, each once.
+
+    No np.unique: its first call imports numpy.ma. The stable sort is a
+    single pass over a region given in order, and its first call maps
+    less code than the default sort's.
+    """
+    sites = region if isinstance(region, (list, tuple, range, np.ndarray)) else list(region)
+    sites = np.sort(np.asarray(sites), kind="stable")
+    keep = np.ones(sites.size, dtype=bool)
+    keep[1:] = sites[1:] != sites[:-1]
+    return sites[keep]
+
+
 @dataclass(frozen=True)
 class PairSum:
     """The analytic bound summed over a set of site pairs, as a function of t.
@@ -125,8 +139,7 @@ class PairSum:
     def between(cls, spec: LatticeSpec, model: CouplingModel, region_x, region_y, scale: float) -> PairSum:
         """All pairs (i in X, j in Y) of two disjoint nonempty regions; lambda is computed once."""
         n = spec.site_count
-        sets = set(region_x), set(region_y)
-        xs, ys = (np.array(sorted(sites)) for sites in sets)
+        xs, ys = (_distinct_sites(region) for region in (region_x, region_y))
         for name, region in ("X", xs), ("Y", ys):
             if not region.size:
                 raise ValueError("regions must be nonempty")
@@ -135,7 +148,7 @@ class PairSum:
             for site in region[0], region[-1]:  # sorted, so these two bound the rest
                 if not 0 <= site < n:
                     raise ValueError(f"region {name} site {site} outside [0, {n})")
-        if sets[0] & sets[1]:
+        if np.any(ys[np.minimum(np.searchsorted(ys, xs), ys.size - 1)] == xs):
             raise ValueError("regions must be disjoint")
         weight = 0.0
         min_dist = math.inf

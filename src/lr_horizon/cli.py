@@ -204,11 +204,13 @@ def _bound_task(task: dict) -> list[tuple]:
     else:
         params = self_hop_lambda(spec, CouplingModel(alpha=alpha))
         lam = params.lam
+    times = [t / lam if task["t_unit"] == "inv_lambda" else t for t in task["t"] or [0.0]]
+    if method == "exact_sum":
+        spectrum.hold_times(times)  # one exponential per t, not one per (r, t)
     rows = []
     for r_tok in r_tokens:
         r = _resolve_r(r_tok, spec)
-        for t in task["t"] or [0.0]:
-            t_abs = t / lam if task["t_unit"] == "inv_lambda" else t
+        for t_abs in times:
             if method == "exact_sum":
                 value = exact_sum_bound(n, alpha, r, t_abs, spectrum=spectrum).value
             else:

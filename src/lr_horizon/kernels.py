@@ -31,6 +31,9 @@ NEGATIVE_FLOOR = 1e-8
 # exp overflows past ~709.78; beyond this a bound saturates anyway.
 _EXP_ARG_MAX = 700.0
 
+# Declared-t exponentials one FourierSpectrum may hold: 16 times at N = 10**6.
+HELD_TERMS_BYTES = 64 * 2**20
+
 
 @dataclass(frozen=True)
 class HopParameters:
@@ -193,6 +196,9 @@ class FourierSpectrum:
     exponentials of the last t are kept, each freed before its successor
     is built, so ``slope(r, t)`` reuses those of ``series(r, t)``; that
     cache makes one spectrum unsafe to share between threads.
+    ``hold_times(ts)`` also keeps the exponentials of each declared t, N // 2 + 1
+    floats apiece (4 MB at N = 10**6) and at most ``HELD_TERMS_BYTES`` in all,
+    so a grid that changes t on every call builds each of them once.
     """
 
     def __init__(self, omega: np.ndarray, n_sites: int, alpha: float, lam: float) -> None:
@@ -201,28 +207,44 @@ class FourierSpectrum:
         self._r = self._weights = None  # c_p at r
         self._slope: tuple[np.ndarray, float] | None = None  # c_p 2 omega_p at r, and their sum
         self._t, self._terms = math.nan, None  # expm1(2 t omega_p), None past overflow
+        self._held: dict[float, np.ndarray | None] = {}  # the same, at each declared t
 
     def _weights_at(self, r) -> np.ndarray:
         if r != self._r:
             if not 1 <= r <= self.n_sites // 2 or r % 1:
                 raise ValueError(f"r must be an integer in [1, N/2], got r={r} with N={self.n_sites}")
             self._r = self._weights = self._slope = None
-            weights = np.arange(self.n_sites // 2 + 1, dtype=float)
-            weights *= 2.0 * math.pi * r / self.n_sites
-            np.cos(weights, out=weights)
-            weights *= 2.0 / self.n_sites
-            weights[0] *= 0.5
-            if self.n_sites % 2 == 0:
-                weights[-1] *= 0.5
-            self._r, self._weights = r, weights
+            self._r, self._weights = r, self._cosine_weights(r)
         return self._weights
 
+    def _cosine_weights(self, r) -> np.ndarray:
+        weights = np.arange(self.n_sites // 2 + 1, dtype=float)
+        weights *= 2.0 * math.pi * r / self.n_sites
+        np.cos(weights, out=weights)
+        weights *= 2.0 / self.n_sites
+        weights[0] *= 0.5
+        if self.n_sites % 2 == 0:
+            weights[-1] *= 0.5
+        return weights
+
+    def _exponentials(self, t: float) -> np.ndarray | None:
+        if not 2.0 * t * self.omega_max <= _EXP_ARG_MAX:
+            return None
+        terms = 2.0 * t * self.omega
+        return np.expm1(terms, out=terms)
+
+    def hold_times(self, times) -> None:
+        """Keep the exponentials of the distinct t in ``times``, in order, as many as fit ``HELD_TERMS_BYTES``."""
+        self._held = {}  # the last declared times go before any new one is built
+        distinct = list(dict.fromkeys(times))[: HELD_TERMS_BYTES // self.omega.nbytes]
+        self._held = {t: self._exponentials(t) for t in distinct}
+
     def _terms_at(self, t: float) -> np.ndarray | None:
+        if t in self._held:
+            return self._held[t]
         if t != self._t:
             self._t, self._terms = t, None
-            if 2.0 * t * self.omega_max <= _EXP_ARG_MAX:
-                terms = 2.0 * t * self.omega
-                self._terms = np.expm1(terms, out=terms)
+            self._terms = self._exponentials(t)
         return self._terms
 
     def series(self, r, t: float) -> float:

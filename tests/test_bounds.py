@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from lr_horizon import (
     self_hop_lambda,
     series_oracle,
 )
+from lr_horizon import bounds
 
 RING4_ALPHA1 = self_hop_lambda(ring(4), CouplingModel(alpha=1.0))
 
@@ -284,3 +289,34 @@ def test_many_site_region_site_outside_the_lattice_rejected(name, site, message)
 def test_many_site_empty_region_rejected():
     with pytest.raises(ValueError):
         many_site_bound(ring(6), CouplingModel(alpha=1.0), [], [1, 2], 0.1)
+
+
+@pytest.mark.parametrize("region_x", [[3], [0, 3], [3, 5], [1, 3, 5]], ids=["one", "low", "high", "middle"])
+def test_many_site_overlap_anywhere_rejected(region_x):
+    with pytest.raises(ValueError, match="regions must be disjoint"):
+        many_site_bound(ring(6), CouplingModel(alpha=1.0), region_x, [2, 3, 4], 0.1)
+
+
+def test_many_site_regions_are_deduplicated_in_any_container():
+    spec, model = ring(16), CouplingModel(alpha=0.7)
+    b = many_site_bound(spec, model, [0, 1], [4, 9, 12], 0.05)
+    for region_x, region_y in [
+        ([1, 0, 1, 0], [12, 4, 9, 4, 12]),
+        (np.array([1, 0, 0]), np.array([9, 12, 4, 9])),
+        (range(2), (j for j in (12, 12, 9, 4))),
+        ((1, 0), {4, 9, 12}),
+    ]:
+        assert many_site_bound(spec, model, region_x, region_y, 0.05) == b
+
+
+def test_many_site_regions_do_not_import_numpy_ma():
+    """np.unique and np.intersect1d import numpy.ma (about 20 ms on a first call); the region checks use neither."""
+    code = (
+        "import sys; from lr_horizon import CouplingModel, many_site_bound, ring; "
+        "many_site_bound(ring(8), CouplingModel(alpha=0.5), [0, 0], [3, 1, 3], 0.1); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(bounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

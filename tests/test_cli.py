@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import lr_horizon.cli as cli
-from lr_horizon import CouplingModel, NoCrossingError, chain, ring, site_hop_strength
+from lr_horizon import CouplingModel, NoCrossingError, chain, exact_sum_bound, ring, site_hop_strength
 from lr_horizon.cli import main
+from lr_horizon.kernels import FourierSpectrum
 
 
 def _rows(text):
@@ -361,6 +362,47 @@ def test_r_logspace_on_a_torus_exit0(capsys):
                               "--t", "0.1"])
     assert code == 0
     assert [int(row["r"]) for row in _rows(out)] == [1, 2, 3, 4, 7]
+
+
+# 0, a repeated t and a saturating t, in units of 1 / lambda
+GRID_T = "0,0.3,1,0.3,1000"
+
+
+def _exact_sum_grid(capsys, alphas, sizes):
+    argv = ["bound", "--method", "exact_sum", "--alpha", alphas, "--N", sizes, "--r-logspace", "6",
+            "--t", GRID_T, "--t-unit", "inv_lambda", "--workers", "1"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    return _rows(out)
+
+
+def test_bound_grid_builds_each_exponential_and_weight_vector_once(capsys, monkeypatch):
+    """Per (N, alpha) the grid builds one exponential array per distinct t and one weight vector per r."""
+    built = []
+    for builder in "_exponentials", "_cosine_weights":
+        real = getattr(FourierSpectrum, builder)
+
+        def counting(spectrum, x, real=real, builder=builder):
+            built.append((spectrum.n_sites, spectrum.alpha, builder, x))
+            return real(spectrum, x)
+
+        monkeypatch.setattr(FourierSpectrum, builder, counting)
+    rows = _exact_sum_grid(capsys, "0.3,0.7", "1000,4096")
+    for n, alpha in [(1000, 0.3), (1000, 0.7), (4096, 0.3), (4096, 0.7)]:
+        group = [row for row in rows if (int(row["N"]), float(row["alpha"])) == (n, alpha)]
+        times = list(dict.fromkeys(float(row["t"]) for row in group))
+        rs = list(dict.fromkeys(int(row["r"]) for row in group))
+        assert len(times) == 4 and len(rs) > 1 and len(group) == 5 * len(rs)
+        assert [x for m, a, b, x in built if (m, a, b) == (n, alpha, "_exponentials")] == times
+        assert [x for m, a, b, x in built if (m, a, b) == (n, alpha, "_cosine_weights")] == rs
+
+
+def test_bound_grid_rows_equal_fresh_spectrum_bounds(capsys):
+    rows = _exact_sum_grid(capsys, "0.3,0.7", "1000,4096")
+    assert {"0", "inf"} <= {row["value"] for row in rows}
+    for row in rows:
+        n, alpha, r, t = int(row["N"]), float(row["alpha"]), int(row["r"]), float(row["t"])
+        assert float(row["value"]) == exact_sum_bound(n, alpha, r, t).value
 
 
 def test_fit_of_a_nonfinite_value_exit2(tmp_path, capsys):

@@ -18,7 +18,8 @@ from lr_horizon import (
     site_hop_strength,
     surface_area_constant,
 )
-from lr_horizon.kernels import _inverse_power_grid
+from lr_horizon import kernels
+from lr_horizon.kernels import FourierSpectrum, _inverse_power_grid
 
 
 @pytest.mark.parametrize("n", [2, 5, 30, 101])
@@ -250,3 +251,16 @@ def test_inverse_power_grid_is_the_power_of_the_displacement_grid(dimension, sid
     got = _inverse_power_grid(dimension, side, alpha)
     assert got.shape == (side,) * dimension
     assert got.tobytes() == want.tobytes()
+
+
+def test_held_times_past_the_byte_cap_use_the_one_slot(monkeypatch):
+    """Only the first distinct times that fit HELD_TERMS_BYTES are held; later ones share the last-t slot."""
+    spectrum = fourier_spectrum(64, 0.5)
+    monkeypatch.setattr(kernels, "HELD_TERMS_BYTES", 2 * spectrum.omega.nbytes)
+    times = [0.01, 0.02, 0.01, 0.03]
+    spectrum.hold_times(times)
+    built, real = [], FourierSpectrum._exponentials
+    monkeypatch.setattr(FourierSpectrum, "_exponentials", lambda s, t: built.append(t) or real(s, t))
+    values = [spectrum.series(r, t) for r in (1, 32) for t in times]
+    assert built == [0.03]
+    assert values == [fourier_spectrum(64, 0.5).series(r, t) for r in (1, 32) for t in times]

@@ -247,12 +247,15 @@ def test_one_spectrum_matches_fresh_spectra_when_calls_interleave():
 
     Every value from one shared spectrum equals the value from a fresh
     spectrum per call, while bounds alternate r and t and solves at
-    other r run between them.
+    other r run between them. The second shared spectrum also holds the
+    exponentials of t2 and of a saturating t, which t1 and the solves'
+    own times do not disturb.
     """
     n, alpha = 1000, 0.5
-    spectrum = fourier_spectrum(n, alpha)
+    plain, holding = fourier_spectrum(n, alpha), fourier_spectrum(n, alpha)
     r1, r2, r3 = 1, n // 4, n // 2
-    t1, t2 = 0.3 / spectrum.lam, 1.0 / spectrum.lam
+    t1, t2, t_sat = 0.3 / plain.lam, 1.0 / plain.lam, 1000.0 / plain.lam
+    holding.hold_times([t2, t_sat, t2])
 
     def bound(r, t, shared=None):
         return exact_sum_bound(n, alpha, r, t, spectrum=shared).value
@@ -261,13 +264,23 @@ def test_one_spectrum_matches_fresh_spectra_when_calls_interleave():
         res = exact_sum_signaling_time(n, alpha, r, 1.0, spectrum=shared)
         return res.t_star, res.bracket
 
-    for r, t in [(r1, t1), (r2, t1), (r1, t2), (r2, t2), (r2, t1)]:
-        assert bound(r, t, spectrum) == bound(r, t)
-    assert solve(r1, spectrum) == solve(r1)
-    assert solve(r3, spectrum) == solve(r3)
-    assert bound(r1, t1, spectrum) == bound(r1, t1)
-    assert solve(r2, spectrum) == solve(r2)
-    assert bound(r3, t2, spectrum) == bound(r3, t2)
+    def slope(r, t, shared=None):
+        return (shared or fourier_spectrum(n, alpha)).slope(r, t)
+
+    for spectrum in plain, holding:
+        for r, t in [(r1, t1), (r2, t1), (r1, t2), (r2, t2), (r2, t1)]:
+            assert bound(r, t, spectrum) == bound(r, t)
+        assert solve(r1, spectrum) == solve(r1)
+        assert slope(r1, t2, spectrum) == slope(r1, t2)
+        assert slope(r3, t1, spectrum) == slope(r3, t1)
+        assert solve(r3, spectrum) == solve(r3)
+        assert bound(r1, t1, spectrum) == bound(r1, t1)
+        assert bound(r1, t2, spectrum) == bound(r1, t2)
+        assert solve(r2, spectrum) == solve(r2)
+        assert slope(r2, t2, spectrum) == slope(r2, t2)
+        assert bound(r3, t2, spectrum) == bound(r3, t2)
+        assert bound(r3, t1, spectrum) == bound(r3, t1)
+        assert bound(r2, t_sat, spectrum) == bound(r2, t_sat) == math.inf
 
 
 def test_exact_sum_solve_rejects_alpha_whose_p_overflows():
