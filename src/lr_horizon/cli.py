@@ -194,8 +194,8 @@ def _bound_task(task: dict) -> list[tuple]:
         raise ValueError("bound takes --r or --r-logspace, not both")
     if task["r_logspace"] is not None:
         top = max(int(spec.largest_distance), 1)  # N // 2 on a ring
-        ks = np.unique(np.round(np.logspace(0, math.log10(top), task["r_logspace"])))
-        r_tokens = [str(int(k)) for k in ks]
+        ks = np.round(np.logspace(0, math.log10(top), task["r_logspace"]))  # sorted, so fromkeys keeps order
+        r_tokens = [str(k) for k in dict.fromkeys(map(int, ks))]
     else:
         r_tokens = task["r"] or ["1"]
     if method == "exact_sum":

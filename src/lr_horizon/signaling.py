@@ -8,8 +8,8 @@ lower bound (scrambling from a region is no faster than signaling to
 its complement).
 The analytic and many-site bounds are closed form in t, and so is their
 t* (``PairSum.crossing``, no bracket). The ring series takes safeguarded
-Newton steps on ``FourierSpectrum.series`` and ``slope`` at one r;
-``signaling_time_numeric`` bisects any monotone bound.
+Newton steps in ``_solve``, the one numeric solver; without a slope it
+bisects, the reference the tests hold every solve to.
 Every time here is physical; the CLI's ``--kac`` multiplies it by lambda.
 The solvers of the prefactor bounds take delta in (0, 2||A||||B||), as
 no commutator norm reaches that trivial bound; the Ising protocol's
@@ -73,57 +73,69 @@ def signaling_time_analytic(params: HopParameters, sig: SignalingSpec, r: float)
     return SignalingTime(t_star=t, method="analytic")
 
 
-def _expand_bracket(bound_fn, delta: float, t_init: float) -> tuple[float, float, float]:
-    """Double t from ``t_init`` until bound_fn(t) >= delta; return (lo, hi, bound_fn(hi)).
+def _solve(value, delta: float, t_init: float, slope=None) -> tuple[float, tuple[float, float]]:
+    """The t* at which a continuous increasing value(t) reaches delta, and its bracket (lo, hi).
 
-    Raises ``NoCrossingError`` after ``MAX_BRACKET_DOUBLINGS`` doublings.
+    The bracket doubles from ``t_init`` until value >= delta, or raises
+    ``NoCrossingError`` after ``MAX_BRACKET_DOUBLINGS``. Inside it,
+    ``rtsafe`` (Numerical Recipes 9.4) takes Newton steps on
+    ln(value / delta), close to linear in t for exponential bounds, and
+    bisects whenever a step leaves the bracket or fails to halve the
+    step before last; without ``slope`` it only bisects. Once a step is
+    below half the tolerance, value is evaluated at
+    t*(1 -+ ``BISECT_REL_TOL`` / 2); if either lands on the wrong side
+    of delta, bisection finishes. So value < delta at ``lo``,
+    value >= delta at ``hi``, a relative ``BISECT_REL_TOL`` apart, and t*
+    lies inside.
     """
     lo, hi = 0.0, t_init
-    value = bound_fn(hi)
+    v = value(hi)
     doublings = 0
-    while value < delta:
+    while v < delta:
         lo = hi
         hi *= 2.0
         doublings += 1
         if doublings > MAX_BRACKET_DOUBLINGS:
             raise NoCrossingError(f"bound stayed below delta={delta} out to t={hi:.3e}")
-        value = bound_fn(hi)
-    return lo, hi, value
+        v = value(hi)
 
+    t_star = hi
+    step = step_before = hi - lo
+    for _ in range(MAX_NEWTON_STEPS):
+        newton = math.nan
+        if slope is not None and 0.0 < v < math.inf:
+            s = slope(t_star)
+            if s > 0.0:
+                newton = t_star - math.log(v / delta) * v / s
+        if lo <= newton <= hi and abs(newton - t_star) <= 0.5 * step_before:
+            step_before, step = step, abs(newton - t_star)
+            t_star = newton
+        else:
+            step_before, step = step, 0.5 * (hi - lo)
+            t_star = lo + step
+        if step <= 0.5 * BISECT_REL_TOL * t_star:
+            break
+        v = value(t_star)
+        if v < delta:
+            lo = t_star
+        else:
+            hi = t_star
 
-def _bisect(bound_fn, delta: float, lo: float, hi: float) -> tuple[float, float]:
-    """Halve [lo, hi], keeping bound_fn < delta at lo, to ``BISECT_REL_TOL`` relative width."""
+    for t in (t_star * (1.0 - 0.5 * BISECT_REL_TOL), t_star * (1.0 + 0.5 * BISECT_REL_TOL)):
+        if lo < t < hi:
+            if value(t) < delta:
+                lo = t
+            else:
+                hi = t
     while hi - lo > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if bound_fn(mid) < delta:
+        if value(mid) < delta:
             lo = mid
         else:
             hi = mid
-    return lo, hi
-
-
-def signaling_time_numeric(bound_fn, delta: float, t_init: float = 1.0) -> SignalingTime:
-    """Bisect a monotone bound for the crossing bound_fn(t*) = delta.
-
-    ``bound_fn`` must be continuous, strictly increasing, and 0 at t=0.
-    The bracket grows geometrically from ``t_init`` (callers working
-    from hop parameters should seed it with 1 / (2 lam (1 + p)), the
-    natural time scale of the exponential bounds) and then bisects to
-    ``BISECT_REL_TOL`` relative width.
-
-    Raises
-    ------
-    NoCrossingError
-        If delta is not reached after ``MAX_BRACKET_DOUBLINGS``
-        doublings, i.e. delta sits above the bound's achievable range.
-    """
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    if not 0 < t_init < math.inf:
-        raise ValueError(f"t_init must be positive and finite, got {t_init}")
-    lo, hi, _ = _expand_bracket(bound_fn, delta, t_init)
-    lo, hi = _bisect(bound_fn, delta, lo, hi)
-    return SignalingTime(t_star=0.5 * (lo + hi), method="numeric", bracket=(lo, hi))
+    if not lo <= t_star <= hi:
+        t_star = 0.5 * (lo + hi)
+    return t_star, (lo, hi)
 
 
 def signaling_contour(n_sites: float, alpha: float, r: float) -> float:
@@ -173,16 +185,9 @@ def exact_sum_signaling_time(
 ) -> SignalingTime:
     """Safeguarded Newton solve of the ring series bound; the workhorse for the N sweeps.
 
-    The bracket grows geometrically from 1 / (2 omega_max), the time
-    scale of the fastest mode of the spectrum, which does not shrink as
-    alpha grows. Inside it, ``rtsafe`` (Numerical Recipes 9.4) takes
-    Newton steps on ln(B / delta), which is close to linear in t, and
-    bisects whenever a step leaves the bracket or fails to halve the
-    step before last. Once a step is below half the tolerance, B is
-    evaluated at t*(1 -+ ``BISECT_REL_TOL`` / 2); if either lands on the
-    wrong side of delta, bisection finishes the bracket. So the solve
-    ends with B < delta at ``lo`` and B >= delta at ``hi``, a relative
-    ``BISECT_REL_TOL`` apart, and ``t_star`` inside.
+    ``_solve`` steps on ``FourierSpectrum.series`` and ``slope`` at one
+    r, its bracket grown from 1 / (2 omega_max): the time scale of the
+    fastest mode, which does not shrink as alpha grows.
 
     Pass a precomputed spectrum to amortize the FFT across many r or
     delta values at fixed (N, alpha); it must match ``(n_sites, alpha)``.
@@ -191,44 +196,13 @@ def exact_sum_signaling_time(
     composition_constant(alpha)  # rejects an alpha whose p overflows, as every method does
     spectrum = spectrum_for(n_sites, alpha, spectrum)
     scale = pre.scale
-
-    def series(t: float) -> float:
-        return scale * spectrum.series(r, t)
-
-    lo, hi, value = _expand_bracket(series, delta, 1.0 / (2.0 * spectrum.omega_max))
-
-    t_star = hi
-    step = step_before = hi - lo
-    for _ in range(MAX_NEWTON_STEPS):
-        newton = math.nan
-        if 0.0 < value < math.inf:
-            slope = scale * spectrum.slope(r, t_star)
-            if slope > 0.0:
-                newton = t_star - math.log(value / delta) * value / slope
-        if lo <= newton <= hi and abs(newton - t_star) <= 0.5 * step_before:
-            step_before, step = step, abs(newton - t_star)
-            t_star = newton
-        else:
-            step_before, step = step, 0.5 * (hi - lo)
-            t_star = lo + step
-        if step <= 0.5 * BISECT_REL_TOL * t_star:
-            break
-        value = series(t_star)
-        if value < delta:
-            lo = t_star
-        else:
-            hi = t_star
-
-    for t in (t_star * (1.0 - 0.5 * BISECT_REL_TOL), t_star * (1.0 + 0.5 * BISECT_REL_TOL)):
-        if lo < t < hi:
-            if series(t) < delta:
-                lo = t
-            else:
-                hi = t
-    lo, hi = _bisect(series, delta, lo, hi)
-    if not lo <= t_star <= hi:
-        t_star = 0.5 * (lo + hi)
-    return SignalingTime(t_star=t_star, method="exact_sum", bracket=(lo, hi))
+    t_star, bracket = _solve(
+        lambda t: scale * spectrum.series(r, t),
+        delta,
+        1.0 / (2.0 * spectrum.omega_max),
+        slope=lambda t: scale * spectrum.slope(r, t),
+    )
+    return SignalingTime(t_star=t_star, method="exact_sum", bracket=bracket)
 
 
 def ising_signal(spec: LatticeSpec, model: CouplingModel, i: int, t: float) -> float:

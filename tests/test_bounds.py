@@ -310,10 +310,15 @@ def test_many_site_regions_are_deduplicated_in_any_container():
 
 
 def test_many_site_regions_do_not_import_numpy_ma():
-    """np.unique and np.intersect1d import numpy.ma (about 20 ms on a first call); the region checks use neither."""
+    """np.unique and np.intersect1d import numpy.ma (about 20 ms on a first call).
+
+    Neither the region checks nor the r grid of ``bound --r-logspace`` use them.
+    """
     code = (
-        "import sys; from lr_horizon import CouplingModel, many_site_bound, ring; "
+        "import os, sys; from lr_horizon import CouplingModel, many_site_bound, ring; "
+        "from lr_horizon.cli import main; "
         "many_site_bound(ring(8), CouplingModel(alpha=0.5), [0, 0], [3, 1, 3], 0.1); "
+        "main(['bound', '--N', '64', '--r-logspace', '5', '--t', '0.1', '--out', os.devnull]); "
         "print('numpy.ma' in sys.modules)"
     )
     src = str(Path(bounds.__file__).resolve().parents[1])

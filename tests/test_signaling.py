@@ -24,7 +24,6 @@ from lr_horizon import (
     self_hop_lambda,
     signaling_contour,
     signaling_time_analytic,
-    signaling_time_numeric,
 )
 from lr_horizon import bounds, kernels, signaling
 from lr_horizon.kernels import FourierSpectrum
@@ -89,29 +88,28 @@ def test_numeric_matches_analytic():
         return analytic_bound(params, r=5.0, t=t).value
 
     closed = signaling_time_analytic(params, SignalingSpec(delta=1.0), 5.0).t_star
-    res = signaling_time_numeric(bound_fn, 1.0, t_init=1.0 / (2 * params.lam * (1 + params.p)))
-    assert res.t_star == pytest.approx(closed, rel=1e-9)
-    lo, hi = res.bracket
-    assert lo <= res.t_star <= hi
+    t_star, (lo, hi) = signaling._solve(bound_fn, 1.0, 1.0 / (2 * params.lam * (1 + params.p)))
+    assert t_star == pytest.approx(closed, rel=1e-9)
+    assert lo <= t_star <= hi
 
 
 def test_numeric_round_trip():
     bound_fn = lambda t: t**3  # monotone through 0
     delta = bound_fn(0.37)
-    assert signaling_time_numeric(bound_fn, delta, t_init=0.05).t_star == pytest.approx(0.37, rel=1e-9)
+    assert signaling._solve(bound_fn, delta, 0.05)[0] == pytest.approx(0.37, rel=1e-9)
 
 
 def test_numeric_scale_invariance():
     bound_fn = lambda t: math.expm1(3 * t)
-    base = signaling_time_numeric(bound_fn, 1.0, t_init=0.1).t_star
-    scaled = signaling_time_numeric(lambda t: 40.0 * bound_fn(t), 40.0, t_init=0.1).t_star
+    base = signaling._solve(bound_fn, 1.0, 0.1)[0]
+    scaled = signaling._solve(lambda t: 40.0 * bound_fn(t), 40.0, 0.1)[0]
     assert scaled == pytest.approx(base, rel=1e-9)
 
 
 def test_numeric_no_crossing():
     # bounded function never reaches delta
     with pytest.raises(NoCrossingError):
-        signaling_time_numeric(lambda t: -math.expm1(-t), 2.0, t_init=0.1)
+        signaling._solve(lambda t: -math.expm1(-t), 2.0, 0.1)
 
 
 def test_contour_values():
@@ -167,12 +165,12 @@ def test_many_site_closed_form_matches_bisection(spec, region_x, region_y, norms
     delta = 0.8
     res = many_site_signaling_time(spec, model, region_x, region_y, delta, norms)
     params = self_hop_lambda(spec, model)
-    ref = signaling_time_numeric(
+    ref, _ = signaling._solve(
         lambda t: many_site_bound(spec, model, region_x, region_y, t, norms).value,
         delta,
-        t_init=1.0 / (2.0 * params.lam * (1.0 + params.p)),
+        1.0 / (2.0 * params.lam * (1.0 + params.p)),
     )
-    assert res.t_star == pytest.approx(ref.t_star, rel=1e-9)
+    assert res.t_star == pytest.approx(ref, rel=1e-9)
     assert res.bracket is None
 
 
@@ -199,7 +197,7 @@ def test_exact_sum_signaling_regression_fixture():
 @pytest.mark.parametrize("n", [16, 17, 1000, 10**4])
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 1.0])
 def test_exact_sum_newton_matches_bisection(n, alpha, monkeypatch):
-    """The Newton solve agrees with bisection on exact_sum_bound and certifies its bracket."""
+    """The Newton solve agrees with bisection on exact_sum_bound, in fewer series calls, and certifies its bracket."""
     spectrum = fourier_spectrum(n, alpha)
     t_init = 1.0 / (2 * spectrum.lam * (1 + 2 ** (alpha + 1)))
     evaluations = []
@@ -218,13 +216,34 @@ def test_exact_sum_newton_matches_bisection(n, alpha, monkeypatch):
 
             evaluations.clear()
             res = exact_sum_signaling_time(n, alpha, r, delta, spectrum=spectrum)
-            assert len(evaluations) <= 24  # bisection alone takes 39 or more
-            ref = signaling_time_numeric(bound, delta, t_init=t_init)
-            assert res.t_star == pytest.approx(ref.t_star, rel=1e-9)
+            newton_calls = len(evaluations)
+            assert newton_calls <= 24
+            evaluations.clear()
+            ref, _ = signaling._solve(bound, delta, t_init)
+            assert newton_calls < len(evaluations)
+            assert res.t_star == pytest.approx(ref, rel=1e-9)
             lo, hi = res.bracket
             assert lo <= res.t_star <= hi
             assert hi - lo <= signaling.BISECT_REL_TOL * hi
             assert bound(lo) < delta <= bound(hi)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.6, 1.7])
+@pytest.mark.parametrize("delta", [1e-6, 0.8, 1.9])
+def test_newton_solve_matches_one_pair_crossing(alpha, delta):
+    """Given a closed-form slope, the solver's Newton path is not tied to the ring series."""
+    params = self_hop_lambda(ring(64), CouplingModel(alpha=alpha))
+    bound = bounds.PairSum.one_pair(params, 2.0, 5.0)
+    lam, p = params.lam, params.p
+
+    def slope(t):
+        return bound.scale * bound.weight * 2.0 * (1.0 + p) * math.exp(2.0 * lam * (1.0 + p) * t) / p
+
+    t_star, (lo, hi) = signaling._solve(bound, delta, 1.0 / (2.0 * lam * (1.0 + p)), slope=slope)
+    assert t_star == pytest.approx(bound.crossing(delta), rel=1e-12)
+    assert lo <= t_star <= hi
+    assert hi - lo <= signaling.BISECT_REL_TOL * hi
+    assert bound(lo) < delta <= bound(hi)
 
 
 def test_exact_sum_confirmation_falls_back_to_bisection(monkeypatch):
@@ -298,12 +317,6 @@ def test_exact_sum_solve_reaches_large_alpha():
     times = {exact_sum_signaling_time(16, alpha, 1, 1.0).t_star for alpha in (150.0, 200.0, 250.0, 1000.0)}
     assert len(times) == 1
     assert times.pop() == pytest.approx(0.13836986929155298, rel=1e-12)
-
-
-@pytest.mark.parametrize("delta,t_init", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)])
-def test_numeric_solver_rejects_non_finite_inputs(delta, t_init):
-    with pytest.raises(ValueError, match="positive and finite"):
-        signaling_time_numeric(lambda t: t, delta, t_init=t_init)
 
 
 @pytest.mark.parametrize("n,alpha,r", [(100, math.nan, 2), (100, -0.5, 2), (100, 0.5, math.nan), (math.inf, 0.5, 2)])
