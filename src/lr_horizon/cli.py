@@ -12,9 +12,11 @@ Subcommands map the library onto reproducible tables:
 Output is CSV (default) or JSON. CSV starts with one comment line
 recording the tool version, a hash of the keys the command reads (for
 ``fit``, of its input table's bytes, not its path), and the method tag.
-Floats are written with 17 significant digits. Each command accepts
-only the flags and config keys it reads (``READS``, plus ``RUN_KEYS``),
-and a flag's text and a config file's value share one parser (``_KEYS``).
+Floats are written with 17 significant digits (``_format``). The
+``protocol`` trajectory is written by block, one (N, alpha, time) head
+per sampled time (``_csv``). Each command accepts only the flags and
+config keys it reads (``READS``, plus ``RUN_KEYS``), and a flag's text
+and a config file's value share one parser (``_KEYS``).
 Exit codes: 0 success, 2 invalid input, 3 solver failure.
 """
 
@@ -28,7 +30,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -75,19 +77,28 @@ COLUMNS = {
 }
 
 
-def _csv(columns: tuple, rows: list[tuple]):
+def _format(shape) -> str:
+    """The %-format of a row shape (its cell types): bools as 0/1, floats to 17 digits, else str()."""
+    return ",".join("%d" if issubclass(c, bool) else "%.17g" if issubclass(c, float) else "%s" for c in shape)
+
+
+def _csv(columns: tuple, rows=(), blocks=()):
     """The table's lines, one at a time, so no table is held as one string.
 
-    Each row shape (its tuple of cell types) is formatted by one %-string:
-    bools as 0/1, floats to 17 significant digits, any other cell as str().
+    Each row shape is formatted by one %-string from ``_format``. A block
+    ``(head, values)`` holds the rows ``(*head, k, values[k])``; its head is formatted once.
     """
     formats = {}
     for row in chain([columns], rows):
         shape = tuple(map(type, row))
         if shape not in formats:
-            cells = ("%d" if issubclass(c, bool) else "%.17g" if issubclass(c, float) else "%s" for c in shape)
-            formats[shape] = ",".join(cells) + "\n"
+            formats[shape] = _format(shape) + "\n"
         yield formats[shape] % tuple(row)
+    for head, values in blocks:
+        prefix = (_format(map(type, head)) % head).replace("%", "%%") + ","
+        line = {kind: prefix + _format((int, kind)) + "\n" for kind in set(map(type, values))}
+        for row in enumerate(values):
+            yield line[type(row[1])] % row
 
 
 def _number(flag: str, value) -> float:
@@ -318,7 +329,7 @@ def _cmd_fit(cfg: dict) -> list[tuple]:
 
 
 def _cmd_protocol(cfg: dict) -> tuple[list[tuple], list[tuple]]:
-    rows, trace_rows = [], []
+    rows, blocks = [], []
     for a in cfg["alpha"]:
         for n in cfg["N"]:
             res = state_transfer_protocol(n, a, cfg["D"])
@@ -328,8 +339,8 @@ def _cmd_protocol(cfg: dict) -> tuple[list[tuple], list[tuple]]:
                 psi0[res.source] = 1.0
                 times = np.linspace(0.0, res.total_time, 101)
                 for t, probs in trajectory(res.hamiltonian, psi0, times):
-                    trace_rows.extend(zip(repeat(n), repeat(a), repeat(t), range(n), probs.tolist()))
-    return rows, trace_rows
+                    blocks.append(((n, a, t), probs.tolist()))
+    return rows, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +449,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _write_output(cfg: dict, columns: tuple, rows: list[tuple], trace_rows=None) -> None:
+def _write_output(cfg: dict, columns: tuple, rows: list[tuple], blocks=None) -> None:
     hashable = {k: v for k, v in cfg.items() if k == "fmt" or k not in RUN_KEYS}
     if "input" in hashable:  # fit: the table's bytes, not its path
         with open(cfg["input"], "rb") as fh:
@@ -454,14 +465,11 @@ def _write_output(cfg: dict, columns: tuple, rows: list[tuple], trace_rows=None)
             fh.writelines(lines)
     else:
         sys.stdout.writelines(lines)
-    if cfg["plot_data"]:
-        if cfg["command"] == "protocol":
-            plot_cols = ("N", "alpha", "time", "site", "prob")
-            plot_rows = trace_rows or []
-        else:
-            plot_cols, plot_rows = columns, rows
+    if cfg["plot_data"]:  # CSV under either --format; protocol's is its trajectory, by block
+        trajectory_columns = ("N", "alpha", "time", "site", "prob")
+        lines = _csv(columns, rows) if blocks is None else _csv(trajectory_columns, blocks=blocks)
         with open(cfg["plot_data"], "w", encoding="utf-8") as fh:
-            fh.writelines(_csv(plot_cols, plot_rows))
+            fh.writelines(lines)
 
 
 def main(argv=None) -> int:
@@ -469,14 +477,14 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         command = cfg["command"]
-        trace_rows = None
+        blocks = None
         if command in SWEEPS:
             rows = _sweep(cfg)
         elif command == "fit":
             rows = _cmd_fit(cfg)
         else:
-            rows, trace_rows = _cmd_protocol(cfg)
-        _write_output(cfg, COLUMNS[command], rows, trace_rows)
+            rows, blocks = _cmd_protocol(cfg)
+        _write_output(cfg, COLUMNS[command], rows, blocks)
     except RuntimeError as exc:  # NoCrossingError and numerical failures
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -72,9 +72,9 @@ class SingleParticleHamiltonian:
         return sum(seg.duration for seg in self.segments)
 
     @cached_property
-    def eigensystems(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(w, v) = ``eigh`` of each segment's matrix, computed once, on first use."""
-        return tuple(np.linalg.eigh(_segment_matrix(seg)) for seg in self.segments)
+    def eigensystems(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(w, v, v.conj()) from ``eigh`` of each segment's matrix, computed once, on first use."""
+        return tuple((w, v, v.conj()) for w, v in map(np.linalg.eigh, map(_segment_matrix, self.segments)))
 
 
 def _segment_matrix(seg: Segment) -> np.ndarray:
@@ -84,19 +84,16 @@ def _segment_matrix(seg: Segment) -> np.ndarray:
     return h
 
 
-def _apply_segment(w: np.ndarray, v: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
-    return v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
-
-
 def evolve(ham: SingleParticleHamiltonian, psi0: np.ndarray, t: float | None = None) -> np.ndarray:
     """Evolve an amplitude vector through the schedule, exactly.
 
-    Each segment applies exp(-i H_seg dt) through its eigendecomposition,
-    which ``ham.eigensystems`` computes once, on the first call, and
-    keeps; the segments' ``hop`` and ``onsite`` arrays must not be
-    mutated after that. With ``t`` given, evolution stops inside the
-    schedule at that time; otherwise the full schedule runs. Norm
-    preservation is checked to ``NORM_TOL`` relative.
+    Each segment applies exp(-i H_seg dt) through its eigendecomposition
+    and conjugate eigenvectors, which ``ham.eigensystems`` computes once,
+    on the first call, and keeps, so no call copies an N x N matrix; the
+    segments' ``hop`` and ``onsite`` arrays must not be mutated after
+    that. With ``t`` given, evolution stops inside the schedule at that
+    time; otherwise the full schedule runs. Norm preservation is checked
+    to ``NORM_TOL`` relative.
     """
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (ham.n_sites,):
@@ -107,11 +104,11 @@ def evolve(ham: SingleParticleHamiltonian, psi0: np.ndarray, t: float | None = N
         raise ValueError(f"t = {t} outside the schedule [0, {ham.total_time}]")
     norm_in = float(np.linalg.norm(psi))
     remaining = t
-    for seg, (w, v) in zip(ham.segments, ham.eigensystems):
+    for seg, (w, v, v_conj) in zip(ham.segments, ham.eigensystems):
         if remaining <= 0:
             break
         dt = min(seg.duration, remaining)
-        psi = _apply_segment(w, v, dt, psi)
+        psi = v @ (np.exp(-1j * w * dt) * (v_conj.T @ psi))
         remaining -= dt
     if abs(float(np.linalg.norm(psi)) - norm_in) > NORM_TOL * max(norm_in, 1.0):
         raise RuntimeError("evolution failed to preserve the norm")

@@ -301,6 +301,7 @@ def spectrum_for(n_sites: int, alpha: float, spectrum: FourierSpectrum | None = 
         raise ValueError("spectrum was computed for different (N, alpha)")
     return spectrum
 
+
 def series_oracle(spec: LatticeSpec, model: CouplingModel, t: float) -> np.ndarray:
     """Dense oracle for the hop series: entrywise exp(2 t J) - I.
 

@@ -553,6 +553,16 @@ def test_protocol_plot_data_trajectory(tmp_path, capsys):
     assert max(final) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_protocol_plot_data_is_csv_under_either_format(tmp_path, capsys):
+    argv = ["protocol", "--alpha", "0.3,0.8", "--N", "6,9"]
+    for fmt in ("csv", "json"):
+        assert main(argv + ["--format", fmt, "--plot-data", str(tmp_path / f"{fmt}.csv")]) == 0
+    capsys.readouterr()
+    written = (tmp_path / "csv.csv").read_bytes()
+    assert written.startswith(b"N,alpha,time,site,prob\n")
+    assert written == (tmp_path / "json.csv").read_bytes()
+
+
 def test_ising_oracle_agreement_column(capsys):
     code, out = _run(capsys, ["ising-oracle", "--alpha", "1", "--N", "4", "--t", "0.05,0.1047197551", "--i", "0"])
     assert code == 0
@@ -882,16 +892,24 @@ def _reference_line(row) -> str:
     return ",".join(map(cell, row)) + "\n"
 
 
+_TRAJECTORY = ("N", "alpha", "time", "site", "prob")
+
+
 def _tables(argv):
-    """(columns, rows) of each table a command writes, from its row builders."""
+    """(columns, rows) of each table a command writes, from its row builders.
+
+    The protocol's trajectory blocks are expanded into the (N, alpha, time,
+    site, prob) rows they stand for.
+    """
     cfg = cli._merge_config(cli._build_parser().parse_args(argv))
     command = cfg["command"]
     if command in cli.SWEEPS:
         return [(cli.COLUMNS[command], cli._sweep(cfg))]
     if command == "fit":
         return [(cli.COLUMNS[command], cli._cmd_fit(cfg))]
-    rows, trace_rows = cli._cmd_protocol(cfg)
-    return [(cli.COLUMNS[command], rows), (("N", "alpha", "time", "site", "prob"), trace_rows)]
+    rows, blocks = cli._cmd_protocol(cfg)
+    trace_rows = [(*head, site, prob) for head, probs in blocks for site, prob in enumerate(probs)]
+    return [(cli.COLUMNS[command], rows), (_TRAJECTORY, trace_rows)]
 
 
 # Every row shape the CLI writes.
@@ -907,17 +925,23 @@ _SHAPES = {
     "signaling_exact_sum": ["signaling", "--method", "exact_sum", "--N", "128", "--r", "1,N/2"],
     "signaling_many_site": ["signaling", "--method", "many_site", "--N", "64"],
     "signaling_ising": ["signaling", "--method", "ising", "--N", "16", "--delta", "0.5"],
-    # --plot-data makes protocol build its trajectory rows; _tables writes no file.
-    "protocol": ["protocol", "--alpha", "0.5", "--N", "7,16", "--plot-data", "trajectory.csv"],
+    # --plot-data makes protocol build its trajectory blocks, and alpha changes between them.
+    "protocol": ["protocol", "--alpha", "0.3,0.8", "--N", "7,16", "--plot-data", "trajectory.csv"],
     "ising_oracle": ["ising-oracle", "--alpha", "0.5", "--N", "6", "--t", "0,0.1,0.5"],
 }
 
 
 @pytest.mark.parametrize("argv", _SHAPES.values(), ids=_SHAPES)
-def test_csv_lines_match_the_per_cell_rule(argv):
+def test_csv_lines_match_the_per_cell_rule(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     for columns, rows in _tables(argv):
         assert rows
-        assert list(cli._csv(columns, rows)) == [_reference_line(r) for r in chained([columns], rows)]
+        if columns == _TRAJECTORY:  # written by block: the lines of the file the CLI writes
+            assert main(argv) == 0
+            lines = (tmp_path / "trajectory.csv").read_text().splitlines(keepends=True)
+        else:
+            lines = list(cli._csv(columns, rows))
+        assert lines == [_reference_line(r) for r in chained([columns], rows)]
 
 
 @pytest.mark.parametrize("model", ["power_log", "loglog_power", "pure_power"])
