@@ -1,18 +1,18 @@
 """Commutator-norm bounds for strongly long-range hopping systems.
 
-Four evaluators share the ``BoundValue`` result type:
+Each prefactor bound takes (family, where, t, pre), ``pre`` a
+``BoundPrefactor`` defaulting to ``UNIT_PREFACTOR``, and returns a ``BoundValue``:
 
-* ``analytic_bound`` -- closed form with explicit constants,
+* ``analytic_bound(params, r, t, pre)`` -- the closed form
   2 ||A|| ||B|| |X| |Y| (exp(2 lam (1+p) t) - 1) / (lam p r**alpha),
   the one-pair ``PairSum`` (which also inverts it for t).
-* ``exact_sum_bound`` -- the full hop series summed on a ring through
-  the circulant Fourier spectrum (tighter; D = 1 only), the prefactor
-  scale times ``kernels.FourierSpectrum.series``.
-* ``free_particle_bound`` -- the schedule integral
-  int_0^t sqrt(sum_i |J_iX(tau)|**2) dtau for piecewise-constant
-  schedules, valid for non-interacting particles.
-* ``many_site_bound`` -- the analytic form summed over all pairs
-  (i in X, j in Y) for extended regions; the ``PairSum`` over them.
+* ``exact_sum_bound(n_sites, alpha, r, t, pre)`` -- the hop series on a ring
+  (tighter; D = 1 only), the scale of ``pre`` times ``FourierSpectrum.series``.
+* ``many_site_bound(spec, model, X, Y, t, pre)`` -- the ``PairSum`` over all
+  pairs (i in X, j in Y); it counts |X| |Y|, so ``pre`` keeps sizes of 1.
+
+``free_particle_bound`` integrates sqrt(sum_i |J_iX(tau)|**2) over a
+piecewise-constant schedule (non-interacting particles); it has no prefactor.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _EXP_ARG_MAX, FourierSpectrum, HopParameters, self_hop_lambda, spectrum_for
+from .kernels import (_EXP_ARG_MAX, FourierSpectrum, HopParameters, _check_time, composition_constant, row_sums,
+                      self_hop_lambda, spectrum_for)
 from .lattice import CouplingModel, LatticeSpec, distances_from
 
 
@@ -82,11 +83,6 @@ class HopSchedule:
                 raise ValueError(f"segment durations must be positive and finite, got {duration}")
 
 
-def _check_time(t: float) -> None:
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-
-
 def _flag(value: float, t: float, r: float, method: str, pre: BoundPrefactor) -> BoundValue:
     saturated = not math.isfinite(value) or value > pre.trivial_bound
     return BoundValue(value=value, time=t, separation=r, method=method, saturated=saturated)
@@ -130,14 +126,17 @@ class PairSum:
             )
 
     @classmethod
-    def one_pair(cls, params: HopParameters, scale: float, r: float) -> PairSum:
+    def one_pair(cls, params: HopParameters, pre: BoundPrefactor, r: float) -> PairSum:
         if not 1 <= r < math.inf:
             raise ValueError(f"separation r must be finite and >= 1, got {r}")
-        return cls(params, scale, r ** (-params.alpha), r)
+        return cls(params, pre.scale, r ** (-params.alpha), r)
 
     @classmethod
-    def between(cls, spec: LatticeSpec, model: CouplingModel, region_x, region_y, scale: float) -> PairSum:
-        """All pairs (i in X, j in Y) of two disjoint nonempty regions; lambda is computed once."""
+    def between(cls, spec: LatticeSpec, model: CouplingModel, region_x, region_y, pre: BoundPrefactor) -> PairSum:
+        """All pairs (i in X, j in Y) of two disjoint nonempty regions, which count |X| |Y|; lambda is computed once."""
+        if (pre.size_X, pre.size_Y) != (1, 1):
+            raise ValueError(f"the pair sum counts the region sizes itself; pre must have size_X = size_Y = 1, "
+                             f"got {pre.size_X}, {pre.size_Y}")
         n = spec.site_count
         xs, ys = (_distinct_sites(region) for region in (region_x, region_y))
         for name, region in ("X", xs), ("Y", ys):
@@ -156,7 +155,7 @@ class PairSum:
             d = distances_from(spec, i)[ys]
             weight += float(np.sum(d ** (-model.alpha)))
             min_dist = min(min_dist, float(d.min()))
-        return cls(self_hop_lambda(spec, model), scale, weight, min_dist)
+        return cls(self_hop_lambda(spec, model), pre.scale, weight, min_dist)
 
     def __call__(self, t: float) -> float:
         """B(t), or +inf once the exponent passes the overflow limit."""
@@ -167,26 +166,19 @@ class PairSum:
         return self.scale * math.expm1(arg) / (lam * p) * self.weight
 
     def crossing(self, delta: float) -> float:
-        """The t at which B(t) = delta: ln(1 + delta lam p / (s W)) / (2 lam (1+p))."""
-        if not 0 < delta < math.inf:
-            raise ValueError(f"delta must be positive and finite, got {delta}")
+        """The t at which B(t) = delta: ln(1 + delta lam p / (s W)) / (2 lam (1+p)); callers check delta."""
         lam, p = self.params.lam, self.params.p
         return math.log1p(delta * lam * p / (self.scale * self.weight)) / (2.0 * lam * (1.0 + p))
 
 
-def analytic_bound(
-    params: HopParameters,
-    pre: BoundPrefactor = UNIT_PREFACTOR,
-    r: float = 1.0,
-    t: float = 0.0,
-) -> BoundValue:
+def analytic_bound(params: HopParameters, r: float, t: float, pre: BoundPrefactor = UNIT_PREFACTOR) -> BoundValue:
     """Closed-form bound 2||A||||B|||X||Y| (e^(2 lam (1+p) t) - 1) / (lam p r^alpha).
 
     The one-pair ``PairSum``. Stated for alpha < D; at alpha = D the
     same formula is evaluated with the log-scaling value of lambda.
     Exponential overflow returns +inf flagged as saturated.
     """
-    bound = PairSum.one_pair(params, pre.scale, r)
+    bound = PairSum.one_pair(params, pre, r)
     _check_time(t)
     return _flag(bound(t), t, r, "analytic", pre)
 
@@ -239,7 +231,10 @@ def free_particle_bound(schedule: HopSchedule) -> float:
     total = 0.0
     for duration, row in schedule.segments:
         arr = np.asarray(row, dtype=float)
-        total += duration * float(np.sqrt(np.sum(arr * arr)))
+        norm = float(np.sqrt(np.sum(arr * arr)))
+        if norm == 0.0 and np.any(arr):  # a bound of 0 on a schedule that moves the particle bounds nothing
+            raise ValueError(f"a nonzero hop row's norm underflows a float (largest |J| {np.abs(arr).max():.3e})")
+        total += duration * norm
     return total
 
 
@@ -250,7 +245,8 @@ def free_particle_envelope(spec: LatticeSpec, model: CouplingModel) -> float:
     the coupling r**(-2 alpha), so this is sqrt(lambda) for that model.
     Scales as N**(1/2 - alpha/D) for alpha <= D/2 and stays O(1) above.
     """
-    return math.sqrt(self_hop_lambda(spec, CouplingModel(alpha=2.0 * model.alpha)).lam)
+    composition_constant(model.alpha)  # p is not used; the alpha given meets the p rule of every family
+    return math.sqrt(float(row_sums(spec, 2 * model.alpha).max()))
 
 
 def many_site_bound(
@@ -259,16 +255,15 @@ def many_site_bound(
     region_x,
     region_y,
     t: float,
-    norms: tuple[float, float] = (1.0, 1.0),
+    pre: BoundPrefactor = UNIT_PREFACTOR,
 ) -> BoundValue:
     """Analytic bound summed over all pairs between two disjoint regions.
 
     2 ||A|| ||B|| sum_{i in X, j in Y} (e^(2 lam (1+p) t) - 1)
     / (lam p r_ij**alpha), the ``PairSum`` over those pairs. Reduces to
-    ``analytic_bound`` when both regions are single sites.
-    ``separation`` reports the minimum pair distance.
+    ``analytic_bound`` when both regions are single sites; ``pre`` keeps
+    sizes of 1. ``separation`` reports the minimum pair distance.
     """
     _check_time(t)
-    pre = BoundPrefactor(norm_A=norms[0], norm_B=norms[1])
-    bound = PairSum.between(spec, model, region_x, region_y, pre.scale)
+    bound = PairSum.between(spec, model, region_x, region_y, pre)
     return _flag(bound(t), t, bound.separation, "many_site", pre)

@@ -41,7 +41,6 @@ from .dynamics import ising_exact_oracle, state_transfer_protocol, trajectory
 from .kernels import fourier_spectrum, lambda_upper_bound, self_hop_lambda
 from .lattice import CouplingModel, LatticeSpec
 from .signaling import (
-    SignalingSpec,
     exact_sum_signaling_time,
     ising_signal,
     ising_signaling_time,
@@ -204,7 +203,7 @@ def _bound_task(task: dict) -> list[tuple]:
     if task["r"] is not None and task["r_logspace"] is not None:
         raise ValueError("bound takes --r or --r-logspace, not both")
     if task["r_logspace"] is not None:
-        top = max(int(spec.largest_distance), 1)  # N // 2 on a ring
+        top = int(spec.largest_distance)  # N // 2 on a ring
         ks = np.round(np.logspace(0, math.log10(top), task["r_logspace"]))  # sorted, so fromkeys keeps order
         r_tokens = [str(k) for k in dict.fromkeys(map(int, ks))]
     else:
@@ -225,7 +224,7 @@ def _bound_task(task: dict) -> list[tuple]:
             if method == "exact_sum":
                 value = exact_sum_bound(n, alpha, r, t_abs, spectrum=spectrum).value
             else:
-                value = analytic_bound(params, r=float(r), t=t_abs).value
+                value = analytic_bound(params, float(r), t_abs).value
             rows.append((method, n, alpha, r, t_abs, value))
     return rows
 
@@ -246,9 +245,9 @@ def _signaling_task(task: dict) -> list[tuple]:
     else:
         rs = [(tok, _resolve_r(tok, spec)) for tok in task["r"] or ["1"]]
         if method == "analytic":
-            params, sig = self_hop_lambda(spec, model), SignalingSpec(delta=delta)
+            params = self_hop_lambda(spec, model)
             lam = params.lam
-            times = [(k, r, signaling_time_analytic(params, sig, float(r)).t_star) for k, r in rs]
+            times = [(k, r, signaling_time_analytic(params, float(r), delta).t_star) for k, r in rs]
         else:  # exact_sum: one spectrum shared across the r sweep
             spectrum = fourier_spectrum(n, alpha)
             lam = spectrum.lam

@@ -188,7 +188,12 @@ def state_transfer_protocol(n_sites: int, alpha: float, dimension: int = 1) -> P
     middles = list(range(1, n_sites - 1))
     m = len(middles)
     strength = length ** (-alpha)
-    total_time = math.pi * length**alpha / math.sqrt(m)
+    try:
+        total_time = math.pi * length**alpha / math.sqrt(m)
+    except OverflowError:
+        total_time = math.inf
+    if total_time == math.inf:  # before the two N x N stage matrices are built
+        raise ValueError(f"T = pi L**alpha / sqrt(N - 2) overflows a float at alpha = {alpha}, N = {n_sites}")
 
     def star(center: int) -> np.ndarray:
         h = np.zeros((n_sites, n_sites))

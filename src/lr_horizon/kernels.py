@@ -49,6 +49,11 @@ class HopParameters:
     alpha: float
 
 
+def _check_time(t: float) -> None:
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+
+
 def _inverse_power_grid(dimension: int, side: int, alpha: float) -> np.ndarray:
     """d**(-alpha), 0 at d = 0, on the torus of ``side``: the coupling row of site 0, in grid shape."""
     spec = LatticeSpec(dimension, side, "periodic")
@@ -286,6 +291,7 @@ def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
     J(r) is the ring grid of ``row_sums`` with J(0) = lambda, its total.
     One O(N log N) real FFT of this real, even sequence gives omega.
     """
+    composition_constant(alpha)  # p is not used; the ring bound and its solve meet the p rule of every family
     seq = _inverse_power_grid(1, n_sites, alpha)  # rejects a bad alpha, and an N that is no integer >= 2
     lam = float(seq.sum())
     seq[0] = lam
@@ -311,8 +317,7 @@ def series_oracle(spec: LatticeSpec, model: CouplingModel, t: float) -> np.ndarr
     Evaluated by eigendecomposition of the symmetric J; N is capped at
     ``ORACLE_MAX_SITES``.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    _check_time(t)
     n = spec.site_count
     if n > ORACLE_MAX_SITES:
         raise ValueError(f"N = {n} exceeds dense oracle cap {ORACLE_MAX_SITES}")

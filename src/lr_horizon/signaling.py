@@ -11,9 +11,10 @@ t* (``PairSum.crossing``, no bracket). The ring series takes safeguarded
 Newton steps in ``_solve``, the one numeric solver; without a slope it
 bisects, the reference the tests hold every solve to.
 Every time here is physical; the CLI's ``--kac`` multiplies it by lambda.
-The solvers of the prefactor bounds take delta in (0, 2||A||||B||), as
-no commutator norm reaches that trivial bound; the Ising protocol's
-signal is a sine, so its delta lies in (0, 1].
+A solve takes (family, where, delta, pre) as its bound takes (family,
+where, t, pre), with delta in (0, 2||A||||B||): no commutator norm
+reaches that trivial bound. The Ising protocol's signal is a sine, so
+its delta lies in (0, 1].
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import UNIT_PREFACTOR, BoundPrefactor, PairSum
-from .kernels import FourierSpectrum, HopParameters, composition_constant, site_hop_strength, spectrum_for
+from .kernels import FourierSpectrum, HopParameters, site_hop_strength, spectrum_for
 from .lattice import CouplingModel, LatticeSpec
 
 # Relative width in t of the bracket every numeric solve ends on;
@@ -44,17 +45,6 @@ def _check_delta(delta: float, pre: BoundPrefactor) -> None:
 
 
 @dataclass(frozen=True)
-class SignalingSpec:
-    """Threshold and prefactors for a signaling-time query."""
-
-    delta: float = 1.0
-    prefactor: BoundPrefactor = UNIT_PREFACTOR
-
-    def __post_init__(self) -> None:
-        _check_delta(self.delta, self.prefactor)
-
-
-@dataclass(frozen=True)
 class SignalingTime:
     """Earliest physical time a bound reaches delta (t_star, bracket); a lower bound on t_si."""
 
@@ -63,13 +53,16 @@ class SignalingTime:
     bracket: tuple[float, float] | None = None
 
 
-def signaling_time_analytic(params: HopParameters, sig: SignalingSpec, r: float) -> SignalingTime:
+def signaling_time_analytic(
+    params: HopParameters, r: float, delta: float = 1.0, pre: BoundPrefactor = UNIT_PREFACTOR
+) -> SignalingTime:
     """Invert the closed-form bound: t* = ln(1 + delta lam p r^alpha / s) / (2 lam (1+p)).
 
     ``s`` is the prefactor scale 2||A||||B|||X||Y|; this is
     ``PairSum.crossing`` for one pair.
     """
-    t = PairSum.one_pair(params, sig.prefactor.scale, r).crossing(sig.delta)
+    _check_delta(delta, pre)
+    t = PairSum.one_pair(params, pre, r).crossing(delta)
     return SignalingTime(t_star=t, method="analytic")
 
 
@@ -159,7 +152,7 @@ def many_site_signaling_time(
     region_x,
     region_y,
     delta: float = 1.0,
-    norms: tuple[float, float] = (1.0, 1.0),
+    pre: BoundPrefactor = UNIT_PREFACTOR,
 ) -> SignalingTime:
     """Earliest t at which the pair-summed analytic bound reaches delta.
 
@@ -167,11 +160,10 @@ def many_site_signaling_time(
     many-site signaling bound and a scrambling-time lower bound. The
     bound ``many_site_bound`` is closed form in t, so lambda and the
     pair sum are computed once and ``PairSum.crossing`` inverts it
-    exactly; there is no bracket.
+    exactly; there is no bracket. ``pre`` keeps sizes of 1, as for the bound.
     """
-    pre = BoundPrefactor(norm_A=norms[0], norm_B=norms[1])
     _check_delta(delta, pre)
-    bound = PairSum.between(spec, model, region_x, region_y, pre.scale)
+    bound = PairSum.between(spec, model, region_x, region_y, pre)
     return SignalingTime(t_star=bound.crossing(delta), method="many_site")
 
 
@@ -193,7 +185,6 @@ def exact_sum_signaling_time(
     delta values at fixed (N, alpha); it must match ``(n_sites, alpha)``.
     """
     _check_delta(delta, pre)
-    composition_constant(alpha)  # rejects an alpha whose p overflows, as every method does
     spectrum = spectrum_for(n_sites, alpha, spectrum)
     scale = pre.scale
     t_star, bracket = _solve(

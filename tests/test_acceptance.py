@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from lr_horizon import (
+    BoundPrefactor,
     CouplingModel,
     LatticeSpec,
     Segment,
@@ -370,14 +371,10 @@ def test_criterion_09_many_site_consistency(report):
         model = CouplingModel(alpha=float(rng.uniform(0.1, 1.5)))
         x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
         t = float(rng.uniform(0.005, 0.3))
-        norms = (float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
-        ms = many_site_bound(spec, model, [x], [y], t, norms=norms).value
+        pre = BoundPrefactor(norm_A=float(rng.uniform(0.5, 2.0)), norm_B=float(rng.uniform(0.5, 2.0)))
+        ms = many_site_bound(spec, model, [x], [y], t, pre).value
         params = self_hop_lambda(spec, model)
-        from lr_horizon import BoundPrefactor
-
-        an = analytic_bound(
-            params, BoundPrefactor(norm_A=norms[0], norm_B=norms[1]), r=distance(spec, x, y), t=t
-        ).value
+        an = analytic_bound(params, distance(spec, x, y), t, pre).value
         if an > 0:
             worst = max(worst, abs(ms - an) / an)
     eq_ok = worst < 1e-12

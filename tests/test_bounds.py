@@ -11,6 +11,7 @@ from lr_horizon import (
     BoundPrefactor,
     CouplingModel,
     HopSchedule,
+    LatticeSpec,
     analytic_bound,
     exact_sum_bound,
     exact_sum_bound_alpha0_closed_form,
@@ -18,6 +19,7 @@ from lr_horizon import (
     fourier_spectrum,
     free_particle_bound,
     free_particle_envelope,
+    chain,
     many_site_bound,
     ring,
     self_hop_lambda,
@@ -48,7 +50,7 @@ def test_prefactor_rejects_non_finite(field, bad):
     [
         lambda t: exact_sum_bound(16, 0.5, 2, t),
         lambda t: exact_sum_bound(16, 0.5, 2, t, spectrum=fourier_spectrum(16, 0.5)),
-        lambda t: analytic_bound(RING4_ALPHA1, r=2.0, t=t),
+        lambda t: analytic_bound(RING4_ALPHA1, 2.0, t),
         lambda t: exact_sum_bound_alpha0_closed_form(16, t),
         lambda t: many_site_bound(ring(8), CouplingModel(alpha=0.5), [0], [3], t),
     ],
@@ -62,13 +64,13 @@ def test_bounds_reject_non_finite_or_negative_time(evaluate, t):
 @pytest.mark.parametrize("r", [math.nan, math.inf, 0.5])
 def test_analytic_bound_rejects_bad_separation(r):
     with pytest.raises(ValueError, match="separation r must be finite and >= 1"):
-        analytic_bound(RING4_ALPHA1, r=r, t=1.0)
+        analytic_bound(RING4_ALPHA1, r, 1.0)
 
 
 def test_analytic_bound_rejects_underflowing_pair_weight():
     params = self_hop_lambda(ring(16), CouplingModel(alpha=1000.0))
     with pytest.raises(ValueError, match="alpha = 1000.0, separation 4"):
-        analytic_bound(params, r=4.0, t=1.0)
+        analytic_bound(params, 4.0, 1.0)
 
 
 def test_alpha0_closed_form_saturates_like_the_series():
@@ -81,24 +83,24 @@ def test_alpha0_closed_form_saturates_like_the_series():
 
 
 def test_analytic_bound_zero_time():
-    assert analytic_bound(RING4_ALPHA1, r=2.0, t=0.0).value == 0.0
+    assert analytic_bound(RING4_ALPHA1, 2.0, 0.0).value == 0.0
 
 
 def test_analytic_bound_hand_value():
     # lam=2.5, p=4: 2 (e^{2*2.5*5*0.1} - 1) / (2.5*4*2)
-    b = analytic_bound(RING4_ALPHA1, r=2.0, t=0.1)
+    b = analytic_bound(RING4_ALPHA1, 2.0, 0.1)
     assert b.value == pytest.approx(2 * (math.exp(2.5) - 1) / 20, rel=1e-12)
     assert b.method == "analytic"
 
 
 def test_analytic_bound_linear_in_prefactor():
-    base = analytic_bound(RING4_ALPHA1, r=2.0, t=0.1).value
-    doubled = analytic_bound(RING4_ALPHA1, BoundPrefactor(norm_A=2.0), r=2.0, t=0.1).value
+    base = analytic_bound(RING4_ALPHA1, 2.0, 0.1).value
+    doubled = analytic_bound(RING4_ALPHA1, 2.0, 0.1, BoundPrefactor(norm_A=2.0)).value
     assert doubled == pytest.approx(2 * base, rel=1e-14)
 
 
 def test_analytic_bound_overflow_saturates():
-    b = analytic_bound(RING4_ALPHA1, r=2.0, t=100.0)
+    b = analytic_bound(RING4_ALPHA1, 2.0, 100.0)
     assert math.isinf(b.value)
     assert b.saturated
 
@@ -166,7 +168,7 @@ def test_exact_sum_dominated_by_analytic(alpha, n):
         for t_rel in (0.01, 0.1, 1.0):
             t = t_rel / params.lam
             ex = exact_sum_bound(n, alpha, r, t).value
-            an = analytic_bound(params, r=float(r), t=t).value
+            an = analytic_bound(params, float(r), t).value
             assert ex <= an * (1 + 1e-12)
 
 
@@ -209,6 +211,12 @@ def test_free_particle_bound_zero_rows():
     assert free_particle_bound(sched) == 0.0
 
 
+def test_free_particle_bound_rejects_a_nonzero_row_whose_norm_underflows():
+    with pytest.raises(ValueError, match=r"nonzero hop row's norm underflows a float \(largest \|J\| 1.000e-170\)"):
+        free_particle_bound(HopSchedule(((1.0, np.full(4, 1e-170)),)))
+    assert free_particle_bound(HopSchedule(((1.0, np.full(4, 1e-150)),))) == pytest.approx(2e-150, rel=1e-12)
+
+
 def test_free_particle_bound_uniform_row():
     n, alpha, t = 7, 0.5, 0.3
     L = n - 1
@@ -242,6 +250,21 @@ def test_envelope_ring4_alpha1():
     assert free_particle_envelope(ring(4), CouplingModel(alpha=1.0)) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 2.5])
+@pytest.mark.parametrize("spec", [ring(16), ring(17), chain(9), LatticeSpec(2, 5, "open")], ids=["ring16", "ring17", "chain9", "box2d"])
+def test_envelope_is_sqrt_lambda_at_twice_alpha(spec, alpha):
+    """The same bits as the self-hop strength of the coupling r**(-2 alpha)."""
+    twice = self_hop_lambda(spec, CouplingModel(alpha=2.0 * alpha)).lam
+    assert free_particle_envelope(spec, CouplingModel(alpha=alpha)) == math.sqrt(twice)
+
+
+def test_envelope_meets_the_p_rule_at_the_given_alpha():
+    """At alpha = 600 only 2 alpha = 1200 is past the p rule; the envelope never uses p, so 600 is valid."""
+    assert free_particle_envelope(ring(16), CouplingModel(alpha=600.0)) == math.sqrt(2.0)
+    with pytest.raises(ValueError, match=r"alpha = 2000.0 is too large: p = 2\*\*\(alpha \+ 1\) overflows"):
+        free_particle_envelope(ring(16), CouplingModel(alpha=2000.0))
+
+
 def test_envelope_slope_alpha_quarter():
     pts = [(n, free_particle_envelope(ring(n), CouplingModel(alpha=0.25))) for n in (10**3, 10**4, 10**5, 10**6)]
     assert fit_pure_power(pts).coefficients[1] == pytest.approx(0.25, abs=0.05)
@@ -252,7 +275,7 @@ def test_many_site_reduces_to_analytic():
     model = CouplingModel(alpha=0.75)
     params = self_hop_lambda(spec, model)
     ms = many_site_bound(spec, model, [0], [5], 0.07)
-    an = analytic_bound(params, r=5.0, t=0.07)
+    an = analytic_bound(params, 5.0, 0.07)
     assert ms.value == pytest.approx(an.value, rel=1e-12)
 
 

@@ -307,17 +307,25 @@ def test_non_finite_numbers_exit2(capsys, argv, flag):
         ["lambda", "--alpha", "2000", "--N", "16"],
         ["signaling", "--method", "analytic", "--alpha", "1100", "--N", "16"],
         ["signaling", "--method", "exact_sum", "--alpha", "1100", "--N", "16"],
-        ["bound", "--method", "envelope", "--alpha", "600", "--N", "16"],
+        ["bound", "--method", "envelope", "--alpha", "2000", "--N", "16"],
+        ["bound", "--method", "exact_sum", "--alpha", "2000", "--N", "16", "--r", "1", "--t", "0.1"],
+        ["signaling", "--method", "exact_sum", "--alpha", "2000", "--N", "16"],
+        ["bound", "--method", "analytic", "--alpha", "2000", "--N", "16", "--r", "1", "--t", "0.1"],
+        ["signaling", "--method", "many_site", "--alpha", "2000", "--N", "16"],
     ],
 )
 def test_alpha_whose_p_overflows_exit2(capsys, argv):
-    """p = 2**(alpha + 1) past the float range is invalid input, not a traceback."""
+    """p = 2**(alpha + 1) past the float range is invalid input, not a traceback.
+
+    Every prefactor family meets the rule, so a bound and its signaling
+    time reject the same alpha.
+    """
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "invalid input: alpha = " in captured.err
-    assert "p = 2**(alpha + 1) overflows a float" in captured.err
+    alpha = float(argv[argv.index("--alpha") + 1])  # the alpha given, not one derived from it
+    assert f"invalid input: alpha = {alpha} is too large: p = 2**(alpha + 1) overflows a float" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -539,6 +547,27 @@ def test_protocol_above_the_evolution_cap_exit2(tmp_path, capsys):
     # at N = 1e6 they would take 7.3 TiB each.
     err = _exit2(tmp_path, capsys, ["protocol", "--alpha", "0.5", "--N", "1e6"])
     assert err == "invalid input: N = 1000000 exceeds evolution cap 4096\n"
+
+
+@pytest.mark.parametrize(
+    "alpha,n,message",
+    [
+        ("200", "128", "T = pi L**alpha / sqrt(N - 2) overflows a float at alpha = 200.0, N = 128"),
+        ("2000", "8", "T = pi L**alpha / sqrt(N - 2) overflows a float at alpha = 2000.0, N = 8"),
+        ("80", "128", "a nonzero hop row's norm underflows a float (largest |J| 4.963e-169)"),
+    ],
+    ids=["alpha200", "alpha2000_N8", "alpha80"],
+)
+def test_protocol_past_the_float_range_exit2(tmp_path, capsys, alpha, n, message):
+    err = _exit2(tmp_path, capsys, ["protocol", "--alpha", alpha, "--N", n])
+    assert err == f"invalid input: {message}\n"
+
+
+def test_envelope_alpha_whose_doubled_p_overflows(capsys):
+    """The envelope meets the p rule at the alpha given, not at 2 alpha."""
+    code, out = _run(capsys, ["bound", "--method", "envelope", "--alpha", "600", "--N", "16"])
+    assert code == 0
+    assert _rows(out) == [{"method": "envelope", "N": "16", "alpha": "600", "r": "", "t": "", "value": "1.4142135623730951"}]
 
 
 def test_protocol_plot_data_trajectory(tmp_path, capsys):

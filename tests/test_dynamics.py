@@ -164,6 +164,19 @@ def test_protocol_2d_requires_square_count():
         state_transfer_protocol(24, 0.5, dimension=2)
 
 
+@pytest.mark.parametrize("n,alpha", [(128, 200.0), (8, 2000.0), (128, 146.4)], ids=["power", "power_small_n", "times_pi"])
+def test_protocol_rejects_a_transfer_time_past_the_float_range(n, alpha):
+    """127**200 raises OverflowError; pi 127**146.4 / sqrt(126) turns inf without one. Both name alpha and N."""
+    with pytest.raises(ValueError, match=rf"overflows a float at alpha = {alpha}, N = {n}$"):
+        state_transfer_protocol(n, alpha)
+
+
+def test_protocol_rejects_a_stage_strength_whose_norm_underflows():
+    """127**-80 is about 5e-169; its square underflows, so the schedule's bound would read 0."""
+    with pytest.raises(ValueError, match="nonzero hop row's norm underflows a float"):
+        state_transfer_protocol(128, 80.0)
+
+
 def test_trajectory_probabilities_normalized():
     res = state_transfer_protocol(6, 0.5)
     psi0 = np.zeros(6, dtype=complex)

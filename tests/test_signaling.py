@@ -8,7 +8,7 @@ from lr_horizon import (
     CouplingModel,
     LatticeSpec,
     NoCrossingError,
-    SignalingSpec,
+    UNIT_PREFACTOR,
     analytic_bound,
     chain,
     exact_sum_bound,
@@ -37,9 +37,9 @@ def _prefactor_solvers(norm_a):
     pre = BoundPrefactor(norm_A=norm_a)
     params = self_hop_lambda(spec, model)
     return [
-        lambda d: signaling_time_analytic(params, SignalingSpec(delta=d, prefactor=pre), 1.0),
-        lambda d: exact_sum_signaling_time(64, 0.5, 1, d, pre=pre),
-        lambda d: many_site_signaling_time(spec, model, [0], range(1, 64), d, norms=(norm_a, 1.0)),
+        lambda d: signaling_time_analytic(params, 1.0, d, pre),
+        lambda d: exact_sum_signaling_time(64, 0.5, 1, d, pre),
+        lambda d: many_site_signaling_time(spec, model, [0], range(1, 64), d, pre),
     ]
 
 
@@ -54,40 +54,67 @@ def test_prefactor_solvers_share_the_delta_window(norm_a, which):
     assert solve(0.95 * trivial).t_star > 0
 
 
-def test_signaling_spec_threshold_window():
-    SignalingSpec(delta=1.9)
-    with pytest.raises(ValueError):
-        SignalingSpec(delta=0.0)
-    with pytest.raises(ValueError):
-        SignalingSpec(delta=2.0)  # trivial commutator bound for unit norms
+def _prefactor_bounds(pre):
+    """The three prefactor bounds at one (where, t), each called the one way: (family, where, t, pre)."""
+    spec, model = ring(64), CouplingModel(alpha=0.5)
+    params = self_hop_lambda(spec, model)
+    return [
+        analytic_bound(params, 3.0, 0.05, pre),
+        exact_sum_bound(64, 0.5, 3, 0.05, pre),
+        many_site_bound(spec, model, [0], [3, 7, 20], 0.05, pre),
+    ]
+
+
+def test_prefactor_bounds_scale_with_the_operator_norm():
+    unit = _prefactor_bounds(UNIT_PREFACTOR)
+    doubled = _prefactor_bounds(BoundPrefactor(norm_A=2.0))
+    for one, two in zip(unit, doubled):
+        assert 0 < one.value < math.inf
+        assert two.value == pytest.approx(2.0 * one.value, rel=1e-14)
+        assert (two.time, two.separation, two.method) == (one.time, one.separation, one.method)
+
+
+@pytest.mark.parametrize("pre", [BoundPrefactor(size_X=2), BoundPrefactor(size_Y=3)], ids=["size_X", "size_Y"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda pre: many_site_bound(ring(16), CouplingModel(alpha=0.5), [0, 1], [5, 9], 0.1, pre),
+        lambda pre: many_site_signaling_time(ring(16), CouplingModel(alpha=0.5), [0, 1], [5, 9], 1.0, pre),
+    ],
+    ids=["bound", "signaling_time"],
+)
+def test_many_site_rejects_a_prefactor_with_region_sizes(evaluate, pre):
+    """The pair sum counts |X| |Y| itself; a prefactor that counts them again would square them."""
+    with pytest.raises(ValueError, match="the pair sum counts the region sizes itself"):
+        evaluate(pre)
 
 
 def test_analytic_inversion_hand_value():
     # lam=2.5, p=4, r=2: ln(1 + 1*2.5*4*2/2) / (2*2.5*5)
-    res = signaling_time_analytic(RING4_ALPHA1, SignalingSpec(delta=1.0), 2.0)
+    res = signaling_time_analytic(RING4_ALPHA1, 2.0, 1.0)
     assert res.t_star == pytest.approx(math.log(11) / 25, rel=1e-13)
     assert res.method == "analytic"
 
 
 def test_analytic_inversion_small_delta_limit():
-    t = signaling_time_analytic(RING4_ALPHA1, SignalingSpec(delta=1e-12), 2.0).t_star
+    t = signaling_time_analytic(RING4_ALPHA1, 2.0, 1e-12).t_star
     assert 0 < t < 1e-11
 
 
 def test_analytic_inversion_consistency():
     """Plugging t* back into the bound recovers delta."""
     for delta in (0.25, 1.0, 1.7):
-        res = signaling_time_analytic(RING4_ALPHA1, SignalingSpec(delta=delta), 2.0)
-        assert analytic_bound(RING4_ALPHA1, r=2.0, t=res.t_star).value == pytest.approx(delta, abs=1e-12)
+        res = signaling_time_analytic(RING4_ALPHA1, 2.0, delta)
+        assert analytic_bound(RING4_ALPHA1, 2.0, res.t_star).value == pytest.approx(delta, abs=1e-12)
 
 
 def test_numeric_matches_analytic():
     params = self_hop_lambda(ring(32), CouplingModel(alpha=0.5))
 
     def bound_fn(t):
-        return analytic_bound(params, r=5.0, t=t).value
+        return analytic_bound(params, 5.0, t).value
 
-    closed = signaling_time_analytic(params, SignalingSpec(delta=1.0), 5.0).t_star
+    closed = signaling_time_analytic(params, 5.0, 1.0).t_star
     t_star, (lo, hi) = signaling._solve(bound_fn, 1.0, 1.0 / (2 * params.lam * (1 + params.p)))
     assert t_star == pytest.approx(closed, rel=1e-9)
     assert lo <= t_star <= hi
@@ -148,25 +175,25 @@ def test_many_site_scaling_exponent():
 
 
 @pytest.mark.parametrize(
-    "spec, region_x, region_y, norms",
+    "spec, region_x, region_y, pre",
     [
-        (ring(48), [0, 5], list(range(10, 40)), (1.0, 1.0)),
-        (chain(64), [0, 1, 2], list(range(3, 64)), (0.7, 1.3)),
-        (LatticeSpec(dimension=2, linear_size=6, boundary="open"), [0, 7], [20, 28, 35], (2.0, 0.5)),
-        (chain(40), [10], list(range(20, 40)), (1.0, 1.0)),
+        (ring(48), [0, 5], list(range(10, 40)), UNIT_PREFACTOR),
+        (chain(64), [0, 1, 2], list(range(3, 64)), BoundPrefactor(norm_A=0.7, norm_B=1.3)),
+        (LatticeSpec(dimension=2, linear_size=6, boundary="open"), [0, 7], [20, 28, 35], BoundPrefactor(2.0, 0.5)),
+        (chain(40), [10], list(range(20, 40)), UNIT_PREFACTOR),
     ],
     # The last two ids are kept from when these cases also checked Kac rescaling.
     ids=["ring", "open_chain", "open_box_2d_kac", "open_chain_kac"],
 )
 @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.7])
-def test_many_site_closed_form_matches_bisection(spec, region_x, region_y, norms, alpha):
+def test_many_site_closed_form_matches_bisection(spec, region_x, region_y, pre, alpha):
     """The closed-form inversion agrees with bisecting many_site_bound itself."""
     model = CouplingModel(alpha=alpha)
     delta = 0.8
-    res = many_site_signaling_time(spec, model, region_x, region_y, delta, norms)
+    res = many_site_signaling_time(spec, model, region_x, region_y, delta, pre)
     params = self_hop_lambda(spec, model)
     ref, _ = signaling._solve(
-        lambda t: many_site_bound(spec, model, region_x, region_y, t, norms).value,
+        lambda t: many_site_bound(spec, model, region_x, region_y, t, pre).value,
         delta,
         1.0 / (2.0 * params.lam * (1.0 + params.p)),
     )
@@ -233,7 +260,7 @@ def test_exact_sum_newton_matches_bisection(n, alpha, monkeypatch):
 def test_newton_solve_matches_one_pair_crossing(alpha, delta):
     """Given a closed-form slope, the solver's Newton path is not tied to the ring series."""
     params = self_hop_lambda(ring(64), CouplingModel(alpha=alpha))
-    bound = bounds.PairSum.one_pair(params, 2.0, 5.0)
+    bound = bounds.PairSum.one_pair(params, UNIT_PREFACTOR, 5.0)
     lam, p = params.lam, params.p
 
     def slope(t):
