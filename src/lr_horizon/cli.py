@@ -38,7 +38,7 @@ from . import __version__
 from .analysis import MODELS, fit_model
 from .bounds import analytic_bound, exact_sum_bound, free_particle_envelope
 from .dynamics import ising_exact_oracle, state_transfer_protocol, trajectory
-from .kernels import fourier_spectrum, lambda_upper_bound, self_hop_lambda
+from .kernels import fourier_spectrum, lambda_upper_bound, row_sums, self_hop_lambda
 from .lattice import CouplingModel, LatticeSpec
 from .signaling import (
     exact_sum_signaling_time,
@@ -255,7 +255,7 @@ def _signaling_task(task: dict) -> list[tuple]:
             times = [(k, r, x.t_star) for (k, r), x in zip(rs, res)]
     # Kac rescaling, in one place: lambda * t is the time under the coupling J / lambda.
     if task["kac"] and lam is None:
-        lam = self_hop_lambda(spec, model).lam
+        lam = float(row_sums(spec, alpha).max())  # lambda alone: no p, which overflows past alpha = 1022
     scale = lam if task["kac"] else 1.0
     return [(method, n, alpha, r_spec, r, delta, scale * t) for r_spec, r, t in times]
 

@@ -24,7 +24,7 @@ from .lattice import CouplingModel, LatticeSpec, coupling_matrix, coupling_row
 REPRO_MAX_SITES = 2000
 ORACLE_MAX_SITES = 512
 
-# Inverse-transform values below -NEGATIVE_FLOOR * (series max) indicate
+# A series sum below -NEGATIVE_FLOOR * (largest exponential) / N indicates
 # a real sign error rather than roundoff.
 NEGATIVE_FLOOR = 1e-8
 
@@ -33,6 +33,10 @@ _EXP_ARG_MAX = 700.0
 
 # Declared-t exponentials one FourierSpectrum may hold: 16 times at N = 10**6.
 HELD_TERMS_BYTES = 64 * 2**20
+
+# The smallest largest-prime of N at which the ring spectrum is split into
+# coprime factors (``_even_spectrum``); below it one whole-length rfft is faster.
+_SPLIT_MIN_PRIME = 400
 
 
 @dataclass(frozen=True)
@@ -267,7 +271,7 @@ class FourierSpectrum:
         if raw < 0.0:
             floor = NEGATIVE_FLOOR * float(terms.max()) / self.n_sites
             if raw < -floor:
-                raise RuntimeError(f"inverse transform returned {raw:.3e}, beyond roundoff floor")
+                raise RuntimeError(f"series sum returned {raw:.3e}, beyond roundoff floor")
             raw = 0.0
         return raw
 
@@ -289,14 +293,59 @@ def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
     """The ring hop series of (N, alpha); the only constructor of ``FourierSpectrum``.
 
     J(r) is the ring grid of ``row_sums`` with J(0) = lambda, its total.
-    One O(N log N) real FFT of this real, even sequence gives omega.
+    omega is the O(N log N) transform of this real, even sequence
+    (``_even_spectrum``): one real FFT, or at a large prime factor of N
+    a grid of coprime-length FFTs.
     """
     composition_constant(alpha)  # p is not used; the ring bound and its solve meet the p rule of every family
     seq = _inverse_power_grid(1, n_sites, alpha)  # rejects a bad alpha, and an N that is no integer >= 2
     lam = float(seq.sum())
     seq[0] = lam
-    transform = np.fft.rfft(seq)
-    return FourierSpectrum(np.ascontiguousarray(transform.real), n_sites, alpha, lam)
+    return FourierSpectrum(_even_spectrum(seq), n_sites, alpha, lam)
+
+
+def _largest_prime_power(n: int) -> tuple[int, int]:
+    """(p, p**e): the largest prime p dividing n >= 2, and the power of p in n."""
+    p, rest, d = 1, n, 2
+    while d * d <= rest:
+        while rest % d == 0:
+            p, rest = d, rest // d
+        d += 1
+    p = max(p, rest)  # a rest above 1 is a prime beyond every d tried
+    power = p
+    while n % (power * p) == 0:
+        power *= p
+    return p, power
+
+
+def _even_spectrum(seq: np.ndarray) -> np.ndarray:
+    """The N // 2 + 1 distinct entries of the DFT of a real, even sequence of length N.
+
+    One ``rfft`` of the whole sequence, unless N = A B with B = p**e the
+    power of N's largest prime p, A > 1 and p >= ``_SPLIT_MIN_PRIME``. There
+    pocketfft's plan for N pays for p across all N (one Bluestein convolution
+    of about 2N points, or a radix-p pass), and the Good-Thomas prime-factor
+    map (gcd(A, B) = 1, no twiddle factors) leaves that cost to rows of
+    length B: ``seq`` gathered at n = (B a + A b) mod N,
+    an ``rfft`` along b, an ``fft`` along a, and entry (a, b) is the DFT at
+    k = (a B (B^-1 mod A) + b A (A^-1 mod B)) mod N. The rfft keeps
+    b <= B // 2, where one of each pair k, N - k lies; the DFT of an even
+    sequence is real and even, so k > N / 2 folds onto N - k.
+    """
+    n = seq.size
+    p, b = _largest_prime_power(n)
+    a = n // b
+    if p < _SPLIT_MIN_PRIME or a == 1:
+        return np.ascontiguousarray(np.fft.rfft(seq).real)
+    at = np.add.outer(np.arange(0, n, b), np.arange(0, n, a))  # below 2N, so one subtraction reduces it
+    at[at >= n] -= n
+    grid = np.fft.fft(np.fft.rfft(seq[at], axis=1), axis=0).real
+    k = np.add.outer(b * (np.arange(a) * pow(b, -1, a) % a), a * (np.arange(b // 2 + 1) * pow(a, -1, b) % b))
+    k[k >= n] -= n
+    np.minimum(k, n - k, out=k)
+    omega = np.empty(n // 2 + 1)
+    omega[k] = grid
+    return omega
 
 
 def spectrum_for(n_sites: int, alpha: float, spectrum: FourierSpectrum | None = None) -> FourierSpectrum:

@@ -140,7 +140,7 @@ def test_criterion_01_fft_matches_dense_oracle(report):
 
 def test_criterion_02_alpha0_closed_form(report):
     worst, ratios = 0.0, []
-    for n in (3, 10, 100):
+    for n in (3, 10, 100, 2 * 509):  # 2 * 509: the spectrum of the coprime split
         for t in (0.01, 0.1):
             closed = 2 * exact_sum_bound_alpha0_closed_form(n, t)
             for r in sorted({1, n // 2}):

@@ -268,10 +268,22 @@ def test_ising_kac_on_open_lattice_uses_lambda(capsys):
     assert t_kac > 1.1 * math.asin(0.5) / 2
 
 
+def test_ising_kac_needs_no_p(capsys):
+    """--kac reads lambda alone, so an alpha whose p = 2**(alpha + 1) overflows still runs for ising."""
+    argv = ["signaling", "--method", "ising", "--alpha", "2000", "--N", "8"]
+    code_plain, plain = _run(capsys, argv)
+    code_kac, kac = _run(capsys, argv + ["--kac"])
+    assert code_plain == code_kac == 0
+    t_plain = float(_rows(plain)[0]["t_star"])
+    assert t_plain == 0.39269908169872414
+    lam = 2.0  # the two neighbours; every other weight 2**-2000 or below underflows to 0
+    assert float(_rows(kac)[0]["t_star"]) == lam * t_plain
+
+
 def test_signaling_solver_failure_exit3(capsys, monkeypatch):
     import lr_horizon.cli as cli
 
-    for exc in (NoCrossingError("threshold unreachable"), RuntimeError("inverse transform returned -1e-3")):
+    for exc in (NoCrossingError("threshold unreachable"), RuntimeError("series sum returned -1e-3")):
 
         def boom(*args, **kwargs):
             raise exc

@@ -19,7 +19,7 @@ from lr_horizon import (
     surface_area_constant,
 )
 from lr_horizon import kernels
-from lr_horizon.kernels import FourierSpectrum, _inverse_power_grid
+from lr_horizon.kernels import FourierSpectrum, _inverse_power_grid, _largest_prime_power
 
 
 @pytest.mark.parametrize("n", [2, 5, 30, 101])
@@ -264,3 +264,75 @@ def test_held_times_past_the_byte_cap_use_the_one_slot(monkeypatch):
     values = [spectrum.series(r, t) for r in (1, 32) for t in times]
     assert built == [0.03]
     assert values == [fourier_spectrum(64, 0.5).series(r, t) for r in (1, 32) for t in times]
+
+
+def _ring_sequence(n: int, alpha: float) -> np.ndarray:
+    """The sequence ``fourier_spectrum`` transforms, with the same bits."""
+    seq = _inverse_power_grid(1, n, alpha)
+    seq[0] = seq.sum()
+    return seq
+
+
+def _long_double_cosines(n: int, p: int) -> np.ndarray:
+    """cos(2 pi p n' / N) for n' = 0 .. N - 1 in long double, the angle reduced to min(pn' mod N, N - pn' mod N) first."""
+    k = np.arange(n, dtype=np.int64) * p % n
+    k = np.minimum(k, n - k).astype(np.longdouble)
+    return np.cos(2 * (4 * np.arctan(np.longdouble(1))) * k / n)
+
+
+@pytest.mark.parametrize(
+    "n, largest, power",
+    [(2, 2, 2), (120, 5, 5), (2**10, 2, 2**10), (7**4, 7, 7**4), (4 * 509**2, 509, 509**2),
+     (1009 * 1013, 1013, 1013), (316228, 7187, 7187)],
+)
+def test_largest_prime_power(n, largest, power):
+    assert _largest_prime_power(n) == (largest, power)
+
+
+@pytest.mark.parametrize("n", [4 * 509, 2 * 1009, 1009 * 1013, 316228])
+def test_split_spectrum_matches_a_long_double_cosine_sum(n):
+    """A large prime with a coprime cofactor: omega comes from the coprime split, to a few ulps of omega_max."""
+    p, power = _largest_prime_power(n)
+    assert p >= kernels._SPLIT_MIN_PRIME and power < n  # the split runs
+    alphas = (0.0, 0.3, 1.7)
+    spectra = [fourier_spectrum(n, alpha) for alpha in alphas]
+    seqs = [_ring_sequence(n, alpha).astype(np.longdouble) for alpha in alphas]
+    for k in sorted({0, 1, n // 2 - 1, n // 2}):  # N // 2 - 1 and N // 2 sit at the fold k -> N - k
+        cosines = _long_double_cosines(n, k)
+        for spectrum, seq in zip(spectra, seqs):
+            want = float(np.dot(seq, cosines))
+            assert abs(spectrum.omega[k] - want) <= 4 * np.finfo(float).eps * spectrum.omega_max
+    for alpha, spectrum in zip(alphas, spectra):
+        direct = np.fft.rfft(_ring_sequence(n, alpha)).real
+        assert np.max(np.abs(spectrum.omega - direct)) <= 1e-14 * spectrum.omega_max
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        10**4, 10**5, 10**6, 2**16,  # smooth
+        1009, 7187,  # prime
+        3**7, 509**2,  # prime power
+        31623,  # 3 * 83 * 127: largest prime below the crossover
+    ],
+)
+def test_spectrum_outside_the_split_is_the_rfft_bit_for_bit(n):
+    seq = _ring_sequence(n, 0.5)
+    assert fourier_spectrum(n, 0.5).omega.tobytes() == np.fft.rfft(seq).real.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 20, 63, 98, 126, 300, 510])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.7])
+def test_split_series_matches_dense_oracle_below_the_crossover(monkeypatch, n, alpha):
+    """With the crossover lowered, the split runs at oracle sizes, and the series equals exp(2tJ) - I."""
+    monkeypatch.setattr(kernels, "_SPLIT_MIN_PRIME", 3)
+    grid_transforms, real_fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: grid_transforms.append(1) or real_fft(*a, **k))
+    spectrum = fourier_spectrum(n, alpha)
+    assert grid_transforms == [1]
+    assert np.max(np.abs(spectrum.omega - np.fft.rfft(_ring_sequence(n, alpha)).real)) <= 1e-14 * spectrum.omega_max
+    for t_rel in (0.01, 0.1, 1.0):
+        t = t_rel / spectrum.lam
+        dense = series_oracle(ring(n), CouplingModel(alpha=alpha), t)
+        for r in sorted({1, n // 4, n // 2}):
+            assert spectrum.series(r, t) == pytest.approx(dense[0, r], rel=1e-9)
