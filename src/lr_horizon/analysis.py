@@ -35,7 +35,9 @@ CI95_FACTOR = 1.96
 CONDITION_WARN = 1e3
 
 # name: (smallest N, the offset of ln t removed before the fit or None,
-# the regressors beside the intercept); each a function of ln N.
+# the regressors beside the intercept); each a function of ln N. The loglog
+# pair ln ln N, ln ln ln N is nearly collinear over narrow N ranges, so its
+# b/c split is not to be over-interpreted when ``condition_warning`` is set.
 _MODELS = {
     "power_log": (3, np.log, (lambda ln_n: ln_n,)),
     "loglog_power": (16, None, (np.log, lambda ln_n: np.log(np.log(ln_n)))),
@@ -108,22 +110,3 @@ def fit_model(model: str, points) -> FitResult:
         condition_warning=float(s[0] / s[-1]) > CONDITION_WARN,
     )
 
-
-def fit_power_log(points) -> FitResult:
-    """Fit t = a * N**gamma * ln(N) by OLS on ln t - ln ln N = ln a + gamma ln N."""
-    return fit_model("power_log", points)
-
-
-def fit_loglog_power(points) -> FitResult:
-    """Fit t = a * ln(N)**b * lnln(N)**c by OLS on the triple-log linearization.
-
-    The two regressors ln ln N and ln ln ln N are nearly collinear over
-    narrow N ranges; ``condition_warning`` flags when the coefficient
-    split (b vs c) should not be over-interpreted.
-    """
-    return fit_model("loglog_power", points)
-
-
-def fit_pure_power(points) -> FitResult:
-    """Fit t = a * N**gamma by OLS on ln t = ln a + gamma ln N."""
-    return fit_model("pure_power", points)

@@ -225,16 +225,14 @@ def exact_sum_bound_alpha0_closed_form(n_sites: int, t: float) -> float:
 
 
 def free_particle_bound(schedule: HopSchedule) -> float:
-    """Schedule integral sum_segments duration * sqrt(sum_i |J_iX|**2)."""
+    """Schedule integral sum_segments duration * sqrt(sum_i |J_iX|**2), each row divided by its largest |J| first."""
     if not schedule.segments:
         raise ValueError("schedule must contain at least one segment")
     total = 0.0
     for duration, row in schedule.segments:
-        arr = np.asarray(row, dtype=float)
-        norm = float(np.sqrt(np.sum(arr * arr)))
-        if norm == 0.0 and np.any(arr):  # a bound of 0 on a schedule that moves the particle bounds nothing
-            raise ValueError(f"a nonzero hop row's norm underflows a float (largest |J| {np.abs(arr).max():.3e})")
-        total += duration * norm
+        arr = np.abs(np.asarray(row, dtype=float))
+        scale = float(arr.max(initial=0.0)) or 1.0  # no square of arr / scale underflows; a zero row keeps norm 0
+        total += duration * (scale * float(np.sqrt(np.sum((arr / scale) ** 2))))
     return total
 
 

@@ -12,7 +12,7 @@ that single fit measures one combination of b and c, not each exponent,
 so the form carries the rest of the check. The free three-parameter fit
 is still reported but not asserted: its regressors ln ln N and
 ln ln ln N are nearly collinear on the grid (condition_warning), and
-fit_loglog_power says its b/c split should then not be over-interpreted.
+the analysis module says its b/c split should then not be over-interpreted.
 A control runs the check on synthetic laws, including laws along the
 collinear valley. The measurements are in notes/decisions.md.
 """
@@ -35,12 +35,10 @@ from lr_horizon import (
     exact_sum_bound,
     exact_sum_bound_alpha0_closed_form,
     exact_sum_signaling_time,
-    fit_loglog_power,
-    fit_power_log,
-    fit_pure_power,
     fourier_spectrum,
     free_particle_bound,
     free_particle_envelope,
+    fit_model,
     HopSchedule,
     ising_exact_oracle,
     ising_signal,
@@ -87,7 +85,7 @@ def alpha1_double_log_check(points):
       collinear valley pass it and are caught by the form.
 
     Returns (ok, offsets, c_fit), where ``offsets`` holds C at each point.
-    ``fit_pure_power`` needs every abscissa >= 2, so all N must be
+    The ``pure_power`` fit needs every abscissa >= 2, so all N must be
     >= exp(e**2), about 1619.
     """
     ns = np.array([n for n, _ in points], dtype=float)
@@ -95,7 +93,7 @@ def alpha1_double_log_check(points):
     lam, form = alpha1_form_terms(ns)
     offsets = 2.0 * lam * ts - form
     ln_n = np.log(ns)
-    c_fit = fit_pure_power(zip(np.log(ln_n), ts / ln_n**ALPHA1_B))
+    c_fit = fit_model("pure_power", zip(np.log(ln_n), ts / ln_n**ALPHA1_B))
     ok = (
         offsets.max() - offsets.min() <= ALPHA1_FORM_SPREAD
         and abs(c_fit.coefficients[1] - ALPHA1_C) <= ALPHA1_C_TOL
@@ -175,7 +173,7 @@ def test_criterion_04_lambda_scaling(report):
     grid = (10**3, 10**4, 10**5, 10**6)
     for alpha in (0.0, 0.25, 0.5):
         pts = [(n, self_hop_lambda(ring(n), CouplingModel(alpha=alpha)).lam) for n in grid]
-        slope = fit_pure_power(pts).coefficients[1]
+        slope = fit_model("pure_power", pts).coefficients[1]
         ok &= abs(slope - (1 - alpha)) <= 0.05
         msgs.append(f"a={alpha}: {slope:.3f}")
     lam_log = self_hop_lambda(ring(10**6), CouplingModel(alpha=1.0)).lam / math.log(10**6)
@@ -246,7 +244,7 @@ def test_criterion_06_gamma_alpha_reproduction(report):
                 r = 1 if r_label == "1" else n // 2
                 t = exact_sum_signaling_time(n, alpha, r, 1.0, spectrum=spectra[n]).t_star
                 pts.append((n, t))
-            gamma = fit_power_log(pts).coefficients[1]
+            gamma = fit_model("power_log", pts).coefficients[1]
             dev = abs(gamma - (alpha - 1))
             ok &= dev <= 0.1
             if dev > 0.05:
@@ -262,7 +260,7 @@ def test_criterion_07_alpha1_double_log_fit(report):
         t = exact_sum_signaling_time(n, 1.0, 1, 1.0).t_star
         pts.append((n, t))
     ok, offsets, c_fit = alpha1_double_log_check(pts)
-    free = fit_loglog_power(pts)
+    free = fit_model("loglog_power", pts)
     _, b_free, c_free = free.coefficients
     c, c_se = c_fit.coefficients[1], c_fit.standard_errors[1]
     detail = (
@@ -386,7 +384,7 @@ def test_criterion_09_many_site_consistency(report):
             n = 2**k
             res = many_site_signaling_time(ring(n), CouplingModel(alpha=alpha), [0], list(range(1, n)), 1.0)
             pts.append((n, res.t_star))
-        slope = fit_pure_power(pts).coefficients[1]
+        slope = fit_model("pure_power", pts).coefficients[1]
         slope_ok &= abs(slope - (alpha - 1)) <= 0.1
         slopes.append(f"a={alpha}: {slope:.3f}")
     ok = eq_ok and slope_ok
@@ -406,7 +404,7 @@ def test_criterion_10_envelope_scaling(report):
             (n, free_particle_envelope(ring(n), CouplingModel(alpha=alpha)))
             for n in (10**3, 10**4, 10**5, 10**6)
         ]
-        slope = fit_pure_power(pts).coefficients[1]
+        slope = fit_model("pure_power", pts).coefficients[1]
         target = max(0.0, 0.5 - alpha)
         ok &= abs(slope - target) <= 0.05
         msgs.append(f"a={alpha}: {slope:.3f} vs {target}")

@@ -10,7 +10,7 @@ from lr_horizon import (
     chain,
     commutator_amplitude,
     evolve,
-    fit_pure_power,
+    fit_model,
     free_particle_bound,
     ising_exact_oracle,
     ring,
@@ -145,7 +145,7 @@ def test_protocol_ratio_constant_across_n():
 
 def test_protocol_time_scaling_alpha0():
     pts = [(n, state_transfer_protocol(n, 0.0).total_time) for n in (16, 64, 256, 1024)]
-    assert fit_pure_power(pts).coefficients[1] == pytest.approx(-0.5, abs=0.05)
+    assert fit_model("pure_power", pts).coefficients[1] == pytest.approx(-0.5, abs=0.05)
 
 
 def test_protocol_2d_grid():
@@ -171,10 +171,12 @@ def test_protocol_rejects_a_transfer_time_past_the_float_range(n, alpha):
         state_transfer_protocol(n, alpha)
 
 
-def test_protocol_rejects_a_stage_strength_whose_norm_underflows():
-    """127**-80 is about 5e-169; its square underflows, so the schedule's bound would read 0."""
-    with pytest.raises(ValueError, match="nonzero hop row's norm underflows a float"):
-        state_transfer_protocol(128, 80.0)
+def test_protocol_bound_where_the_stage_strengths_squares_underflow():
+    """The squares of 127**-alpha are subnormal at alpha 74 and 76 and underflow to 0 from 78; the bound stays pi/2."""
+    for alpha in (60.0, 74.0, 76.0, 80.0, 146.0):
+        res = state_transfer_protocol(128, alpha)
+        assert abs(res.bound - math.pi / 2) <= 4 * math.ulp(math.pi / 2), alpha
+        assert res.ratio <= 2 / math.pi + 8 * math.ulp(2 / math.pi), alpha
 
 
 def test_trajectory_probabilities_normalized():

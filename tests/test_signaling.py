@@ -13,7 +13,7 @@ from lr_horizon import (
     chain,
     exact_sum_bound,
     exact_sum_signaling_time,
-    fit_pure_power,
+    fit_model,
     fourier_spectrum,
     ising_exact_oracle,
     ising_signal,
@@ -171,7 +171,7 @@ def test_many_site_scaling_exponent():
         for n in (256, 512, 1024, 2048, 4096):
             res = many_site_signaling_time(ring(n), CouplingModel(alpha=alpha), [0], list(range(1, n)), 1.0)
             pts.append((n, res.t_star))
-        assert fit_pure_power(pts).coefficients[1] == pytest.approx(target, abs=0.1)
+        assert fit_model("pure_power", pts).coefficients[1] == pytest.approx(target, abs=0.1)
 
 
 @pytest.mark.parametrize(
@@ -390,4 +390,4 @@ def test_ising_signaling_time_delta_window():
 
 def test_ising_signaling_time_scaling():
     pts = [(n, ising_signaling_time(ring(n), CouplingModel(alpha=0.5), 0, 0.5)) for n in (256, 1024, 4096, 16384)]
-    assert fit_pure_power(pts).coefficients[1] == pytest.approx(-0.5, abs=0.05)
+    assert fit_model("pure_power", pts).coefficients[1] == pytest.approx(-0.5, abs=0.05)
