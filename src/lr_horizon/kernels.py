@@ -38,6 +38,9 @@ HELD_TERMS_BYTES = 64 * 2**20
 # coprime factors (``_even_spectrum``); below it one whole-length rfft is faster.
 _SPLIT_MIN_PRIME = 400
 
+# Columns of the two-table cosine weights: p = a * _WEIGHT_COLUMNS + b (``_cosine_weights``).
+_WEIGHT_COLUMNS = 4096
+
 
 @dataclass(frozen=True)
 class HopParameters:
@@ -201,10 +204,12 @@ class FourierSpectrum:
     ``series(r, t)`` is S = sum_p c_p expm1(2 omega_p t), which the ring
     bound multiplies by 2||A||||B|||X||Y|, with c_p = w_p cos(2 pi p r / N)
     / N: ``w_p = 2`` folds in the mirror omega(N - p), and ``w_p = 1`` at
-    p = 0 and, for even N, p = N / 2. The weights of the last r and the
-    exponentials of the last t are kept, each freed before its successor
-    is built, so ``slope(r, t)`` reuses those of ``series(r, t)``; that
-    cache makes one spectrum unsafe to share between threads.
+    p = 0 and, for even N, p = N / 2. The cosines are the angle-addition
+    product of two small tables of exactly reduced angles. The weights of
+    the last r and the exponentials of the last t are kept, each freed
+    before its successor is built, so ``slope(r, t)`` reuses those of
+    ``series(r, t)``; that cache makes one spectrum unsafe to share
+    between threads.
     ``hold_times(ts)`` also keeps the exponentials of each declared t, N // 2 + 1
     floats apiece (4 MB at N = 10**6) and at most ``HELD_TERMS_BYTES`` in all,
     so a grid that changes t on every call builds each of them once.
@@ -227,12 +232,19 @@ class FourierSpectrum:
         return self._weights
 
     def _cosine_weights(self, r) -> np.ndarray:
-        weights = np.arange(self.n_sites // 2 + 1, dtype=float)
-        weights *= 2.0 * math.pi * r / self.n_sites
-        np.cos(weights, out=weights)
-        weights *= 2.0 / self.n_sites
+        # p = a C + b: cos(2 pi p r / N) = cos_a cos_b - sin_a sin_b, from two small tables of exact angles
+        n, size = self.n_sites, self.n_sites // 2 + 1
+        columns = np.arange(min(size, _WEIGHT_COLUMNS)) * r % n
+        rows = np.arange(-(-size // _WEIGHT_COLUMNS)) * (_WEIGHT_COLUMNS * r % n) % n
+        base_cos, base_sin = _unit_circle(columns, n)
+        head_cos, head_sin = _unit_circle(rows, n)
+        head_cos *= 2.0 / n
+        head_sin *= 2.0 / n
+        weights = np.multiply.outer(head_cos, base_cos)
+        weights -= np.multiply.outer(head_sin, base_sin)
+        weights = weights.ravel()[:size]
         weights[0] *= 0.5
-        if self.n_sites % 2 == 0:
+        if n % 2 == 0:
             weights[-1] *= 0.5
         return weights
 
@@ -287,6 +299,14 @@ class FourierSpectrum:
             self._slope = (slope_weights, float(slope_weights.sum()))
         slope_weights, at_zero = self._slope
         return float(np.dot(slope_weights, terms)) + at_zero
+
+
+def _unit_circle(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi k / n for integers 0 <= k < n, each angle reduced exactly to [0, pi] first."""
+    angle = np.minimum(k, n - k) * (2.0 * math.pi / n)
+    sin = np.sin(angle)
+    sin[2 * k > n] *= -1.0
+    return np.cos(angle), sin
 
 
 def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:

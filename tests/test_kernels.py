@@ -273,9 +273,9 @@ def _ring_sequence(n: int, alpha: float) -> np.ndarray:
     return seq
 
 
-def _long_double_cosines(n: int, p: int) -> np.ndarray:
-    """cos(2 pi p n' / N) for n' = 0 .. N - 1 in long double, the angle reduced to min(pn' mod N, N - pn' mod N) first."""
-    k = np.arange(n, dtype=np.int64) * p % n
+def _long_double_cosines(n: int, p: int, count: int | None = None) -> np.ndarray:
+    """cos(2 pi p n' / N) for n' = 0 .. count - 1 (default N - 1) in long double, the angle reduced to min(pn' mod N, N - pn' mod N) first."""
+    k = np.arange(n if count is None else count, dtype=np.int64) * p % n
     k = np.minimum(k, n - k).astype(np.longdouble)
     return np.cos(2 * (4 * np.arctan(np.longdouble(1))) * k / n)
 
@@ -336,3 +336,40 @@ def test_split_series_matches_dense_oracle_below_the_crossover(monkeypatch, n, a
         dense = series_oracle(ring(n), CouplingModel(alpha=alpha), t)
         for r in sorted({1, n // 4, n // 2}):
             assert spectrum.series(r, t) == pytest.approx(dense[0, r], rel=1e-9)
+
+
+def _long_double_weights(n: int, r: int) -> np.ndarray:
+    """c_p = w_p cos(2 pi p r / N) / N for p = 0 .. N // 2 in long double, from integer-reduced angles."""
+    weights = _long_double_cosines(n, r, n // 2 + 1) * 2 / n
+    weights[0] /= 2
+    if n % 2 == 0:
+        weights[-1] /= 2
+    return weights
+
+
+# 8190 .. 8193 put N // 2 + 1 on both sides of the table's column count
+@pytest.mark.parametrize("n", [2, 3, 17, 8190, 8192, 8193, 31623, 316228, 10**6])
+def test_cosine_weights_match_integer_reduced_long_double_angles(n):
+    """Every weight to 4 ulps of 2/N: no angle is formed as p * (2 pi r / N), whose rounding grows with p."""
+    spectrum = FourierSpectrum(np.zeros(n // 2 + 1), n, 0.5, 1.0)  # the weights depend on (N, r) only
+    for r in sorted(r for r in {1, 7, n // 4, n // 2 - 1, n // 2} if 1 <= r <= n // 2):
+        weights = spectrum._cosine_weights(r)
+        assert weights.shape == (n // 2 + 1,)
+        error = float(np.max(np.abs(weights - _long_double_weights(n, r))))
+        assert error <= 4 * np.finfo(float).eps * 2 / n, (r, error)
+
+
+@pytest.fixture(scope="module")
+def million_site_series():
+    """The N = 10**6, alpha = 0.7497 spectrum, t = 0.1 / lambda, and expm1(2 t omega) in long double."""
+    spectrum = fourier_spectrum(10**6, 0.7497)
+    t = 0.1 / spectrum.lam
+    return spectrum, t, np.expm1(2 * np.longdouble(t) * spectrum.omega.astype(np.longdouble))
+
+
+@pytest.mark.parametrize("r", [1000, 61619, 289410])
+def test_series_at_a_million_sites_matches_a_long_double_sum(million_site_series, r):
+    """S(r, t) against a long-double weighted sum over the same float64 omega (r = N/2 cancels; not here)."""
+    spectrum, t, terms = million_site_series
+    want = float(np.dot(_long_double_weights(spectrum.n_sites, r), terms))
+    assert abs(spectrum.series(r, t) - want) <= 1e-12 * want
