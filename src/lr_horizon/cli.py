@@ -82,10 +82,11 @@ def _format(shape) -> str:
 
 
 def _csv(columns: tuple, rows=(), blocks=()):
-    """The table's lines, one at a time, so no table is held as one string.
+    """The table's lines, a row or a block at a time, so no table is held as one string.
 
     Each row shape is formatted by one %-string from ``_format``. A block
-    ``(head, values)`` holds the rows ``(*head, k, values[k])``; its head is formatted once.
+    ``(head, values)`` holds the rows ``(*head, k, values[k])``; its head is formatted once,
+    and all its rows by one %-string, the per-type lines joined in row order.
     """
     formats = {}
     for row in chain([columns], rows):
@@ -96,8 +97,11 @@ def _csv(columns: tuple, rows=(), blocks=()):
     for head, values in blocks:
         prefix = (_format(map(type, head)) % head).replace("%", "%%") + ","
         line = {kind: prefix + _format((int, kind)) + "\n" for kind in set(map(type, values))}
-        for row in enumerate(values):
-            yield line[type(row[1])] % row
+        if len(line) > 1:
+            text = "".join(map(line.__getitem__, map(type, values)))
+        else:  # one kind, or none: its line repeated
+            text = "".join(line.values()) * len(values)
+        yield text % tuple(chain.from_iterable(enumerate(values)))
 
 
 def _number(flag: str, value) -> float:

@@ -40,6 +40,8 @@ _SPLIT_MIN_PRIME = 400
 
 # Columns of the two-table cosine weights: p = a * _WEIGHT_COLUMNS + b (``_cosine_weights``).
 _WEIGHT_COLUMNS = 4096
+# Rows of the sine product subtracted at a time: 512 KB of scratch in place of the whole table.
+_WEIGHT_ROW_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -241,7 +243,8 @@ class FourierSpectrum:
         head_cos *= 2.0 / n
         head_sin *= 2.0 / n
         weights = np.multiply.outer(head_cos, base_cos)
-        weights -= np.multiply.outer(head_sin, base_sin)
+        for k in range(0, len(rows), _WEIGHT_ROW_CHUNK):  # no second full-size product
+            weights[k : k + _WEIGHT_ROW_CHUNK] -= np.multiply.outer(head_sin[k : k + _WEIGHT_ROW_CHUNK], base_sin)
         weights = weights.ravel()[:size]
         weights[0] *= 0.5
         if n % 2 == 0:

@@ -892,11 +892,16 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
 # hash came to cover only the keys a command reads; only its line 1 moved.
 # It was re-recorded once more when the free-particle norm came to scale each
 # row by its largest |J|: the bound cell moved by 1 ulp to pi/2.
+# Both were re-recorded when the real star stages came to be decomposed by
+# real eigh and each segment's sampled times evolved by one product: the
+# trajectory moved by at most 7.8e-16 absolute (332 of 707 rows) and the
+# fidelity, amplitude and ratio cells by at most 2.3e-16 relative; T and the
+# bound did not move.
 # The last bits of eigh can differ between LAPACK builds; these were recorded
 # with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64.
 README_PROTOCOL_SHA256 = {
-    "protocol.csv": "4b7143f5d19a7175ed41a677a4397d60f9a39490f256826b3c98a634481077c6",
-    "trajectory.csv": "e6d75a66f2853e373b815d4e249df93d77161a740f280da085f55e6bcd90db21",
+    "protocol.csv": "518a2e5068633f26f14a95c7a0dc39d38d017bd0f7726ed56c24121be47827c8",
+    "trajectory.csv": "28e41b1785edaef818ef06a5242a633708e2d8e9a0faf3094112e762b6df5ca8",
 }
 
 
@@ -1173,3 +1178,11 @@ def test_delta_window_is_the_same_for_every_prefactor_method(tmp_path, capsys, m
     code, out = _run(capsys, argv + ["--delta", "1.9"])
     assert code == 0
     assert float(_rows(out)[0]["t_star"]) > 0
+
+
+def test_csv_block_of_mixed_value_types_matches_the_per_cell_rule():
+    """A block is formatted by one %-string; mixed value types join their per-type lines in row order."""
+    blocks = [((7, 0.5, "a%b"), [0.25, 3, True, "x%", 1e-300]), ((8, 0.1, 2.0), []), ((9, 0.2, 0.0), [0.5, 0.75])]
+    rows = [(*head, k, value) for head, values in blocks for k, value in enumerate(values)]
+    expected = [_reference_line(r) for r in chained([_TRAJECTORY], rows)]
+    assert "".join(cli._csv(_TRAJECTORY, blocks=blocks)) == "".join(expected)

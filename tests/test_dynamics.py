@@ -251,6 +251,99 @@ def test_cached_decompositions_evolve_bit_identically():
             assert np.array_equal(evolve(ham, psi0, float(t)), _evolve_fresh(ham, psi0, float(t)))
 
 
+def _star_probabilities(n, length, alpha, t, total_time):
+    """The two stages' closed form: stars of m = n - 2 leaves, frequency sqrt(m) * length**-alpha."""
+    m, freq = n - 2, math.sqrt(n - 2) * length**-alpha
+    probs = np.zeros(n)
+    if t <= total_time / 2:
+        probs[0] = math.cos(freq * t) ** 2
+        probs[1:-1] = math.sin(freq * t) ** 2 / m
+    else:
+        probs[1:-1] = math.cos(freq * (t - total_time / 2)) ** 2 / m
+        probs[-1] = math.sin(freq * (t - total_time / 2)) ** 2
+    return probs
+
+
+@pytest.mark.parametrize(
+    "n, alpha, dimension, length",
+    [(n, a, 1, n - 1) for n in (7, 128, 256) for a in (0.3, 0.8)] + [(64, 0.5, 2, 7 * math.sqrt(2))],
+)
+def test_protocol_trajectory_matches_the_star_closed_form(n, alpha, dimension, length):
+    """A test reference only: the oracle itself diagonalises the stage matrices numerically."""
+    res = state_transfer_protocol(n, alpha, dimension)
+    psi0 = np.zeros(n, dtype=complex)
+    psi0[res.source] = 1.0
+    for t, probs in trajectory(res.hamiltonian, psi0, np.linspace(0.0, res.total_time, 101)):
+        expected = _star_probabilities(n, length, alpha, t, res.total_time)
+        assert np.abs(probs - expected).max() <= 1e-12, t
+
+
+def _real_schedule(rng, n, segments=3):
+    segs = []
+    for _ in range(segments):
+        h = rng.normal(size=(n, n))
+        segs.append(Segment(duration=float(rng.uniform(0.05, 0.4)), hop=(h + h.T) / 2, onsite=rng.normal(size=n)))
+    return SingleParticleHamiltonian(segments=tuple(segs))
+
+
+def test_real_schedules_evolve_as_a_fresh_real_eigh():
+    rng = np.random.default_rng(20261019)
+    for _ in range(20):
+        n = int(rng.integers(3, 40))
+        ham = _real_schedule(rng, n)
+        assert all(v.dtype == np.float64 for _, v, _ in ham.eigensystems)
+        psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for t in [*rng.uniform(0.0, ham.total_time, size=4), ham.total_time]:
+            remaining, psi = float(t), psi0
+            for seg in ham.segments:
+                if remaining <= 0:
+                    break
+                dt = min(seg.duration, remaining)
+                w, v = np.linalg.eigh(seg.hop + np.diag(seg.onsite))
+                psi = v @ (np.exp(-1j * w * dt) * (v.T @ psi))
+                remaining -= dt
+            np.testing.assert_allclose(evolve(ham, psi0, float(t)), psi, rtol=0, atol=1e-13)
+
+
+def test_trajectory_agrees_with_evolve_at_each_time():
+    rng = np.random.default_rng(7)
+    res = state_transfer_protocol(64, 0.6)
+    psi0 = np.eye(64, dtype=complex)[res.source]
+    cases = [(res.hamiltonian, psi0), (_real_schedule(rng, 16), np.eye(16, dtype=complex)[3])]
+    h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))  # a complex segment between real ones
+    mixed = (cases[1][0].segments[0], Segment(duration=0.3, hop=(h + h.conj().T) / 2), cases[1][0].segments[1])
+    cases.append((SingleParticleHamiltonian(segments=mixed), np.eye(16, dtype=complex)[3]))
+    for ham, psi in cases:
+        times = np.linspace(0.0, ham.total_time, 101)
+        rows = trajectory(ham, psi, times)
+        assert [t for t, _ in rows] == times.tolist()
+        for t, probs in rows:
+            np.testing.assert_allclose(probs, np.abs(evolve(ham, psi, t)) ** 2, rtol=0, atol=1e-15)
+        assert np.array_equal(rows[0][1], np.abs(psi) ** 2)
+
+
+def test_trajectory_past_one_chunk_equals_its_parts():
+    ham = _real_schedule(np.random.default_rng(11), 16)
+    psi0 = np.eye(16, dtype=complex)[5]
+    times = np.random.default_rng(12).permutation(np.linspace(0.0, ham.total_time, 700))
+    whole = np.array([p for _, p in trajectory(ham, psi0, times)])
+    parts = np.array([p for k in range(0, 700, 50) for _, p in trajectory(ham, psi0, times[k : k + 50])])
+    np.testing.assert_allclose(whole, parts, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("fraction", [math.nan, -1e-9, 2.0])
+def test_trajectory_rejects_a_time_outside_the_schedule(fraction):
+    ham = _real_schedule(np.random.default_rng(3), 5, segments=2)
+    with pytest.raises(ValueError):
+        trajectory(ham, np.eye(5, dtype=complex)[0], [0.0, fraction * ham.total_time])
+
+
+def test_protocol_stages_are_decomposed_in_real_arithmetic(eigh_calls):
+    res = state_transfer_protocol(16, 0.5)
+    trajectory(res.hamiltonian, np.eye(16, dtype=complex)[res.source], np.linspace(0.0, res.total_time, 101))
+    assert [a.dtype for a in eigh_calls] == [np.float64, np.float64]
+
+
 def test_ising_oracle_zero_time():
     assert ising_exact_oracle(ring(4), CouplingModel(alpha=1.0), 0, 0.0) == pytest.approx(0.0, abs=1e-14)
 
