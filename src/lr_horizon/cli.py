@@ -97,11 +97,7 @@ def _csv(columns: tuple, rows=(), blocks=()):
     for head, values in blocks:
         prefix = (_format(map(type, head)) % head).replace("%", "%%") + ","
         line = {kind: prefix + _format((int, kind)) + "\n" for kind in set(map(type, values))}
-        if len(line) > 1:
-            text = "".join(map(line.__getitem__, map(type, values)))
-        else:  # one kind, or none: its line repeated
-            text = "".join(line.values()) * len(values)
-        yield text % tuple(chain.from_iterable(enumerate(values)))
+        yield "".join(map(line.__getitem__, map(type, values))) % tuple(chain.from_iterable(enumerate(values)))
 
 
 def _number(flag: str, value) -> float:

@@ -12,7 +12,7 @@ first use, in float64 when its ``hop`` and ``onsite`` are real, and
 every later ``evolve`` or ``trajectory`` on that Hamiltonian reuses the
 result; a segment's ``hop`` and ``onsite`` arrays must not be mutated
 after that. ``trajectory`` evolves all sampled times inside one segment
-by one matrix product per chunk of ``_TIME_CHUNK`` times.
+by one matrix product.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ ISING_ORACLE_MAX_SITES = 10
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
 W_STATE_TOL = 1e-9
-
-# Sampled times per matrix product: at most N x 128 complex amplitudes, 8 MB at the N = 4096 cap.
-_TIME_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ def _states(ham: SingleParticleHamiltonian, psi0: np.ndarray, times) -> np.ndarr
     """The states at ``times``, one row each, by ``evolve``'s rules.
 
     Per segment: c = v^H psi once, then v @ (exp(-i w dt) * c) for the
-    times ending in it and the state carried on, ``_TIME_CHUNK`` a product.
+    times ending in it and the state carried on, all in one product.
     """
     psi = np.array(psi0, dtype=complex)
     if psi.shape != (ham.n_sites,):
@@ -120,9 +117,7 @@ def _states(ham: SingleParticleHamiltonian, psi0: np.ndarray, times) -> np.ndarr
         elif not rows.size:
             break
         coeff = _product(v_conj.T, out[-1][:, None])
-        for a in range(0, rows.size, _TIME_CHUNK):
-            phases = np.exp(-1j * w[:, None] * dt[rows[a : a + _TIME_CHUNK]])
-            out[rows[a : a + _TIME_CHUNK]] = _product(v, phases * coeff).T
+        out[rows] = _product(v, np.exp(-1j * np.multiply.outer(w, dt[rows])) * coeff).T
     norm_in = float(np.linalg.norm(psi))
     if np.any(np.abs(np.linalg.norm(out, axis=1) - norm_in) > NORM_TOL * max(norm_in, 1.0)):
         raise RuntimeError("evolution failed to preserve the norm")
@@ -274,7 +269,7 @@ def trajectory(ham: SingleParticleHamiltonian, psi0: np.ndarray, times) -> list[
     """Site occupation probabilities |psi_i(t)|**2 at the given times.
 
     The states are ``evolve``'s to a few ulps: the times ending in one
-    segment share its v^H psi and one product per ``_TIME_CHUNK`` of them.
+    segment share its v^H psi and one product.
     """
     times = [float(t) for t in times]
     return list(zip(times, np.abs(_states(ham, psi0, times)) ** 2))

@@ -322,7 +322,8 @@ def test_trajectory_agrees_with_evolve_at_each_time():
         assert np.array_equal(rows[0][1], np.abs(psi) ** 2)
 
 
-def test_trajectory_past_one_chunk_equals_its_parts():
+def test_trajectory_at_unordered_times_equals_its_parts():
+    """The split of the times over the segments does not depend on their order or count."""
     ham = _real_schedule(np.random.default_rng(11), 16)
     psi0 = np.eye(16, dtype=complex)[5]
     times = np.random.default_rng(12).permutation(np.linspace(0.0, ham.total_time, 700))
