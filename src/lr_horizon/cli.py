@@ -215,11 +215,11 @@ def _bound_task(task: dict) -> list[tuple]:
         params = self_hop_lambda(spec, CouplingModel(alpha=alpha))
         lam = params.lam
     times = [t / lam if task["t_unit"] == "inv_lambda" else t for t in task["t"] or [0.0]]
+    rs = [_resolve_r(r_tok, spec) for r_tok in r_tokens]
     if method == "exact_sum":
-        spectrum.hold_times(times)  # one exponential per t, not one per (r, t)
+        spectrum.declare_grid(rs, times)  # the whole grid in one pass over the spectrum
     rows = []
-    for r_tok in r_tokens:
-        r = _resolve_r(r_tok, spec)
+    for r in rs:
         for t_abs in times:
             if method == "exact_sum":
                 value = exact_sum_bound(n, alpha, r, t_abs, spectrum=spectrum).value

@@ -31,17 +31,14 @@ NEGATIVE_FLOOR = 1e-8
 # exp overflows past ~709.78; beyond this a bound saturates anyway.
 _EXP_ARG_MAX = 700.0
 
-# Declared-t exponentials one FourierSpectrum may hold: 16 times at N = 10**6.
-HELD_TERMS_BYTES = 64 * 2**20
-
 # The smallest largest-prime of N at which the ring spectrum is split into
 # coprime factors (``_even_spectrum``); below it one whole-length rfft is faster.
 _SPLIT_MIN_PRIME = 400
 
 # Columns of the two-table cosine weights: p = a * _WEIGHT_COLUMNS + b (``_cosine_weights``).
 _WEIGHT_COLUMNS = 4096
-# Rows of the sine product subtracted at a time: 512 KB of scratch in place of the whole table.
-_WEIGHT_ROW_CHUNK = 16
+# Table rows per block of the series sum: 16384 modes, 128 KB per vector, so a block's vectors stay in L2.
+_BLOCK_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -207,69 +204,140 @@ class FourierSpectrum:
     bound multiplies by 2||A||||B|||X||Y|, with c_p = w_p cos(2 pi p r / N)
     / N: ``w_p = 2`` folds in the mirror omega(N - p), and ``w_p = 1`` at
     p = 0 and, for even N, p = N / 2. The cosines are the angle-addition
-    product of two small tables of exactly reduced angles. The weights of
-    the last r and the exponentials of the last t are kept, each freed
-    before its successor is built, so ``slope(r, t)`` reuses those of
-    ``series(r, t)``; that cache makes one spectrum unsafe to share
-    between threads.
-    ``hold_times(ts)`` also keeps the exponentials of each declared t, N // 2 + 1
-    floats apiece (4 MB at N = 10**6) and at most ``HELD_TERMS_BYTES`` in all,
-    so a grid that changes t on every call builds each of them once.
+    product of two small tables of exactly reduced angles.
+
+    The sum runs over fixed blocks of ``_BLOCK_ROWS`` table rows of p: one
+    ``np.dot`` per block, the partials added in block order, so no N-wide
+    exponential array is built. ``declare_grid(rs, ts)`` evaluates every
+    (r, t) of a grid in one pass over the blocks, and ``series`` reads those
+    values. Any other (r, t) is summed from the kept weights of its r, freed
+    before the next r's are built, and the same pass gives ``slope(r, t)``.
+    Every route makes the same block dots, so they agree bit for bit. The
+    caches make one spectrum unsafe to share between threads.
     """
 
     def __init__(self, omega: np.ndarray, n_sites: int, alpha: float, lam: float) -> None:
         self.omega, self.n_sites, self.alpha, self.lam = omega, n_sites, alpha, lam
         self.omega_max = float(omega.max())
-        self._r = self._weights = None  # c_p at r
-        self._slope: tuple[np.ndarray, float] | None = None  # c_p 2 omega_p at r, and their sum
-        self._t, self._terms = math.nan, None  # expm1(2 t omega_p), None past overflow
-        self._held: dict[float, np.ndarray | None] = {}  # the same, at each declared t
+        size = n_sites // 2 + 1
+        self._columns = min(size, _WEIGHT_COLUMNS)
+        self._block_len = _BLOCK_ROWS * self._columns  # whole table rows
+        self._blocks = [slice(p, min(p + self._block_len, size)) for p in range(0, size, self._block_len)]
+        self._r = self._weights = None  # c_p, c_p 2 omega_p and their sum, at r
+        self._last = (None,) * 4  # (r, t, S, dS/dt)
+        self._grid: dict[tuple, float] = {}  # S at each declared (r, t)
 
-    def _weights_at(self, r) -> np.ndarray:
-        if r != self._r:
-            if not 1 <= r <= self.n_sites // 2 or r % 1:
-                raise ValueError(f"r must be an integer in [1, N/2], got r={r} with N={self.n_sites}")
-            self._r = self._weights = self._slope = None
-            self._r, self._weights = r, self._cosine_weights(r)
-        return self._weights
+    def _saturates(self, t: float) -> bool:
+        return not 2.0 * t * self.omega_max <= _EXP_ARG_MAX
 
-    def _cosine_weights(self, r) -> np.ndarray:
+    def _angle_tables(self, r) -> tuple[np.ndarray, ...]:
         # p = a C + b: cos(2 pi p r / N) = cos_a cos_b - sin_a sin_b, from two small tables of exact angles
         n, size = self.n_sites, self.n_sites // 2 + 1
-        columns = np.arange(min(size, _WEIGHT_COLUMNS)) * r % n
-        rows = np.arange(-(-size // _WEIGHT_COLUMNS)) * (_WEIGHT_COLUMNS * r % n) % n
+        if not 1 <= r <= n // 2 or r % 1:
+            raise ValueError(f"r must be an integer in [1, N/2], got r={r} with N={n}")
+        columns = np.arange(self._columns) * r % n
+        rows = np.arange(-(-size // self._columns)) * (self._columns * r % n) % n
         base_cos, base_sin = _unit_circle(columns, n)
         head_cos, head_sin = _unit_circle(rows, n)
         head_cos *= 2.0 / n
         head_sin *= 2.0 / n
-        weights = np.multiply.outer(head_cos, base_cos)
-        for k in range(0, len(rows), _WEIGHT_ROW_CHUNK):  # no second full-size product
-            weights[k : k + _WEIGHT_ROW_CHUNK] -= np.multiply.outer(head_sin[k : k + _WEIGHT_ROW_CHUNK], base_sin)
-        weights = weights.ravel()[:size]
-        weights[0] *= 0.5
-        if n % 2 == 0:
+        return head_cos, head_sin, base_cos, base_sin
+
+    def _weight_block(self, tables, block: slice, out: np.ndarray, product: np.ndarray) -> np.ndarray:
+        """c_p for p in ``block``: its whole table rows written to ``out``, the sine product to ``product``."""
+        head_cos, head_sin, base_cos, base_sin = tables
+        rows = slice(block.start // self._columns, -(-block.stop // self._columns))
+        count = (rows.stop - rows.start) * self._columns
+        grid = np.multiply.outer(head_cos[rows], base_cos, out=out[:count].reshape(-1, self._columns))
+        grid -= np.multiply.outer(head_sin[rows], base_sin, out=product[:count].reshape(grid.shape))
+        weights = out[: block.stop - block.start]
+        if block.start == 0:
+            weights[0] *= 0.5
+        if self.n_sites % 2 == 0 and block.stop == self.n_sites // 2 + 1:
             weights[-1] *= 0.5
         return weights
 
-    def _exponentials(self, t: float) -> np.ndarray | None:
-        if not 2.0 * t * self.omega_max <= _EXP_ARG_MAX:
-            return None
-        terms = 2.0 * t * self.omega
+    def _cosine_weights(self, r) -> np.ndarray:
+        """All N // 2 + 1 weights c_p at r, built block by block as ``declare_grid`` builds them."""
+        tables = self._angle_tables(r)
+        whole = np.empty(len(tables[0]) * self._columns)
+        product = np.empty(self._block_len)
+        for block in self._blocks:
+            self._weight_block(tables, block, whole[block.start :], product)
+        return whole[: self.n_sites // 2 + 1]
+
+    def _exponentials(self, t: float, block: slice, out: np.ndarray) -> np.ndarray:
+        terms = np.multiply(self.omega[block], 2.0 * t, out=out[: block.stop - block.start])
         return np.expm1(terms, out=terms)
 
-    def hold_times(self, times) -> None:
-        """Keep the exponentials of the distinct t in ``times``, in order, as many as fit ``HELD_TERMS_BYTES``."""
-        self._held = {}  # the last declared times go before any new one is built
-        distinct = list(dict.fromkeys(times))[: HELD_TERMS_BYTES // self.omega.nbytes]
-        self._held = {t: self._exponentials(t) for t in distinct}
+    def _block_sums(self, sources, times) -> np.ndarray:
+        """sum_p c_p expm1(2 t omega_p) for each weight source and each t, block by block.
 
-    def _terms_at(self, t: float) -> np.ndarray | None:
-        if t in self._held:
-            return self._held[t]
-        if t != self._t:
-            self._t, self._terms = t, None
-            self._terms = self._exponentials(t)
-        return self._terms
+        A source is called as ``source(block, out)`` and gives c_p for p in
+        ``block``. In each block every source and every t is made once: the
+        smaller of the two sets is kept, and the other is made one at a time
+        in a single buffer, so the buffers hold min(#sources, #t) + 1 blocks.
+        """
+        sums = np.zeros((len(sources), len(times)))
+        kept = np.empty((min(sums.shape), self._block_len))
+        stream = np.empty(self._block_len)
+        keep_weights = len(sources) <= len(times)
+        for block in self._blocks:
+            if keep_weights:
+                held = [source(block, out) for source, out in zip(sources, kept)]
+                for j, t in enumerate(times):
+                    terms = self._exponentials(t, block, stream)
+                    for i, c in enumerate(held):
+                        sums[i, j] += np.dot(c, terms)
+            else:
+                held = [self._exponentials(t, block, out) for t, out in zip(times, kept)]
+                for i, source in enumerate(sources):
+                    c = source(block, stream)
+                    for j, terms in enumerate(held):
+                        sums[i, j] += np.dot(c, terms)
+        return sums
+
+    def _checked(self, raw: float, t: float) -> float:
+        if raw < 0.0:  # see ``series``
+            if raw < -NEGATIVE_FLOOR * math.expm1(2.0 * t * self.omega_max) / self.n_sites:
+                raise RuntimeError(f"series sum returned {raw:.3e}, beyond roundoff floor")
+            raw = 0.0
+        return raw
+
+    def declare_grid(self, rs, times) -> None:
+        """Evaluate S at every (r, t) of ``rs`` x ``times`` in one pass over the blocks, for ``series`` to read.
+
+        Each block's exponentials are made once per t, and its weights once
+        per r from that r's two angle tables. The grid replaces the last one.
+        """
+        rs, times = list(dict.fromkeys(rs)), list(dict.fromkeys(times))
+        finite = [t for t in times if not self._saturates(t)]
+        product = np.empty(self._block_len)
+        sources = [
+            lambda block, out, tables=self._angle_tables(r): self._weight_block(tables, block, out, product) for r in rs
+        ]
+        grid = {(r, t): math.inf for r in rs for t in times}
+        for r, row in zip(rs, self._block_sums(sources, finite).tolist()):
+            grid.update({(r, t): self._checked(raw, t) for t, raw in zip(finite, row)})
+        self._grid = grid
+
+    def _values(self, r, t: float) -> tuple[float, float]:
+        """(S, dS/dt) at (r, t) from one block pass over the kept weights of r."""
+        if self._last[:2] != (r, t):
+            if r != self._r:
+                self._r = self._weights = None
+                weights = self._cosine_weights(r)
+                slope_weights = 2.0 * self.omega
+                slope_weights *= weights
+                self._r, self._weights = r, (weights, slope_weights, float(slope_weights.sum()))
+            weights, slope_weights, at_zero = self._weights
+            values = (math.inf, math.inf)
+            if not self._saturates(t):
+                sources = [lambda block, out, c=c: c[block] for c in (weights, slope_weights)]
+                (raw,), (rise,) = self._block_sums(sources, [t]).tolist()
+                values = (self._checked(raw, t), rise + at_zero)
+            self._last = (r, t, *values)
+        return self._last[2:]
 
     def series(self, r, t: float) -> float:
         """S(r, t), or +inf once the largest exponent passes the overflow limit.
@@ -278,30 +346,13 @@ class FourierSpectrum:
         -``NEGATIVE_FLOOR`` times the largest term (over N) is a sign
         error, not roundoff, and raises.
         """
-        weights = self._weights_at(r)
-        terms = self._terms_at(t)
-        if terms is None:
-            return math.inf
-        raw = float(np.dot(weights, terms))
-        if raw < 0.0:
-            floor = NEGATIVE_FLOOR * float(terms.max()) / self.n_sites
-            if raw < -floor:
-                raise RuntimeError(f"series sum returned {raw:.3e}, beyond roundoff floor")
-            raw = 0.0
-        return raw
+        if (r, t) in self._grid:
+            return self._grid[r, t]
+        return self._values(r, t)[0]
 
     def slope(self, r, t: float) -> float:
         """dS/dt = sum_p c_p 2 omega_p e^(2 omega_p t), or +inf past overflow."""
-        weights = self._weights_at(r)
-        terms = self._terms_at(t)
-        if terms is None:
-            return math.inf
-        if self._slope is None:
-            slope_weights = 2.0 * self.omega
-            slope_weights *= weights
-            self._slope = (slope_weights, float(slope_weights.sum()))
-        slope_weights, at_zero = self._slope
-        return float(np.dot(slope_weights, terms)) + at_zero
+        return self._values(r, t)[1]
 
 
 def _unit_circle(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

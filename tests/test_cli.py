@@ -397,24 +397,39 @@ def _exact_sum_grid(capsys, alphas, sizes):
 
 
 def test_bound_grid_builds_each_exponential_and_weight_vector_once(capsys, monkeypatch):
-    """Per (N, alpha) the grid builds one exponential array per distinct t and one weight vector per r."""
-    built = []
-    for builder in "_exponentials", "_cosine_weights":
-        real = getattr(FourierSpectrum, builder)
+    """Per (N, alpha) and block of modes, the grid builds one exponential per finite t and one weight block per r."""
+    built, owner = [], {}
+    exponentials, tables, block = FourierSpectrum._exponentials, FourierSpectrum._angle_tables, FourierSpectrum._weight_block
 
-        def counting(spectrum, x, real=real, builder=builder):
-            built.append((spectrum.n_sites, spectrum.alpha, builder, x))
-            return real(spectrum, x)
+    def counted_exponentials(spectrum, t, at, out):
+        built.append((spectrum.n_sites, spectrum.alpha, "_exponentials", at.start, t))
+        return exponentials(spectrum, t, at, out)
 
-        monkeypatch.setattr(FourierSpectrum, builder, counting)
-    rows = _exact_sum_grid(capsys, "0.3,0.7", "1000,4096")
-    for n, alpha in [(1000, 0.3), (1000, 0.7), (4096, 0.3), (4096, 0.7)]:
+    def owned_tables(spectrum, r):
+        made = tables(spectrum, r)
+        owner[id(made)] = r
+        return made
+
+    def counted_block(spectrum, made, at, out, product):
+        built.append((spectrum.n_sites, spectrum.alpha, "_weight_block", at.start, owner[id(made)]))
+        return block(spectrum, made, at, out, product)
+
+    monkeypatch.setattr(FourierSpectrum, "_exponentials", counted_exponentials)
+    monkeypatch.setattr(FourierSpectrum, "_angle_tables", owned_tables)
+    monkeypatch.setattr(FourierSpectrum, "_weight_block", counted_block)
+    rows = _exact_sum_grid(capsys, "0.3,0.7", "1000,4096,40000")
+    for n, alpha in [(n, alpha) for n in (1000, 4096, 40000) for alpha in (0.3, 0.7)]:
         group = [row for row in rows if (int(row["N"]), float(row["alpha"])) == (n, alpha)]
         times = list(dict.fromkeys(float(row["t"]) for row in group))
         rs = list(dict.fromkeys(int(row["r"]) for row in group))
         assert len(times) == 4 and len(rs) > 1 and len(group) == 5 * len(rs)
-        assert [x for m, a, b, x in built if (m, a, b) == (n, alpha, "_exponentials")] == times
-        assert [x for m, a, b, x in built if (m, a, b) == (n, alpha, "_cosine_weights")] == rs
+        starts = range(0, n // 2 + 1, 4 * 4096)
+        assert len(starts) == (2 if n == 40000 else 1)
+        finite = list(dict.fromkeys(float(row["t"]) for row in group if row["value"] != "inf"))
+        assert finite == times[:3]  # the last t saturates and makes no exponential
+        for maker, xs in ("_exponentials", finite), ("_weight_block", rs):
+            made = [(a, x) for m, al, b, a, x in built if (m, al, b) == (n, alpha, maker)]
+            assert sorted(made) == sorted((a, x) for a in starts for x in xs)
 
 
 def test_bound_grid_rows_equal_fresh_spectrum_bounds(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from lr_horizon import (
     LatticeSpec,
     chain,
     coupling_matrix,
+    exact_sum_bound,
+    exact_sum_signaling_time,
     fourier_spectrum,
     lambda_upper_bound,
     reproducibility_check,
@@ -253,17 +256,19 @@ def test_inverse_power_grid_is_the_power_of_the_displacement_grid(dimension, sid
     assert got.tobytes() == want.tobytes()
 
 
-def test_held_times_past_the_byte_cap_use_the_one_slot(monkeypatch):
-    """Only the first distinct times that fit HELD_TERMS_BYTES are held; later ones share the last-t slot."""
-    spectrum = fourier_spectrum(64, 0.5)
-    monkeypatch.setattr(kernels, "HELD_TERMS_BYTES", 2 * spectrum.omega.nbytes)
-    times = [0.01, 0.02, 0.01, 0.03]
-    spectrum.hold_times(times)
-    built, real = [], FourierSpectrum._exponentials
-    monkeypatch.setattr(FourierSpectrum, "_exponentials", lambda s, t: built.append(t) or real(s, t))
-    values = [spectrum.series(r, t) for r in (1, 32) for t in times]
-    assert built == [0.03]
-    assert values == [fourier_spectrum(64, 0.5).series(r, t) for r in (1, 32) for t in times]
+def test_a_long_time_grid_is_summed_without_whole_exponential_arrays():
+    """64 declared times at N = 2**18: the pass peaks below two omega-sized arrays, with the values of the per-r route."""
+    spectrum = fourier_spectrum(2**18, 0.5)
+    rs, times = [1, 2**16, 2**17], [k / (8 * spectrum.lam) for k in range(64)]
+    tracemalloc.start()
+    try:
+        spectrum.declare_grid(rs, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * spectrum.omega.nbytes
+    fresh = fourier_spectrum(2**18, 0.5)
+    assert [spectrum.series(r, t) for r in rs for t in times] == [fresh.series(r, t) for r in rs for t in times]
 
 
 def _ring_sequence(n: int, alpha: float) -> np.ndarray:
@@ -373,3 +378,62 @@ def test_series_at_a_million_sites_matches_a_long_double_sum(million_site_series
     spectrum, t, terms = million_site_series
     want = float(np.dot(_long_double_weights(spectrum.n_sites, r), terms))
     assert abs(spectrum.series(r, t) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7497, 1.0])
+def test_series_at_half_the_ring_matches_a_long_double_sum(alpha):
+    """r = N/2 at N = 10**6, where the terms cancel: block by block, the sum stays within 3e-10 of a long-double sum over the same omega."""
+    n = 10**6
+    spectrum = fourier_spectrum(n, alpha)
+    weights = _long_double_weights(n, n // 2)
+    for two_lambda_t in (0.2, 0.6):
+        t = two_lambda_t / (2 * spectrum.lam)
+        want = float(np.dot(weights, np.expm1(2 * np.longdouble(t) * spectrum.omega.astype(np.longdouble))))
+        assert abs(spectrum.series(n // 2, t) - want) <= 3e-10 * want, two_lambda_t
+
+
+# N // 2 + 1 at B - 1, B, B + 1 and 2 B + 1 for the block length B, and an odd N at B + 1
+@pytest.mark.parametrize("n", [32764, 32766, 32768, 65536, 32769])
+def test_every_route_makes_the_same_block_dots(monkeypatch, n):
+    """The declared grid, an undeclared bound and the solver's series and slope agree bit for bit across block edges."""
+    alpha, size, step = 0.6, n // 2 + 1, kernels._BLOCK_ROWS * kernels._WEIGHT_COLUMNS
+    starts = range(0, size, step)
+    grid = fourier_spectrum(n, alpha)
+    rs = [1, n // 4, n // 2]
+    times = [0.0, 0.2 / grid.lam, 0.6 / grid.lam, 1000.0 / grid.lam]
+    owner, built = {}, []
+    tables, block = FourierSpectrum._angle_tables, FourierSpectrum._weight_block
+
+    def owned_tables(spectrum, r):
+        made = tables(spectrum, r)
+        owner[id(made)] = r
+        return made
+
+    def recorded_block(spectrum, made, at, out, product):
+        weights = block(spectrum, made, at, out, product)
+        built.append((owner[id(made)], at.start, at.stop, weights.copy()))
+        return weights
+
+    monkeypatch.setattr(FourierSpectrum, "_angle_tables", owned_tables)
+    monkeypatch.setattr(FourierSpectrum, "_weight_block", recorded_block)
+    grid.declare_grid(rs, times)
+    monkeypatch.undo()
+    assert sorted(x[:3] for x in built) == sorted((r, a, min(a + step, size)) for r in rs for a in starts)
+    whole = {r: grid._cosine_weights(r) for r in rs}
+    for r, a, b, weights in built:
+        assert np.array_equal(weights, whole[r][a:b])
+
+    plain, slope_first = fourier_spectrum(n, alpha), fourier_spectrum(n, alpha)
+    for r in rs:
+        for t in times:
+            value = grid.series(r, t)
+            assert exact_sum_bound(n, alpha, r, t, spectrum=grid).value == exact_sum_bound(n, alpha, r, t).value
+            slope = slope_first.slope(r, t)
+            assert (plain.series(r, t), plain.slope(r, t)) == (value, slope)
+            if t < times[-1]:
+                terms = np.expm1(2.0 * t * grid.omega)
+                dots = [float(np.dot(whole[r][a : a + step], terms[a : a + step])) for a in starts]
+                assert value == max(sum(dots), 0.0)
+            else:
+                assert value == slope == math.inf
+        assert exact_sum_signaling_time(n, alpha, r, 1.0, spectrum=grid) == exact_sum_signaling_time(n, alpha, r, 1.0)

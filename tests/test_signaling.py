@@ -289,19 +289,19 @@ def test_exact_sum_confirmation_falls_back_to_bisection(monkeypatch):
 
 
 def test_one_spectrum_matches_fresh_spectra_when_calls_interleave():
-    """The weights kept per r, slope weights and exponentials kept per t never leak across calls.
+    """The weights kept per r, the last values and a declared grid never leak across calls.
 
     Every value from one shared spectrum equals the value from a fresh
     spectrum per call, while bounds alternate r and t and solves at
-    other r run between them. The second shared spectrum also holds the
-    exponentials of t2 and of a saturating t, which t1 and the solves'
-    own times do not disturb.
+    other r run between them. The second shared spectrum also declares a
+    grid over r1 and r2 at t2 and a saturating t, which t1, r3 and the
+    solves' own times do not disturb.
     """
     n, alpha = 1000, 0.5
     plain, holding = fourier_spectrum(n, alpha), fourier_spectrum(n, alpha)
     r1, r2, r3 = 1, n // 4, n // 2
     t1, t2, t_sat = 0.3 / plain.lam, 1.0 / plain.lam, 1000.0 / plain.lam
-    holding.hold_times([t2, t_sat, t2])
+    holding.declare_grid([r1, r2, r1], [t2, t_sat, t2])
 
     def bound(r, t, shared=None):
         return exact_sum_bound(n, alpha, r, t, spectrum=shared).value
