@@ -196,8 +196,8 @@ def exact_sum_bound(
     Evaluates 2||A||||B|||X||Y| * (1/N) sum_p cos(2 pi p r / N)
     (e^(2 omega(p) t) - 1) as one weighted sum over the half spectrum
     (``FourierSpectrum.series``). Pass a precomputed ``spectrum`` to
-    amortize the FFT, and the weights of each r, across a sweep; it must
-    match ``(n_sites, alpha)``.
+    amortize the FFT, and the angle tables of each r, across a sweep; it
+    must match ``(n_sites, alpha)``.
 
     Tiny negative results from roundoff are clamped to zero; a negative
     value beyond roundoff scale raises. Overflow returns +inf flagged

@@ -23,12 +23,12 @@ Exit codes: 0 success, 2 invalid input, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import chain
 
@@ -286,7 +286,7 @@ def _sweep(cfg: dict) -> list[tuple]:
     if cfg["workers"] <= 1 or len(tasks) <= 1:
         results = [task_fn(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
             results = list(pool.map(task_fn, tasks))
     return [row for chunk in results for row in chunk]
 

@@ -35,10 +35,10 @@ _EXP_ARG_MAX = 700.0
 # coprime factors (``_even_spectrum``); below it one whole-length rfft is faster.
 _SPLIT_MIN_PRIME = 400
 
-# Columns of the two-table cosine weights: p = a * _WEIGHT_COLUMNS + b (``_cosine_weights``).
+# Columns of the mode table and its cosine tables: p = a * _WEIGHT_COLUMNS + b (``FourierSpectrum``).
 _WEIGHT_COLUMNS = 4096
-# Table rows per block of the series sum: 16384 modes, 128 KB per vector, so a block's vectors stay in L2.
-_BLOCK_ROWS = 4
+# Table rows per block of the series sum: 65536 modes, 512 KB of exponentials, so a block stays in L2.
+_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -203,99 +203,67 @@ class FourierSpectrum:
     ``series(r, t)`` is S = sum_p c_p expm1(2 omega_p t), which the ring
     bound multiplies by 2||A||||B|||X||Y|, with c_p = w_p cos(2 pi p r / N)
     / N: ``w_p = 2`` folds in the mirror omega(N - p), and ``w_p = 1`` at
-    p = 0 and, for even N, p = N / 2. The cosines are the angle-addition
-    product of two small tables of exactly reduced angles.
+    p = 0 and, for even N, p = N / 2.
 
-    The sum runs over fixed blocks of ``_BLOCK_ROWS`` table rows of p: one
-    ``np.dot`` per block, the partials added in block order, so no N-wide
-    exponential array is built. ``declare_grid(rs, ts)`` evaluates every
-    (r, t) of a grid in one pass over the blocks, and ``series`` reads those
-    values. Any other (r, t) is summed from the kept weights of its r, freed
-    before the next r's are built, and the same pass gives ``slope(r, t)``.
-    Every route makes the same block dots, so they agree bit for bit. The
-    caches make one spectrum unsafe to share between threads.
+    omega is held in table rows, p = a C + b with C = ``_WEIGHT_COLUMNS``,
+    zero past N // 2 so that expm1 adds 0 there; ``omega`` is a view of it.
+    By angle addition, 2 cos(2 pi p r / N) / N is row a of the row table
+    [cos_a, -sin_a] 2 / N dotted with row b of the column table
+    [cos_b, sin_b] (``_angle_tables``). So a block of ``_BLOCK_ROWS`` table
+    rows adds ``np.vdot(rows[block], e @ columns)`` to S, e being its
+    expm1(2 t omega) halved where w_p = 1; the slope makes the same product
+    on omega e^(2 omega t), doubled. The parts are added in block order.
+    ``declare_grid(rs, ts)`` evaluates a whole grid in one pass over the
+    blocks, for ``series`` to read. Any other (r, t) is summed with the
+    tables of r, kept for the last r, and that pass also gives ``slope``.
+    Every route makes the same per-r products, so they agree bit for bit.
+    The caches make one spectrum unsafe to share between threads.
     """
 
     def __init__(self, omega: np.ndarray, n_sites: int, alpha: float, lam: float) -> None:
-        self.omega, self.n_sites, self.alpha, self.lam = omega, n_sites, alpha, lam
-        self.omega_max = float(omega.max())
         size = n_sites // 2 + 1
-        self._columns = min(size, _WEIGHT_COLUMNS)
-        self._block_len = _BLOCK_ROWS * self._columns  # whole table rows
-        self._blocks = [slice(p, min(p + self._block_len, size)) for p in range(0, size, self._block_len)]
-        self._r = self._weights = None  # c_p, c_p 2 omega_p and their sum, at r
+        columns = min(size, _WEIGHT_COLUMNS)
+        self._table = np.zeros((-(-size // columns), columns))
+        self.omega = self._table.reshape(-1)[:size]
+        self.omega[:] = omega
+        self.n_sites, self.alpha, self.lam = n_sites, alpha, lam
+        self.omega_max = float(omega.max())
+        # (row, column) of the modes with w_p = 1
+        self._unpaired = [divmod(p, columns) for p in ((0,) if n_sites % 2 else (0, n_sites // 2))]
+        self._r = self._tables = None  # the angle tables of the last r
         self._last = (None,) * 4  # (r, t, S, dS/dt)
         self._grid: dict[tuple, float] = {}  # S at each declared (r, t)
 
     def _saturates(self, t: float) -> bool:
         return not 2.0 * t * self.omega_max <= _EXP_ARG_MAX
 
-    def _angle_tables(self, r) -> tuple[np.ndarray, ...]:
-        # p = a C + b: cos(2 pi p r / N) = cos_a cos_b - sin_a sin_b, from two small tables of exact angles
-        n, size = self.n_sites, self.n_sites // 2 + 1
+    def _angle_tables(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """The row table [cos_a, -sin_a] 2 / N and the column table [cos_b, sin_b] of p = a C + b at r, from exactly reduced angles."""
+        n, (count, columns) = self.n_sites, self._table.shape
         if not 1 <= r <= n // 2 or r % 1:
             raise ValueError(f"r must be an integer in [1, N/2], got r={r} with N={n}")
-        columns = np.arange(self._columns) * r % n
-        rows = np.arange(-(-size // self._columns)) * (self._columns * r % n) % n
-        base_cos, base_sin = _unit_circle(columns, n)
-        head_cos, head_sin = _unit_circle(rows, n)
-        head_cos *= 2.0 / n
-        head_sin *= 2.0 / n
-        return head_cos, head_sin, base_cos, base_sin
+        cos_a, sin_a = _unit_circle(np.arange(count) * (columns * r % n) % n, n)
+        cos_b, sin_b = _unit_circle(np.arange(columns) * r % n, n)
+        return np.stack([cos_a, -sin_a], axis=1) * (2.0 / n), np.stack([cos_b, sin_b], axis=1)
 
-    def _weight_block(self, tables, block: slice, out: np.ndarray, product: np.ndarray) -> np.ndarray:
-        """c_p for p in ``block``: its whole table rows written to ``out``, the sine product to ``product``."""
-        head_cos, head_sin, base_cos, base_sin = tables
-        rows = slice(block.start // self._columns, -(-block.stop // self._columns))
-        count = (rows.stop - rows.start) * self._columns
-        grid = np.multiply.outer(head_cos[rows], base_cos, out=out[:count].reshape(-1, self._columns))
-        grid -= np.multiply.outer(head_sin[rows], base_sin, out=product[:count].reshape(grid.shape))
-        weights = out[: block.stop - block.start]
-        if block.start == 0:
-            weights[0] *= 0.5
-        if self.n_sites % 2 == 0 and block.stop == self.n_sites // 2 + 1:
-            weights[-1] *= 0.5
-        return weights
+    def _terms(self, t: float, start: int, out: np.ndarray) -> np.ndarray:
+        """On the block of table rows at ``start``: expm1(2 t omega) in ``out[0]``, omega e^(2 omega t) in ``out[1]`` if any; halved where w_p = 1."""
+        block = self._table[start : start + _BLOCK_ROWS]
+        out = out[:, : len(block)]
+        np.expm1(np.multiply(block, 2.0 * t, out=out[0]), out=out[0])
+        if len(out) > 1:
+            np.add(out[0], 1.0, out=out[1])
+            out[1] *= block
+        for a, b in self._unpaired:
+            if 0 <= a - start < len(block):
+                out[:, a - start, b] *= 0.5
+        return out
 
-    def _cosine_weights(self, r) -> np.ndarray:
-        """All N // 2 + 1 weights c_p at r, built block by block as ``declare_grid`` builds them."""
-        tables = self._angle_tables(r)
-        whole = np.empty(len(tables[0]) * self._columns)
-        product = np.empty(self._block_len)
-        for block in self._blocks:
-            self._weight_block(tables, block, whole[block.start :], product)
-        return whole[: self.n_sites // 2 + 1]
-
-    def _exponentials(self, t: float, block: slice, out: np.ndarray) -> np.ndarray:
-        terms = np.multiply(self.omega[block], 2.0 * t, out=out[: block.stop - block.start])
-        return np.expm1(terms, out=terms)
-
-    def _block_sums(self, sources, times) -> np.ndarray:
-        """sum_p c_p expm1(2 t omega_p) for each weight source and each t, block by block.
-
-        A source is called as ``source(block, out)`` and gives c_p for p in
-        ``block``. In each block every source and every t is made once: the
-        smaller of the two sets is kept, and the other is made one at a time
-        in a single buffer, so the buffers hold min(#sources, #t) + 1 blocks.
-        """
-        sums = np.zeros((len(sources), len(times)))
-        kept = np.empty((min(sums.shape), self._block_len))
-        stream = np.empty(self._block_len)
-        keep_weights = len(sources) <= len(times)
-        for block in self._blocks:
-            if keep_weights:
-                held = [source(block, out) for source, out in zip(sources, kept)]
-                for j, t in enumerate(times):
-                    terms = self._exponentials(t, block, stream)
-                    for i, c in enumerate(held):
-                        sums[i, j] += np.dot(c, terms)
-            else:
-                held = [self._exponentials(t, block, out) for t, out in zip(times, kept)]
-                for i, source in enumerate(sources):
-                    c = source(block, stream)
-                    for j, terms in enumerate(held):
-                        sums[i, j] += np.dot(c, terms)
-        return sums
+    @staticmethod
+    def _part(tables, start: int, terms: np.ndarray) -> float:
+        """sum_p c_p terms_p over the block at ``start``: one product with the column table, one dot with the row table."""
+        rows, columns = tables
+        return float(np.vdot(rows[start : start + _BLOCK_ROWS], terms @ columns))
 
     def _checked(self, raw: float, t: float) -> float:
         if raw < 0.0:  # see ``series``
@@ -307,35 +275,38 @@ class FourierSpectrum:
     def declare_grid(self, rs, times) -> None:
         """Evaluate S at every (r, t) of ``rs`` x ``times`` in one pass over the blocks, for ``series`` to read.
 
-        Each block's exponentials are made once per t, and its weights once
-        per r from that r's two angle tables. The grid replaces the last one.
+        Each block's exponentials are made once per t, and each r's tables
+        once. The grid replaces the last one.
         """
         rs, times = list(dict.fromkeys(rs)), list(dict.fromkeys(times))
         finite = [t for t in times if not self._saturates(t)]
-        product = np.empty(self._block_len)
-        sources = [
-            lambda block, out, tables=self._angle_tables(r): self._weight_block(tables, block, out, product) for r in rs
-        ]
+        tables = [self._angle_tables(r) for r in rs]
+        sums = [[0.0] * len(finite) for _ in rs]
+        out = np.empty((1, *self._table[:_BLOCK_ROWS].shape))
+        for start in range(0, len(self._table), _BLOCK_ROWS):
+            for j, t in enumerate(finite):
+                (terms,) = self._terms(t, start, out)
+                for made, row in zip(tables, sums):
+                    row[j] += self._part(made, start, terms)
         grid = {(r, t): math.inf for r in rs for t in times}
-        for r, row in zip(rs, self._block_sums(sources, finite).tolist()):
+        for r, row in zip(rs, sums):
             grid.update({(r, t): self._checked(raw, t) for t, raw in zip(finite, row)})
         self._grid = grid
 
     def _values(self, r, t: float) -> tuple[float, float]:
-        """(S, dS/dt) at (r, t) from one block pass over the kept weights of r."""
+        """(S, dS/dt) at (r, t) from one pass over the blocks with the tables of r."""
         if self._last[:2] != (r, t):
             if r != self._r:
-                self._r = self._weights = None
-                weights = self._cosine_weights(r)
-                slope_weights = 2.0 * self.omega
-                slope_weights *= weights
-                self._r, self._weights = r, (weights, slope_weights, float(slope_weights.sum()))
-            weights, slope_weights, at_zero = self._weights
+                self._tables, self._r = self._angle_tables(r), r
             values = (math.inf, math.inf)
             if not self._saturates(t):
-                sources = [lambda block, out, c=c: c[block] for c in (weights, slope_weights)]
-                (raw,), (rise,) = self._block_sums(sources, [t]).tolist()
-                values = (self._checked(raw, t), rise + at_zero)
+                raw = rise = 0.0
+                out = np.empty((2, *self._table[:_BLOCK_ROWS].shape))
+                for start in range(0, len(self._table), _BLOCK_ROWS):
+                    terms, rates = self._terms(t, start, out)
+                    raw += self._part(self._tables, start, terms)
+                    rise += self._part(self._tables, start, rates)
+                values = (self._checked(raw, t), 2.0 * rise)
             self._last = (r, t, *values)
         return self._last[2:]
 
@@ -410,7 +381,7 @@ def _even_spectrum(seq: np.ndarray) -> np.ndarray:
     p, b = _largest_prime_power(n)
     a = n // b
     if p < _SPLIT_MIN_PRIME or a == 1:
-        return np.ascontiguousarray(np.fft.rfft(seq).real)
+        return np.fft.rfft(seq).real
     at = np.add.outer(np.arange(0, n, b), np.arange(0, n, a))  # below 2N, so one subtraction reduces it
     at[at >= n] -= n
     grid = np.fft.fft(np.fft.rfft(seq[at], axis=1), axis=0).real

@@ -2,10 +2,10 @@
 
 A signaling time here is the earliest t at which a commutator-norm
 bound reaches the threshold delta; since every evaluator upper-bounds
-the true commutator, each t* is a certified lower bound on the physical
-signaling time. The many-site variant doubles as a scrambling-time
-lower bound (scrambling from a region is no faster than signaling to
-its complement).
+the true commutator, each t* is a lower bound on the physical signaling
+time, up to the floating-point roundoff of the series. The many-site
+variant doubles as a scrambling-time lower bound (scrambling from a
+region is no faster than signaling to its complement).
 The analytic and many-site bounds are closed form in t, and so is their
 t* (``PairSum.crossing``, no bracket). The ring series takes safeguarded
 Newton steps in ``_solve``, the one numeric solver; without a slope it

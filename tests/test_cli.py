@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from itertools import chain as chained
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import lr_horizon.cli as cli
-from lr_horizon import CouplingModel, NoCrossingError, chain, exact_sum_bound, ring, site_hop_strength
+from lr_horizon import CouplingModel, NoCrossingError, chain, exact_sum_bound, kernels, ring, site_hop_strength
 from lr_horizon.cli import main
 from lr_horizon.kernels import FourierSpectrum
 
@@ -397,39 +400,35 @@ def _exact_sum_grid(capsys, alphas, sizes):
 
 
 def test_bound_grid_builds_each_exponential_and_weight_vector_once(capsys, monkeypatch):
-    """Per (N, alpha) and block of modes, the grid builds one exponential per finite t and one weight block per r."""
-    built, owner = [], {}
-    exponentials, tables, block = FourierSpectrum._exponentials, FourierSpectrum._angle_tables, FourierSpectrum._weight_block
+    """Per (N, alpha), the grid makes one exponential block per finite t and block of table rows, and each r's tables once."""
+    built = []
+    terms, tables = FourierSpectrum._terms, FourierSpectrum._angle_tables
 
-    def counted_exponentials(spectrum, t, at, out):
-        built.append((spectrum.n_sites, spectrum.alpha, "_exponentials", at.start, t))
-        return exponentials(spectrum, t, at, out)
+    def counted_terms(spectrum, t, start, out):
+        built.append((spectrum.n_sites, spectrum.alpha, "_terms" if len(out) == 1 else "_rates", start, t))
+        return terms(spectrum, t, start, out)
 
-    def owned_tables(spectrum, r):
-        made = tables(spectrum, r)
-        owner[id(made)] = r
-        return made
+    def counted_tables(spectrum, r):
+        built.append((spectrum.n_sites, spectrum.alpha, "_angle_tables", 0, r))
+        return tables(spectrum, r)
 
-    def counted_block(spectrum, made, at, out, product):
-        built.append((spectrum.n_sites, spectrum.alpha, "_weight_block", at.start, owner[id(made)]))
-        return block(spectrum, made, at, out, product)
-
-    monkeypatch.setattr(FourierSpectrum, "_exponentials", counted_exponentials)
-    monkeypatch.setattr(FourierSpectrum, "_angle_tables", owned_tables)
-    monkeypatch.setattr(FourierSpectrum, "_weight_block", counted_block)
-    rows = _exact_sum_grid(capsys, "0.3,0.7", "1000,4096,40000")
-    for n, alpha in [(n, alpha) for n in (1000, 4096, 40000) for alpha in (0.3, 0.7)]:
+    monkeypatch.setattr(FourierSpectrum, "_terms", counted_terms)
+    monkeypatch.setattr(FourierSpectrum, "_angle_tables", counted_tables)
+    rows = _exact_sum_grid(capsys, "0.3,0.7", "1000,4096,140000")
+    assert not [entry for entry in built if entry[2] == "_rates"]  # no slope is summed
+    for n, alpha in [(n, alpha) for n in (1000, 4096, 140000) for alpha in (0.3, 0.7)]:
         group = [row for row in rows if (int(row["N"]), float(row["alpha"])) == (n, alpha)]
         times = list(dict.fromkeys(float(row["t"]) for row in group))
         rs = list(dict.fromkeys(int(row["r"]) for row in group))
         assert len(times) == 4 and len(rs) > 1 and len(group) == 5 * len(rs)
-        starts = range(0, n // 2 + 1, 4 * 4096)
-        assert len(starts) == (2 if n == 40000 else 1)
+        size = n // 2 + 1
+        starts = range(0, -(-size // min(size, kernels._WEIGHT_COLUMNS)), kernels._BLOCK_ROWS)
+        assert len(starts) == (2 if n == 140000 else 1)
         finite = list(dict.fromkeys(float(row["t"]) for row in group if row["value"] != "inf"))
         assert finite == times[:3]  # the last t saturates and makes no exponential
-        for maker, xs in ("_exponentials", finite), ("_weight_block", rs):
+        for maker, want in ("_terms", [(a, t) for a in starts for t in finite]), ("_angle_tables", [(0, r) for r in rs]):
             made = [(a, x) for m, al, b, a, x in built if (m, al, b) == (n, alpha, maker)]
-            assert sorted(made) == sorted((a, x) for a in starts for x in xs)
+            assert sorted(made) == sorted(want)
 
 
 def test_bound_grid_rows_equal_fresh_spectrum_bounds(capsys):
@@ -698,6 +697,32 @@ def test_workers_do_not_change_output(tmp_path, capsys):
     assert main(args + ["--out", str(b), "--workers", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(_rows(a.read_text())) == 2 * 2 * 2
+
+
+def _fresh_python(args: list[str], **env: str) -> bytes:
+    """stdout of ``python *args`` in a fresh interpreter that imports this source tree, with ``env`` added."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), **env)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True).stdout
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["bound", "--method", "exact_sum", "--t", "0.1,0.3", "--t-unit", "inv_lambda"], 12),
+        (["signaling", "--method", "exact_sum"], 6),
+    ],
+)
+def test_ring_series_bytes_do_not_depend_on_the_blas_thread_count(argv, rows):
+    """N // 2 + 1 of N = 2**18 spans three blocks of modes; one and two BLAS threads write the same bytes."""
+    argv = ["-m", "lr_horizon.cli", *argv, "--alpha", "0.3,0.6", "--N", "262144", "--r", "1,N/4,N/2"]
+    one, two = (_fresh_python(argv, OPENBLAS_NUM_THREADS=str(k)) for k in (1, 2))
+    assert one == two
+    assert one.count(b"\n") == 2 + rows  # the config line, the header and the rows
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """The process pool's modules load only when ``--workers`` > 1 asks for a pool."""
+    assert _fresh_python(["-c", "import sys, lr_horizon.cli; print('multiprocessing' in sys.modules)"]) == b"False\n"
 
 
 def test_workers_env_default(tmp_path, capsys, monkeypatch):

@@ -352,13 +352,23 @@ def _long_double_weights(n: int, r: int) -> np.ndarray:
     return weights
 
 
+def _table_weights(spectrum: FourierSpectrum, r: int) -> np.ndarray:
+    """c_p for p = 0 .. N // 2 from the two angle tables: row a dotted with row b for p = a C + b, halved where w_p = 1."""
+    rows, columns = spectrum._angle_tables(r)
+    weights = (rows @ columns.T).reshape(-1)[: spectrum.n_sites // 2 + 1]
+    weights[0] *= 0.5
+    if spectrum.n_sites % 2 == 0:
+        weights[-1] *= 0.5
+    return weights
+
+
 # 8190 .. 8193 put N // 2 + 1 on both sides of the table's column count
 @pytest.mark.parametrize("n", [2, 3, 17, 8190, 8192, 8193, 31623, 316228, 10**6])
 def test_cosine_weights_match_integer_reduced_long_double_angles(n):
     """Every weight to 4 ulps of 2/N: no angle is formed as p * (2 pi r / N), whose rounding grows with p."""
     spectrum = FourierSpectrum(np.zeros(n // 2 + 1), n, 0.5, 1.0)  # the weights depend on (N, r) only
     for r in sorted(r for r in {1, 7, n // 4, n // 2 - 1, n // 2} if 1 <= r <= n // 2):
-        weights = spectrum._cosine_weights(r)
+        weights = _table_weights(spectrum, r)
         assert weights.shape == (n // 2 + 1,)
         error = float(np.max(np.abs(weights - _long_double_weights(n, r))))
         assert error <= 4 * np.finfo(float).eps * 2 / n, (r, error)
@@ -392,48 +402,46 @@ def test_series_at_half_the_ring_matches_a_long_double_sum(alpha):
         assert abs(spectrum.series(n // 2, t) - want) <= 3e-10 * want, two_lambda_t
 
 
+# The block length in modes.
+BLOCK = kernels._BLOCK_ROWS * kernels._WEIGHT_COLUMNS
+
+
 # N // 2 + 1 at B - 1, B, B + 1 and 2 B + 1 for the block length B, and an odd N at B + 1
-@pytest.mark.parametrize("n", [32764, 32766, 32768, 65536, 32769])
+@pytest.mark.parametrize("n", [2 * BLOCK - 4, 2 * BLOCK - 2, 2 * BLOCK, 4 * BLOCK, 2 * BLOCK + 1])
 def test_every_route_makes_the_same_block_dots(monkeypatch, n):
     """The declared grid, an undeclared bound and the solver's series and slope agree bit for bit across block edges."""
-    alpha, size, step = 0.6, n // 2 + 1, kernels._BLOCK_ROWS * kernels._WEIGHT_COLUMNS
-    starts = range(0, size, step)
+    alpha = 0.6
     grid = fourier_spectrum(n, alpha)
+    starts = range(0, len(grid._table), kernels._BLOCK_ROWS)
+    assert len(starts) == -(-(n // 2 + 1) // BLOCK)
     rs = [1, n // 4, n // 2]
     times = [0.0, 0.2 / grid.lam, 0.6 / grid.lam, 1000.0 / grid.lam]
-    owner, built = {}, []
-    tables, block = FourierSpectrum._angle_tables, FourierSpectrum._weight_block
-
-    def owned_tables(spectrum, r):
-        made = tables(spectrum, r)
-        owner[id(made)] = r
-        return made
-
-    def recorded_block(spectrum, made, at, out, product):
-        weights = block(spectrum, made, at, out, product)
-        built.append((owner[id(made)], at.start, at.stop, weights.copy()))
-        return weights
-
-    monkeypatch.setattr(FourierSpectrum, "_angle_tables", owned_tables)
-    monkeypatch.setattr(FourierSpectrum, "_weight_block", recorded_block)
+    made = []
+    tables = FourierSpectrum._angle_tables
+    monkeypatch.setattr(FourierSpectrum, "_angle_tables", lambda spectrum, r: made.append(r) or tables(spectrum, r))
     grid.declare_grid(rs, times)
     monkeypatch.undo()
-    assert sorted(x[:3] for x in built) == sorted((r, a, min(a + step, size)) for r in rs for a in starts)
-    whole = {r: grid._cosine_weights(r) for r in rs}
-    for r, a, b, weights in built:
-        assert np.array_equal(weights, whole[r][a:b])
+    assert made == rs
 
     plain, slope_first = fourier_spectrum(n, alpha), fourier_spectrum(n, alpha)
     for r in rs:
+        rows, columns = grid._angle_tables(r)
         for t in times:
             value = grid.series(r, t)
             assert exact_sum_bound(n, alpha, r, t, spectrum=grid).value == exact_sum_bound(n, alpha, r, t).value
             slope = slope_first.slope(r, t)
             assert (plain.series(r, t), plain.slope(r, t)) == (value, slope)
             if t < times[-1]:
-                terms = np.expm1(2.0 * t * grid.omega)
-                dots = [float(np.dot(whole[r][a : a + step], terms[a : a + step])) for a in starts]
-                assert value == max(sum(dots), 0.0)
+                # each block's part rebuilt from the tables and its halved exponentials, added in block order
+                terms = np.zeros(grid._table.size)
+                terms[: n // 2 + 1] = np.expm1(2.0 * t * grid.omega)
+                terms[0] *= 0.5
+                if n % 2 == 0:
+                    terms[n // 2] *= 0.5
+                terms = terms.reshape(grid._table.shape)
+                parts = [float(np.vdot(rows[a : a + kernels._BLOCK_ROWS], terms[a : a + kernels._BLOCK_ROWS] @ columns))
+                         for a in starts]
+                assert value == max(sum(parts), 0.0)
             else:
                 assert value == slope == math.inf
         assert exact_sum_signaling_time(n, alpha, r, 1.0, spectrum=grid) == exact_sum_signaling_time(n, alpha, r, 1.0)
