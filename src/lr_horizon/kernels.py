@@ -215,9 +215,10 @@ class FourierSpectrum:
     on omega e^(2 omega t), doubled. The parts are added in block order.
     ``declare_grid(rs, ts)`` evaluates a whole grid in one pass over the
     blocks, for ``series`` to read. Any other (r, t) is summed with the
-    tables of r, kept for the last r, and that pass also gives ``slope``.
-    Every route makes the same per-r products, so they agree bit for bit.
-    The caches make one spectrum unsafe to share between threads.
+    tables of r, kept for the last r; ``series_and_slope`` adds the slope
+    products to that pass. Every route makes the same per-r products, so
+    they agree bit for bit. The caches make one spectrum unsafe to share
+    between threads.
     """
 
     def __init__(self, omega: np.ndarray, n_sites: int, alpha: float, lam: float) -> None:
@@ -231,7 +232,6 @@ class FourierSpectrum:
         # (row, column) of the modes with w_p = 1
         self._unpaired = [divmod(p, columns) for p in ((0,) if n_sites % 2 else (0, n_sites // 2))]
         self._r = self._tables = None  # the angle tables of the last r
-        self._last = (None,) * 4  # (r, t, S, dS/dt)
         self._grid: dict[tuple, float] = {}  # S at each declared (r, t)
 
     def _saturates(self, t: float) -> bool:
@@ -293,22 +293,20 @@ class FourierSpectrum:
             grid.update({(r, t): self._checked(raw, t) for t, raw in zip(finite, row)})
         self._grid = grid
 
-    def _values(self, r, t: float) -> tuple[float, float]:
-        """(S, dS/dt) at (r, t) from one pass over the blocks with the tables of r."""
-        if self._last[:2] != (r, t):
-            if r != self._r:
-                self._tables, self._r = self._angle_tables(r), r
-            values = (math.inf, math.inf)
-            if not self._saturates(t):
-                raw = rise = 0.0
-                out = np.empty((2, *self._table[:_BLOCK_ROWS].shape))
-                for start in range(0, len(self._table), _BLOCK_ROWS):
-                    terms, rates = self._terms(t, start, out)
-                    raw += self._part(self._tables, start, terms)
-                    rise += self._part(self._tables, start, rates)
-                values = (self._checked(raw, t), 2.0 * rise)
-            self._last = (r, t, *values)
-        return self._last[2:]
+    def _pass(self, r, t: float, slope: bool) -> tuple[float, float]:
+        """(S, dS/dt) at (r, t) from one pass over the blocks with the tables of r; dS/dt is 0 unless ``slope``."""
+        if r != self._r:
+            self._tables, self._r = self._angle_tables(r), r
+        if self._saturates(t):
+            return math.inf, math.inf
+        raw = rise = 0.0
+        out = np.empty((1 + slope, *self._table[:_BLOCK_ROWS].shape))
+        for start in range(0, len(self._table), _BLOCK_ROWS):
+            terms = self._terms(t, start, out)
+            raw += self._part(self._tables, start, terms[0])
+            if slope:
+                rise += self._part(self._tables, start, terms[1])
+        return self._checked(raw, t), 2.0 * rise
 
     def series(self, r, t: float) -> float:
         """S(r, t), or +inf once the largest exponent passes the overflow limit.
@@ -319,11 +317,11 @@ class FourierSpectrum:
         """
         if (r, t) in self._grid:
             return self._grid[r, t]
-        return self._values(r, t)[0]
+        return self._pass(r, t, False)[0]
 
-    def slope(self, r, t: float) -> float:
-        """dS/dt = sum_p c_p 2 omega_p e^(2 omega_p t), or +inf past overflow."""
-        return self._values(r, t)[1]
+    def series_and_slope(self, r, t: float) -> tuple[float, float]:
+        """(S, dS/dt) from one pass, dS/dt = sum_p c_p 2 omega_p e^(2 omega_p t); S has the bits of ``series``."""
+        return self._pass(r, t, True)
 
 
 def _unit_circle(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import UNIT_PREFACTOR, BoundPrefactor, PairSum
-from .kernels import FourierSpectrum, HopParameters, site_hop_strength, spectrum_for
+from .kernels import FourierSpectrum, HopParameters, composition_constant, site_hop_strength, spectrum_for
 from .lattice import CouplingModel, LatticeSpec
 
 # Relative width in t of the bracket every numeric solve ends on;
@@ -66,40 +66,54 @@ def signaling_time_analytic(
     return SignalingTime(t_star=t, method="analytic")
 
 
-def _solve(value, delta: float, t_init: float, slope=None) -> tuple[float, tuple[float, float]]:
+def _solve(value, delta, start, lo=0.0, hi=math.inf, value_and_slope=None, name="bound") -> tuple[float, tuple[float, float]]:
     """The t* at which a continuous increasing value(t) reaches delta, and its bracket (lo, hi).
 
-    The bracket doubles from ``t_init`` until value >= delta, or raises
-    ``NoCrossingError`` after ``MAX_BRACKET_DOUBLINGS``. Inside it,
-    ``rtsafe`` (Numerical Recipes 9.4) takes Newton steps on
+    The caller's ``lo`` (checked once unless 0: value below delta, else
+    ``RuntimeError``) and ``hi`` bracket t*; the steps begin at ``start``
+    clamped into them. An infinite ``hi`` doubles from there until value
+    >= delta, or raises ``NoCrossingError`` after ``MAX_BRACKET_DOUBLINGS``.
+    Inside, ``rtsafe`` (Numerical Recipes 9.4) takes Newton steps on
     ln(value / delta), close to linear in t for exponential bounds, and
-    bisects whenever a step leaves the bracket or fails to halve the
-    step before last; without ``slope`` it only bisects. Once a step is
-    below half the tolerance, value is evaluated at
-    t*(1 -+ ``BISECT_REL_TOL`` / 2); if either lands on the wrong side
-    of delta, bisection finishes. So value < delta at ``lo``,
-    value >= delta at ``hi``, a relative ``BISECT_REL_TOL`` apart, and t*
-    lies inside.
+    bisects whenever a step leaves the bracket or fails to halve the step
+    before last; ``value_and_slope`` gives both from one evaluation, at the
+    points it steps from, and without it the solve only bisects. Once a
+    step is below half the tolerance, ``value`` at t*(1 -+
+    ``BISECT_REL_TOL`` / 2), where inside the bracket, confirms it, or
+    bisection finishes; a ``hi`` still unevaluated is evaluated last. So
+    value < delta at ``lo``, value >= delta at ``hi``, a relative
+    ``BISECT_REL_TOL`` apart, t* lies inside, and no t is evaluated twice.
+    ``name`` opens the error messages.
     """
-    lo, hi = 0.0, t_init
-    v = value(hi)
+    hi_seen = False  # whether value(hi) >= delta was evaluated
+
+    def place(t: float, v: float) -> None:
+        nonlocal lo, hi, hi_seen
+        if v < delta:
+            lo = t
+        else:
+            hi, hi_seen = t, True
+
+    evaluate = value_and_slope or (lambda t: (value(t), math.nan))
+    t_star = min(max(start, lo), hi)
+    v, s = evaluate(t_star)
+    if lo > 0.0 and not (value(lo) if lo < t_star else v) < delta:
+        raise RuntimeError(f"{name} reaches delta={delta} at its lower end t={lo!r}")
+    place(t_star, v)
     doublings = 0
-    while v < delta:
-        lo = hi
-        hi *= 2.0
+    while v < delta and hi == math.inf:
         doublings += 1
         if doublings > MAX_BRACKET_DOUBLINGS:
-            raise NoCrossingError(f"bound stayed below delta={delta} out to t={hi:.3e}")
-        v = value(hi)
+            raise NoCrossingError(f"{name} stayed below delta={delta} out to t={t_star:.3e}")
+        t_star *= 2.0
+        v, s = evaluate(t_star)
+        place(t_star, v)
 
-    t_star = hi
     step = step_before = hi - lo
     for _ in range(MAX_NEWTON_STEPS):
         newton = math.nan
-        if slope is not None and 0.0 < v < math.inf:
-            s = slope(t_star)
-            if s > 0.0:
-                newton = t_star - math.log(v / delta) * v / s
+        if 0.0 < v < math.inf and s > 0.0:
+            newton = t_star - math.log(v / delta) * v / s
         if lo <= newton <= hi and abs(newton - t_star) <= 0.5 * step_before:
             step_before, step = step, abs(newton - t_star)
             t_star = newton
@@ -108,24 +122,17 @@ def _solve(value, delta: float, t_init: float, slope=None) -> tuple[float, tuple
             t_star = lo + step
         if step <= 0.5 * BISECT_REL_TOL * t_star:
             break
-        v = value(t_star)
-        if v < delta:
-            lo = t_star
-        else:
-            hi = t_star
+        v, s = evaluate(t_star)
+        place(t_star, v)
 
     for t in (t_star * (1.0 - 0.5 * BISECT_REL_TOL), t_star * (1.0 + 0.5 * BISECT_REL_TOL)):
         if lo < t < hi:
-            if value(t) < delta:
-                lo = t
-            else:
-                hi = t
+            place(t, value(t))
     while hi - lo > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if value(mid) < delta:
-            lo = mid
-        else:
-            hi = mid
+        place(mid, value(mid))
+    if not hi_seen and not value(hi) >= delta:
+        raise NoCrossingError(f"{name} stayed below delta={delta} at its upper end t={hi!r}")
     if not lo <= t_star <= hi:
         t_star = 0.5 * (lo + hi)
     return t_star, (lo, hi)
@@ -175,23 +182,36 @@ def exact_sum_signaling_time(
     pre: BoundPrefactor = UNIT_PREFACTOR,
     spectrum: FourierSpectrum | None = None,
 ) -> SignalingTime:
-    """Safeguarded Newton solve of the ring series bound; the workhorse for the N sweeps.
+    """Safeguarded Newton solve of the ring series bound in a closed-form bracket; the workhorse for the N sweeps.
 
-    ``_solve`` steps on ``FourierSpectrum.series`` and ``slope`` at one
-    r, its bracket grown from 1 / (2 omega_max): the time scale of the
-    fastest mode, which does not shrink as alpha grows.
+    ``_solve`` steps on ``FourierSpectrum.series_and_slope`` at one r and
+    checks with ``series``. The analytic bound lies above the series, so its
+    t* is the lower end; every hop term is >= 0, so the series is at least
+    2 t r^-alpha, and delta r^alpha / (2 s) is the upper end (s the
+    prefactor scale). The steps start at t0 = ln(1 + N delta / s) / (4 lam),
+    where the p = 0 term s expm1(4 lam t) / N alone reaches delta, close to
+    t* at r = N/2. Where r^-alpha underflows the bracket doubles from t0.
 
     Pass a precomputed spectrum to amortize the FFT across many r or
     delta values at fixed (N, alpha); it must match ``(n_sites, alpha)``.
     """
     _check_delta(delta, pre)
     spectrum = spectrum_for(n_sites, alpha, spectrum)
-    scale = pre.scale
+    scale, lam = pre.scale, spectrum.lam
+    weight = r ** -alpha if r >= 1 else 0.0  # ``series`` rejects an r off the ring
+    lo, hi = 0.0, math.inf
+    if weight > 0.0:
+        lo = PairSum(HopParameters(lam, composition_constant(alpha), alpha), scale, weight, r).crossing(delta)
+        hi = delta / (2.0 * scale * weight)
+        lo = lo if lo < hi else 0.0  # a crossing that overflows
     t_star, bracket = _solve(
         lambda t: scale * spectrum.series(r, t),
         delta,
-        1.0 / (2.0 * spectrum.omega_max),
-        slope=lambda t: scale * spectrum.slope(r, t),
+        math.log1p(n_sites * delta / scale) / (4.0 * lam),
+        lo,
+        hi,
+        lambda t: tuple(scale * x for x in spectrum.series_and_slope(r, t)),
+        f"ring series N={n_sites}, alpha={alpha}, r={r}",
     )
     return SignalingTime(t_star=t_star, method="exact_sum", bracket=bracket)
 

@@ -254,6 +254,29 @@ def test_criterion_06_gamma_alpha_reproduction(report):
     assert ok, detail
 
 
+# t*/t0 - 1 at r = N/2, N = 10**6, delta = 1 and s = 2: ROADMAP item 15's table plus one unit of its last digit.
+ZERO_MODE_EXCESS = {0.0: 0.0002, 0.3: 0.0007, 0.6: 0.0038, 0.9: 0.0315}
+
+
+def test_criterion_06_zero_mode_law(report):
+    """At r = N/2 the p = 0 term carries the series: t* >= t0 = ln(1 + N delta / s) / (4 lam), and t*/t0 falls toward 1 with N.
+
+    Since lam ~ N^(1 - alpha), t0 is the N^(alpha - 1) ln N law with its prefactor; no fit runs.
+    """
+    msgs, ok = [], True
+    for alpha, excess in ZERO_MODE_EXCESS.items():
+        ratios = []
+        for n in (10**3, 10**4, 10**5, 10**6):
+            spectrum = fourier_spectrum(n, alpha)
+            t_star = exact_sum_signaling_time(n, alpha, n // 2, 1.0, spectrum=spectrum).t_star
+            ratios.append(t_star / (math.log1p(n / 2) / (4 * spectrum.lam)))
+        ok &= ratios[-1] >= 1 and all(a > b for a, b in zip(ratios, ratios[1:])) and ratios[-1] - 1 <= excess
+        msgs.append(f"a={alpha}: " + ", ".join(f"{x:.4f}" for x in ratios))
+    detail = "t*/t0 at N = 1e3..1e6: " + "; ".join(msgs)
+    report(6, "zero-mode law t0 = ln(1 + N delta / s) / (4 lam) at r = N/2", ok, detail)
+    assert ok, detail
+
+
 def test_criterion_07_alpha1_double_log_fit(report):
     pts = []
     for n in N_GRID_LARGE:

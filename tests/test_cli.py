@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import lr_horizon.cli as cli
-from lr_horizon import CouplingModel, NoCrossingError, chain, exact_sum_bound, kernels, ring, site_hop_strength
+from lr_horizon import (CouplingModel, NoCrossingError, chain, exact_sum_bound, kernels, ring, self_hop_lambda,
+                        signaling_time_analytic, site_hop_strength)
 from lr_horizon.cli import main
 from lr_horizon.kernels import FourierSpectrum
 
@@ -295,6 +296,18 @@ def test_signaling_solver_failure_exit3(capsys, monkeypatch):
         code = main(["signaling", "--method", "exact_sum", "--alpha", "0.5", "--N", "16", "--r", "1"])
         assert code == 3
         assert capsys.readouterr().err == f"solver failure: {exc}\n"
+
+
+def test_signaling_exits_3_when_the_series_reaches_delta_at_its_analytic_lower_end(capsys, monkeypatch):
+    """Every ring solve checks the series below delta at the analytic t*; a series scaled by 10 fails that check."""
+    lo = signaling_time_analytic(self_hop_lambda(ring(16), CouplingModel(alpha=0.5)), 1, 1.0).t_star
+    series = FourierSpectrum.series
+    monkeypatch.setattr(FourierSpectrum, "series", lambda spectrum, r, t: 10.0 * series(spectrum, r, t))
+    code = main(["signaling", "--method", "exact_sum", "--alpha", "0.5", "--N", "16", "--r", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"solver failure: ring series N=16, alpha=0.5, r=1 reaches delta=1.0 at its lower end t={lo!r}\n"
+    )
 
 
 @pytest.mark.parametrize(

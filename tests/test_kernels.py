@@ -429,8 +429,9 @@ def test_every_route_makes_the_same_block_dots(monkeypatch, n):
         for t in times:
             value = grid.series(r, t)
             assert exact_sum_bound(n, alpha, r, t, spectrum=grid).value == exact_sum_bound(n, alpha, r, t).value
-            slope = slope_first.slope(r, t)
-            assert (plain.series(r, t), plain.slope(r, t)) == (value, slope)
+            both, slope = slope_first.series_and_slope(r, t)
+            assert plain.series(r, t) == value == both
+            assert plain.series_and_slope(r, t) == (value, slope)
             if t < times[-1]:
                 # each block's part rebuilt from the tables and its halved exponentials, added in block order
                 terms = np.zeros(grid._table.size)

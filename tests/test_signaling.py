@@ -26,7 +26,7 @@ from lr_horizon import (
     signaling_time_analytic,
 )
 from lr_horizon import bounds, kernels, signaling
-from lr_horizon.kernels import FourierSpectrum
+from lr_horizon.kernels import FourierSpectrum, HopParameters
 
 RING4_ALPHA1 = self_hop_lambda(ring(4), CouplingModel(alpha=1.0))
 
@@ -139,6 +139,16 @@ def test_numeric_no_crossing():
         signaling._solve(lambda t: -math.expm1(-t), 2.0, 0.1)
 
 
+def test_numeric_checks_the_ends_it_is_given():
+    """A lower end at or past the crossing raises; an upper end below it, never reached by a step, is evaluated and raises."""
+    with pytest.raises(RuntimeError, match=r"^line reaches delta=1.0 at its lower end t=1.5$"):
+        signaling._solve(lambda t: t, 1.0, 2.0, lo=1.5, name="line")
+    with pytest.raises(NoCrossingError, match="at its upper end t=5.0"):
+        signaling._solve(lambda t: t, 10.0, 1.0, hi=5.0)
+    t_star, (lo, hi) = signaling._solve(lambda t: t, 3.0, 1.0, lo=0.5, hi=1e6, value_and_slope=lambda t: (t, 1.0))
+    assert lo < 3.0 <= hi and t_star == pytest.approx(3.0, rel=1e-12)
+
+
 def test_contour_values():
     assert signaling_contour(math.e, 0.0, 1.0) == pytest.approx(1 / math.e, rel=1e-13)
     n, alpha = 5000.0, 0.4
@@ -221,20 +231,27 @@ def test_exact_sum_signaling_regression_fixture():
     assert res.t_star == pytest.approx(0.00615981581116, rel=1e-6)
 
 
+def _series_passes(monkeypatch) -> list:
+    """Every pass over the ring series blocks, in order, as (r, t, with slope, (S, dS/dt))."""
+    passes = []
+    run = FourierSpectrum._pass
+
+    def counted(spectrum, r, t, slope):
+        values = run(spectrum, r, t, slope)
+        passes.append((r, t, slope, values))
+        return values
+
+    monkeypatch.setattr(FourierSpectrum, "_pass", counted)
+    return passes
+
+
 @pytest.mark.parametrize("n", [16, 17, 1000, 10**4])
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 1.0])
 def test_exact_sum_newton_matches_bisection(n, alpha, monkeypatch):
-    """The Newton solve agrees with bisection on exact_sum_bound, in fewer series calls, and certifies its bracket."""
+    """The Newton solve agrees with bisection on exact_sum_bound, in fewer series passes, and certifies its bracket."""
     spectrum = fourier_spectrum(n, alpha)
     t_init = 1.0 / (2 * spectrum.lam * (1 + 2 ** (alpha + 1)))
-    evaluations = []
-    evaluate = FourierSpectrum.series
-
-    def counted(spectrum, r, t):
-        evaluations.append(t)
-        return evaluate(spectrum, r, t)
-
-    monkeypatch.setattr(FourierSpectrum, "series", counted)
+    evaluations = _series_passes(monkeypatch)
     for r in sorted({1, n // 4, n // 2}):
         for delta in (0.5, 1.0):
 
@@ -244,7 +261,7 @@ def test_exact_sum_newton_matches_bisection(n, alpha, monkeypatch):
             evaluations.clear()
             res = exact_sum_signaling_time(n, alpha, r, delta, spectrum=spectrum)
             newton_calls = len(evaluations)
-            assert newton_calls <= 24
+            assert newton_calls <= 8
             evaluations.clear()
             ref, _ = signaling._solve(bound, delta, t_init)
             assert newton_calls < len(evaluations)
@@ -266,18 +283,80 @@ def test_newton_solve_matches_one_pair_crossing(alpha, delta):
     def slope(t):
         return bound.scale * bound.weight * 2.0 * (1.0 + p) * math.exp(2.0 * lam * (1.0 + p) * t) / p
 
-    t_star, (lo, hi) = signaling._solve(bound, delta, 1.0 / (2.0 * lam * (1.0 + p)), slope=slope)
+    t_star, (lo, hi) = signaling._solve(
+        bound, delta, 1.0 / (2.0 * lam * (1.0 + p)), value_and_slope=lambda t: (bound(t), slope(t))
+    )
     assert t_star == pytest.approx(bound.crossing(delta), rel=1e-12)
     assert lo <= t_star <= hi
     assert hi - lo <= signaling.BISECT_REL_TOL * hi
     assert bound(lo) < delta <= bound(hi)
 
 
+@pytest.mark.parametrize("delta", [1e-6, 1e-3, 0.5, 1.0, 1.9])
+def test_exact_sum_solve_takes_few_passes_at_every_delta(monkeypatch, delta):
+    """From the closed-form bracket and the zero-mode start, at most 7 series passes per solve, none at a t twice.
+
+    From a seed at 1 / (2 omega_max) the same solves took 19, 10, 9, 9 and 8.
+    """
+    n, alpha, r = 1000, 0.5, 1
+    spectrum = fourier_spectrum(n, alpha)
+    passes = _series_passes(monkeypatch)
+    res = exact_sum_signaling_time(n, alpha, r, delta, spectrum=spectrum)
+    times = [t for _, t, _, _ in passes]
+    assert len(times) <= 7
+    assert len(set(times)) == len(times)
+    lo, hi = res.bracket
+    assert lo in times and hi in times
+    assert lo <= res.t_star <= hi and hi - lo <= signaling.BISECT_REL_TOL * hi
+    assert exact_sum_bound(n, alpha, r, lo, spectrum=spectrum).value < delta
+    assert exact_sum_bound(n, alpha, r, hi, spectrum=spectrum).value >= delta
+
+
+# The alphas that seed 101 draws for the benchmark's ring signaling sweep, over its N grid at r = 1 and N/2.
+SWEEP_ALPHAS = (0.2532, 0.3146, 0.4583)
+SWEEP_N = (10_000, 31_623, 100_000, 316_228, 1_000_000)
+
+
+def test_exact_sum_solve_asks_for_the_slope_only_at_newton_points(monkeypatch):
+    """Each slope pass but the first is the Newton step from the one before, and t* the step from the last.
+
+    So every slope is used once, and the lower-end check and the bracket
+    confirmation are value-only passes.
+    """
+    passes = _series_passes(monkeypatch)
+    for alpha in SWEEP_ALPHAS:
+        for n in SWEEP_N:
+            spectrum = fourier_spectrum(n, alpha)
+            for r in (1, n // 2):
+                passes.clear()
+                res = exact_sum_signaling_time(n, alpha, r, 1.0, spectrum=spectrum)
+                points = [(t, 2.0 * value, 2.0 * rise) for _, t, slope, (value, rise) in passes if slope]
+                steps = [t - math.log(v / 1.0) * v / s for t, v, s in points]
+                assert [t for t, _, _ in points[1:]] + [res.t_star] == steps, (n, alpha, r)
+                assert len(passes) - len(points) <= 3
+
+
+@pytest.mark.parametrize("n,alpha,r,want", [(16, 400.0, 8, 0.9417123450215573), (10**6, 60.0, 5 * 10**5, 87.50000000372529)])
+def test_exact_sum_solve_where_the_pair_weight_leaves_the_float_range(n, alpha, r, want):
+    """r^-alpha underflows and r^alpha overflows: with neither closed-form end, the bracket doubles from t0."""
+    with pytest.raises(ValueError, match="underflows"):
+        bounds.PairSum.one_pair(HopParameters(1.0, 2.0, alpha), UNIT_PREFACTOR, r)
+    res = exact_sum_signaling_time(n, alpha, r, 1.0)
+    assert res.t_star == pytest.approx(want, rel=signaling.BISECT_REL_TOL)
+    lo, hi = res.bracket
+    assert exact_sum_bound(n, alpha, r, lo).value < 1.0 <= exact_sum_bound(n, alpha, r, hi).value
+
+
 def test_exact_sum_confirmation_falls_back_to_bisection(monkeypatch):
     """A slope far too steep stops Newton at once, away from t*; the bracket check catches it."""
     n, alpha, r = 1000, 0.5, 1
-    slope = FourierSpectrum.slope
-    monkeypatch.setattr(FourierSpectrum, "slope", lambda spectrum, r, t: 1e12 * slope(spectrum, r, t))
+    both = FourierSpectrum.series_and_slope
+
+    def steep(spectrum, r, t):
+        value, slope = both(spectrum, r, t)
+        return value, 1e12 * slope
+
+    monkeypatch.setattr(FourierSpectrum, "series_and_slope", steep)
     res = exact_sum_signaling_time(n, alpha, r, 1.0)
     monkeypatch.undo()
     ref = exact_sum_signaling_time(n, alpha, r, 1.0)
@@ -289,7 +368,7 @@ def test_exact_sum_confirmation_falls_back_to_bisection(monkeypatch):
 
 
 def test_one_spectrum_matches_fresh_spectra_when_calls_interleave():
-    """The weights kept per r, the last values and a declared grid never leak across calls.
+    """The angle tables kept for the last r and a declared grid never leak across calls.
 
     Every value from one shared spectrum equals the value from a fresh
     spectrum per call, while bounds alternate r and t and solves at
@@ -311,7 +390,7 @@ def test_one_spectrum_matches_fresh_spectra_when_calls_interleave():
         return res.t_star, res.bracket
 
     def slope(r, t, shared=None):
-        return (shared or fourier_spectrum(n, alpha)).slope(r, t)
+        return (shared or fourier_spectrum(n, alpha)).series_and_slope(r, t)
 
     for spectrum in plain, holding:
         for r, t in [(r1, t1), (r2, t1), (r1, t2), (r2, t2), (r2, t1)]:
@@ -340,7 +419,7 @@ def test_exact_sum_solve_rejects_a_non_integral_r():
 
 
 def test_exact_sum_solve_reaches_large_alpha():
-    """The bracket seed 1 / (2 omega_max) does not shrink with p = 2**(alpha + 1)."""
+    """The bracket does not shrink with p = 2**(alpha + 1): at r = 1 its upper end is delta / (2 s)."""
     times = {exact_sum_signaling_time(16, alpha, 1, 1.0).t_star for alpha in (150.0, 200.0, 250.0, 1000.0)}
     assert len(times) == 1
     assert times.pop() == pytest.approx(0.13836986929155298, rel=1e-12)
