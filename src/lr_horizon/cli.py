@@ -1,6 +1,6 @@
 """Command-line surface: parameter sweeps, tables, and fits.
 
-Subcommands map the library onto reproducible tables:
+Commands map the library onto reproducible tables:
 
 * ``lambda``       -- self-hop strength and its closed-form ceiling.
 * ``bound``        -- commutator bounds on (N, alpha, r, t) grids.
@@ -14,9 +14,10 @@ recording the tool version, a hash of the keys the command reads (for
 ``fit``, of its input table's bytes, not its path), and the method tag.
 Floats are written with 17 significant digits (``_format``). The
 ``protocol`` trajectory is written by block, one (N, alpha, time) head
-per sampled time (``_csv``). Each command accepts only the flags and
-config keys it reads (``READS``, plus ``RUN_KEYS``), and a flag's text
-and a config file's value share one parser (``_KEYS``).
+per sampled time (``_csv``). One argparse parser takes the command and
+every flag; each command then accepts only the flags and config keys it
+reads (``READS``, plus ``RUN_KEYS``), and a flag's text and a config
+file's value share one parser (``_KEYS``).
 Exit codes: 0 success, 2 invalid input, 3 solver failure.
 """
 
@@ -84,20 +85,21 @@ def _format(shape) -> str:
 def _csv(columns: tuple, rows=(), blocks=()):
     """The table's lines, a row or a block at a time, so no table is held as one string.
 
-    Each row shape is formatted by one %-string from ``_format``. A block
-    ``(head, values)`` holds the rows ``(*head, k, values[k])``; its head is formatted once,
-    and all its rows by one %-string, the per-type lines joined in row order.
+    Each row shape is formatted by one %-string from ``_format``. A block ``(head, values)``
+    holds the rows ``(*head, k, values[k])``: its value shape's template has each k written in,
+    and the %-escaped head is joined into it before the values are formatted.
     """
-    formats = {}
+    formats, templates = {}, {}
     for row in chain([columns], rows):
         shape = tuple(map(type, row))
         if shape not in formats:
             formats[shape] = _format(shape) + "\n"
         yield formats[shape] % tuple(row)
     for head, values in blocks:
-        prefix = (_format(map(type, head)) % head).replace("%", "%%") + ","
-        line = {kind: prefix + _format((int, kind)) + "\n" for kind in set(map(type, values))}
-        yield "".join(map(line.__getitem__, map(type, values))) % tuple(chain.from_iterable(enumerate(values)))
+        shape = tuple(map(type, values))
+        if shape not in templates:
+            templates[shape] = ("", *(f",{k},{_format((kind,))}\n" for k, kind in enumerate(shape)))
+        yield (_format(map(type, head)) % head).replace("%", "%%").join(templates[shape]) % tuple(values)
 
 
 def _number(flag: str, value) -> float:
@@ -380,15 +382,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lr-horizon",
         description="Bounds, signaling times, and scaling fits for strongly long-range lattices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COLUMNS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON file of defaults; flags override")
-        for key, (_, _, text) in _KEYS.items():
-            if key == "kac":
-                p.add_argument("--kac", action="store_const", const=True, help=text)
-            else:
-                p.add_argument(_flag(key), dest=key, help=text)
+    parser.add_argument("command", choices=COLUMNS, help="the table to write; a flag it does not read exits 2")
+    parser.add_argument("--config", help="JSON file of defaults; flags override")
+    for key, (_, _, text) in _KEYS.items():
+        if key == "kac":
+            parser.add_argument("--kac", action="store_const", const=True, help=text)
+        else:
+            parser.add_argument(_flag(key), dest=key, help=text)
     return parser
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -873,6 +874,46 @@ def test_config_holds_only_the_keys_read(command, method):
     assert set(cfg) == set(cli.READS[command, method] + cli.RUN_KEYS) | {"command"}
 
 
+def test_one_parser_registers_each_flag_once_and_takes_it_anywhere(monkeypatch):
+    calls = []
+    add = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", lambda self, *a, **k: calls.append(a) or add(self, *a, **k))
+    parser = cli._build_parser()
+    assert len(calls) <= len(cli._KEYS) + 3  # -h, command and --config beside the keys
+    monkeypatch.undo()
+    for command in cli.COLUMNS:
+        for key in cli._KEYS:
+            flag = [cli._flag(key)] if key == "kac" else [cli._flag(key), "1"]
+            expected = dict(dict.fromkeys(cli._KEYS), command=command, config=None)
+            expected[key] = True if key == "kac" else "1"
+            assert vars(parser.parse_args([command, *flag])) == expected
+            assert vars(parser.parse_args([*flag, command])) == expected
+
+
+def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "lr_horizon.cli", *argv], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bound", "--help"]])
+def test_one_help_text_lists_every_command_and_flag(argv):
+    done = _cli_process(*argv)
+    assert done.returncode == 0
+    assert "{" + ",".join(cli.COLUMNS) + "}" in done.stdout
+    assert all(cli._flag(key) in done.stdout for key in ["config", *cli._KEYS])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [([], "the following arguments are required: command"), (["nope"], "argument command: invalid choice: 'nope'")],
+)
+def test_missing_or_unknown_command_exits_2(argv, message):
+    done = _cli_process(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"lr-horizon: error: {message}" in done.stderr
+
+
 def test_a_key_no_command_reads_moves_no_header(capsys, monkeypatch, fit_tables):
     def headers():
         lines = []
@@ -1234,8 +1275,12 @@ def test_delta_window_is_the_same_for_every_prefactor_method(tmp_path, capsys, m
 
 
 def test_csv_block_of_mixed_value_types_matches_the_per_cell_rule():
-    """A block is formatted by one %-string; mixed value types join their per-type lines in row order."""
+    """A block is formatted from its value shape's template; mixed value types keep their per-type formats."""
     blocks = [((7, 0.5, "a%b"), [0.25, 3, True, "x%", 1e-300]), ((8, 0.1, 2.0), []), ((9, 0.2, 0.0), [0.5, 0.75])]
+    # One value shape under three heads, one of them holding %: its template is reused across heads.
+    blocks += [((10, 0.3, 1.0), [0.1, 2, "%s"]), ((11, "50%", 1.5), [0.2, 5, "y"]), ((12, 0.3, 2.0), [0.3, 7, "%d"])]
+    # Two shapes that differ in one position, interleaved: a template is never reused across shapes.
+    blocks += [((13, 0.4, t), [0.1, 2 if t % 2 else 0.2, 0.3]) for t in range(4)]
     rows = [(*head, k, value) for head, values in blocks for k, value in enumerate(values)]
     expected = [_reference_line(r) for r in chained([_TRAJECTORY], rows)]
     assert "".join(cli._csv(_TRAJECTORY, blocks=blocks)) == "".join(expected)
