@@ -14,10 +14,10 @@ recording the tool version, a hash of the keys the command reads (for
 ``fit``, of its input table's bytes, not its path), and the method tag.
 Floats are written with 17 significant digits (``_format``). The
 ``protocol`` trajectory is written by block, one (N, alpha, time) head
-per sampled time (``_csv``). One argparse parser takes the command and
-every flag; each command then accepts only the flags and config keys it
-reads (``READS``, plus ``RUN_KEYS``), and a flag's text and a config
-file's value share one parser (``_KEYS``).
+per sampled time (``_csv``). One argparse parser, built once per
+process, takes the command and every flag; each command then accepts
+only the flags and config keys it reads (``READS``, plus ``RUN_KEYS``),
+and a flag's text and a config file's value share one parser (``_KEYS``).
 Exit codes: 0 success, 2 invalid input, 3 solver failure.
 """
 
@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 
 import numpy as np
@@ -377,6 +377,7 @@ def _flag(key: str) -> str:
     return "--format" if key == "fmt" else "--" + key.replace("_", "-")
 
 
+@cache  # add_argument asks the terminal's size per flag; one parser serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lr-horizon",

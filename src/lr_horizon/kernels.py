@@ -31,8 +31,8 @@ NEGATIVE_FLOOR = 1e-8
 # exp overflows past ~709.78; beyond this a bound saturates anyway.
 _EXP_ARG_MAX = 700.0
 
-# The smallest largest-prime of N at which the ring spectrum is split into
-# coprime factors (``_even_spectrum``); below it one whole-length rfft is faster.
+# The smallest largest-prime of N at which the ring spectrum is split into coprime
+# factors (``_even_spectrum``); below it one whole-length rfft is faster, unless N is large.
 _SPLIT_MIN_PRIME = 400
 
 # Columns of the mode table and its cosine tables: p = a * _WEIGHT_COLUMNS + b (``FourierSpectrum``).
@@ -337,8 +337,9 @@ def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
 
     J(r) is the ring grid of ``row_sums`` with J(0) = lambda, its total.
     omega is the O(N log N) transform of this real, even sequence
-    (``_even_spectrum``): one real FFT, or at a large prime factor of N
-    a grid of coprime-length FFTs.
+    (``_even_spectrum``): one real FFT, or, at a large prime factor of N
+    or a large N of two wide coprime factors, half the rows of a grid of
+    coprime-length FFTs and a real transform of its columns.
     """
     composition_constant(alpha)  # p is not used; the ring bound and its solve meet the p rule of every family
     seq = _inverse_power_grid(1, n_sites, alpha)  # rejects a bad alpha, and an N that is no integer >= 2
@@ -361,30 +362,41 @@ def _largest_prime_power(n: int) -> tuple[int, int]:
     return p, power
 
 
+def _half_rows(seq: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Rows i <= a // 2 of the a x b grid G[i, j] = seq[(b i + a j) mod N]: a strided view of ``seq`` wrapped by b (a // 2) entries, freed with the view."""
+    wrapped = np.concatenate([seq, seq[: b * (a // 2)]])
+    step = wrapped.itemsize
+    return np.lib.stride_tricks.as_strided(wrapped, (a // 2 + 1, b), (b * step, a * step), writeable=False)
+
+
 def _even_spectrum(seq: np.ndarray) -> np.ndarray:
     """The N // 2 + 1 distinct entries of the DFT of a real, even sequence of length N.
 
     One ``rfft`` of the whole sequence, unless N = A B with B = p**e the
-    power of N's largest prime p, A > 1 and p >= ``_SPLIT_MIN_PRIME``. There
-    pocketfft's plan for N pays for p across all N (one Bluestein convolution
-    of about 2N points, or a radix-p pass), and the Good-Thomas prime-factor
-    map (gcd(A, B) = 1, no twiddle factors) leaves that cost to rows of
-    length B: ``seq`` gathered at n = (B a + A b) mod N,
-    an ``rfft`` along b, an ``fft`` along a, and entry (a, b) is the DFT at
-    k = (a B (B^-1 mod A) + b A (A^-1 mod B)) mod N. The rfft keeps
-    b <= B // 2, where one of each pair k, N - k lies; the DFT of an even
-    sequence is real and even, so k > N / 2 folds onto N - k.
+    power of N's largest prime p, A > 1, and either p >= ``_SPLIT_MIN_PRIME``
+    (pocketfft's plan for N pays for p on all N: a Bluestein convolution of
+    about 2N points, or a radix-p pass) or N >= 2**18 with A, B >= 16 (rows
+    of length B stay in cache). There the Good-Thomas map (gcd(A, B) = 1, no
+    twiddle factors) makes it the DFT of the A x B grid
+    G[a, b] = seq[(B a + A b) mod N]. G[-a, -b] = G[a, b], so the ``rfft`` of
+    row A - a is the conjugate of row a's: rows a <= A // 2 (``_half_rows``)
+    are transformed along b (b <= B // 2), and each column, Hermitian in a,
+    gets its real DFT from one ``hfft`` of length A. Entry (j, i) of that
+    is the DFT at k = (j A (A^-1 mod B) + i B (B^-1 mod A)) mod N; the DFT
+    of an even sequence is even, so k folds onto min(k, N - k).
     """
     n = seq.size
     p, b = _largest_prime_power(n)
     a = n // b
-    if p < _SPLIT_MIN_PRIME or a == 1:
+    if a == 1 or (p < _SPLIT_MIN_PRIME and (n < 1 << 18 or min(a, b) < 16)):
         return np.fft.rfft(seq).real
-    at = np.add.outer(np.arange(0, n, b), np.arange(0, n, a))  # below 2N, so one subtraction reduces it
-    at[at >= n] -= n
-    grid = np.fft.fft(np.fft.rfft(seq[at], axis=1), axis=0).real
-    k = np.add.outer(b * (np.arange(a) * pow(b, -1, a) % a), a * (np.arange(b // 2 + 1) * pow(a, -1, b) % b))
-    k[k >= n] -= n
+    grid = np.fft.hfft(np.fft.rfft(_half_rows(seq, a, b), axis=1).T.copy(), n=a, axis=1)
+    # each term of k in (-N/2, N/2], so the sum lies in (-N, N] and |sum| folds with one minimum
+    u = a * (np.arange(b // 2 + 1) * pow(a, -1, b) % b)
+    v = b * (np.arange(a) * pow(b, -1, a) % a)
+    u[2 * u > n] -= n
+    v[2 * v > n] -= n
+    k = np.abs(np.add.outer(u, v))
     np.minimum(k, n - k, out=k)
     omega = np.empty(n // 2 + 1)
     omega[k] = grid

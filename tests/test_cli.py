@@ -878,7 +878,7 @@ def test_one_parser_registers_each_flag_once_and_takes_it_anywhere(monkeypatch):
     calls = []
     add = argparse.ArgumentParser.add_argument
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", lambda self, *a, **k: calls.append(a) or add(self, *a, **k))
-    parser = cli._build_parser()
+    parser = cli._build_parser.__wrapped__()  # a fresh parser, not the one cached for main
     assert len(calls) <= len(cli._KEYS) + 3  # -h, command and --config beside the keys
     monkeypatch.undo()
     for command in cli.COLUMNS:
@@ -888,6 +888,29 @@ def test_one_parser_registers_each_flag_once_and_takes_it_anywhere(monkeypatch):
             expected[key] = True if key == "kac" else "1"
             assert vars(parser.parse_args([command, *flag])) == expected
             assert vars(parser.parse_args([*flag, command])) == expected
+
+
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
+    calls = []
+    add = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", lambda self, *a, **k: calls.append(a) or add(self, *a, **k))
+    cli._build_parser.cache_clear()
+    assert _run(capsys, ["lambda", "--N", "8"])[0] == 0
+    registered = len(calls)
+    assert registered == len(cli._KEYS) + 3  # -h, command and --config beside the keys
+    assert _run(capsys, ["lambda", "--N", "9", "--alpha", "0.5"])[0] == 0
+    assert len(calls) == registered
+
+
+def test_help_from_the_cached_parser_is_a_fresh_parsers_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts == [cli._build_parser.__wrapped__().format_help()] * 2
 
 
 def _cli_process(*argv: str) -> subprocess.CompletedProcess:

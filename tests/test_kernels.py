@@ -294,15 +294,39 @@ def test_largest_prime_power(n, largest, power):
     assert _largest_prime_power(n) == (largest, power)
 
 
-@pytest.mark.parametrize("n", [4 * 509, 2 * 1009, 1009 * 1013, 316228])
-def test_split_spectrum_matches_a_long_double_cosine_sum(n):
-    """A large prime with a coprime cofactor: omega comes from the coprime split, to a few ulps of omega_max."""
-    p, power = _largest_prime_power(n)
-    assert p >= kernels._SPLIT_MIN_PRIME and power < n  # the split runs
+def _spy(monkeypatch, name: str) -> list:
+    """Record the input shape of every ``np.fft.<name>`` call."""
+    shapes, real = [], getattr(np.fft, name)
+    monkeypatch.setattr(np.fft, name, lambda x, *a, **k: shapes.append(np.shape(x)) or real(x, *a, **k))
+    return shapes
+
+
+def _split_runs(monkeypatch, n: int, alpha: float):
+    """The spectrum of (N, alpha), checked to come from the split: A // 2 + 1 rows through ``rfft``, one ``hfft``."""
+    with monkeypatch.context() as spies:
+        rows, columns = _spy(spies, "rfft"), _spy(spies, "hfft")
+        spectrum = fourier_spectrum(n, alpha)
+    a = n // _largest_prime_power(n)[1]
+    assert rows == [(a // 2 + 1, n // a)]
+    assert len(columns) == 1
+    return spectrum
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        4 * 509, 316228,  # even A
+        3 * 7187, 9 * 1009,  # odd A
+        2 * 1009, 1009 * 1013,  # A = 2, and a large cofactor
+        10**6,  # smooth, 64 x 15625
+    ],
+)
+def test_split_spectrum_matches_a_long_double_cosine_sum(monkeypatch, n):
+    """omega from the coprime split, to a few ulps of omega_max, at both parities of A."""
     alphas = (0.0, 0.3, 1.7)
-    spectra = [fourier_spectrum(n, alpha) for alpha in alphas]
+    spectra = [_split_runs(monkeypatch, n, alpha) for alpha in alphas]
     seqs = [_ring_sequence(n, alpha).astype(np.longdouble) for alpha in alphas]
-    for k in sorted({0, 1, n // 2 - 1, n // 2}):  # N // 2 - 1 and N // 2 sit at the fold k -> N - k
+    for k in sorted({0, 1, n // 3, n // 2 - 1, n // 2}):  # N // 2 - 1 and N // 2 sit at the fold k -> N - k
         cosines = _long_double_cosines(n, k)
         for spectrum, seq in zip(spectra, seqs):
             want = float(np.dot(seq, cosines))
@@ -315,10 +339,11 @@ def test_split_spectrum_matches_a_long_double_cosine_sum(n):
 @pytest.mark.parametrize(
     "n",
     [
-        10**4, 10**5, 10**6, 2**16,  # smooth
+        10**4, 10**5, 2**16,  # smooth
         1009, 7187,  # prime
         3**7, 509**2,  # prime power
         31623,  # 3 * 83 * 127: largest prime below the crossover
+        3 * 2**18, 4 * 5**8,  # smooth past 2**18 with a short side: B = 3, A = 4
     ],
 )
 def test_spectrum_outside_the_split_is_the_rfft_bit_for_bit(n):
@@ -326,15 +351,18 @@ def test_spectrum_outside_the_split_is_the_rfft_bit_for_bit(n):
     assert fourier_spectrum(n, 0.5).omega.tobytes() == np.fft.rfft(seq).real.tobytes()
 
 
-@pytest.mark.parametrize("n", [6, 20, 63, 98, 126, 300, 510])
+@pytest.mark.parametrize(
+    "n",
+    [
+        6, 20, 98, 126, 300, 510,  # even A
+        21, 63, 105, 411, 477,  # odd A: 3 * 7, 9 * 7, 15 * 7, 3 * 137, 9 * 53
+    ],
+)
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.7])
 def test_split_series_matches_dense_oracle_below_the_crossover(monkeypatch, n, alpha):
     """With the crossover lowered, the split runs at oracle sizes, and the series equals exp(2tJ) - I."""
     monkeypatch.setattr(kernels, "_SPLIT_MIN_PRIME", 3)
-    grid_transforms, real_fft = [], np.fft.fft
-    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: grid_transforms.append(1) or real_fft(*a, **k))
-    spectrum = fourier_spectrum(n, alpha)
-    assert grid_transforms == [1]
+    spectrum = _split_runs(monkeypatch, n, alpha)
     assert np.max(np.abs(spectrum.omega - np.fft.rfft(_ring_sequence(n, alpha)).real)) <= 1e-14 * spectrum.omega_max
     for t_rel in (0.01, 0.1, 1.0):
         t = t_rel / spectrum.lam
