@@ -338,14 +338,12 @@ def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
     J(r) is the ring grid of ``row_sums`` with J(0) = lambda, its total.
     omega is the O(N log N) transform of this real, even sequence
     (``_even_spectrum``): one real FFT, or, at a large prime factor of N
-    or a large N of two wide coprime factors, half the rows of a grid of
-    coprime-length FFTs and a real transform of its columns.
+    or a large N of two wide coprime factors, half rows copied out of the
+    sequence, which is then freed, and FFTs along both sides of their grid.
     """
     composition_constant(alpha)  # p is not used; the ring bound and its solve meet the p rule of every family
-    seq = _inverse_power_grid(1, n_sites, alpha)  # rejects a bad alpha, and an N that is no integer >= 2
-    lam = float(seq.sum())
-    seq[0] = lam
-    return FourierSpectrum(_even_spectrum(seq), n_sites, alpha, lam)
+    lam, omega = _even_spectrum(n_sites, alpha)
+    return FourierSpectrum(omega, n_sites, alpha, lam)
 
 
 def _largest_prime_power(n: int) -> tuple[int, int]:
@@ -363,14 +361,18 @@ def _largest_prime_power(n: int) -> tuple[int, int]:
 
 
 def _half_rows(seq: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Rows i <= a // 2 of the a x b grid G[i, j] = seq[(b i + a j) mod N]: a strided view of ``seq`` wrapped by b (a // 2) entries, freed with the view."""
-    wrapped = np.concatenate([seq, seq[: b * (a // 2)]])
-    step = wrapped.itemsize
-    return np.lib.stride_tricks.as_strided(wrapped, (a // 2 + 1, b), (b * step, a * step), writeable=False)
+    """Rows i <= a // 2 of the a x b grid G[i, j] = seq[(b i + a j) mod N], copied: two strided slices per row, before and after its wrap past N."""
+    n = seq.size
+    rows = np.empty((a // 2 + 1, b))
+    for i, row in enumerate(rows):
+        cut = -(-(n - b * i) // a)  # entries with b i + a j < N
+        row[:cut] = seq[b * i :: a]
+        row[cut:] = seq[b * i + a * cut - n :: a][: b - cut]
+    return rows
 
 
-def _even_spectrum(seq: np.ndarray) -> np.ndarray:
-    """The N // 2 + 1 distinct entries of the DFT of a real, even sequence of length N.
+def _even_spectrum(n: int, alpha: float) -> tuple[float, np.ndarray]:
+    """lambda, and the N // 2 + 1 distinct entries of the DFT of the ring sequence J of (N, alpha), real and even.
 
     One ``rfft`` of the whole sequence, unless N = A B with B = p**e the
     power of N's largest prime p, A > 1, and either p >= ``_SPLIT_MIN_PRIME``
@@ -378,29 +380,36 @@ def _even_spectrum(seq: np.ndarray) -> np.ndarray:
     about 2N points, or a radix-p pass) or N >= 2**18 with A, B >= 16 (rows
     of length B stay in cache). There the Good-Thomas map (gcd(A, B) = 1, no
     twiddle factors) makes it the DFT of the A x B grid
-    G[a, b] = seq[(B a + A b) mod N]. G[-a, -b] = G[a, b], so the ``rfft`` of
-    row A - a is the conjugate of row a's: rows a <= A // 2 (``_half_rows``)
-    are transformed along b (b <= B // 2), and each column, Hermitian in a,
-    gets its real DFT from one ``hfft`` of length A. Entry (j, i) of that
-    is the DFT at k = (j A (A^-1 mod B) + i B (B^-1 mod A)) mod N; the DFT
-    of an even sequence is even, so k folds onto min(k, N - k).
+    G[a, b] = J[(B a + A b) mod N]. G[-a, -b] = G[a, b], so the ``rfft`` of
+    row A - a is the conjugate of row a's: rows a <= A // 2 are copied
+    (``_half_rows``) and J freed before they are transformed along b
+    (b <= B // 2). Each column, Hermitian in a, gets its real DFT from one
+    ``irfft`` of length A of its C-ordered conjugate (numpy's ``hfft``).
+    Entry (j, i) is the DFT at k = (j A (A^-1 mod B) + i B (B^-1 mod A)) mod N;
+    the DFT of an even sequence is even, so k folds onto min(k, N - k).
     """
-    n = seq.size
+    seq = _inverse_power_grid(1, n, alpha)  # rejects a bad alpha, and an N that is no integer >= 2
+    lam = float(seq.sum())
+    seq[0] = lam
     p, b = _largest_prime_power(n)
     a = n // b
     if a == 1 or (p < _SPLIT_MIN_PRIME and (n < 1 << 18 or min(a, b) < 16)):
-        return np.fft.rfft(seq).real
-    grid = np.fft.hfft(np.fft.rfft(_half_rows(seq, a, b), axis=1).T.copy(), n=a, axis=1)
-    # each term of k in (-N/2, N/2], so the sum lies in (-N, N] and |sum| folds with one minimum
-    u = a * (np.arange(b // 2 + 1) * pow(a, -1, b) % b)
-    v = b * (np.arange(a) * pow(b, -1, a) % a)
-    u[2 * u > n] -= n
-    v[2 * v > n] -= n
-    k = np.abs(np.add.outer(u, v))
-    np.minimum(k, n - k, out=k)
+        return lam, np.fft.rfft(seq).real
+    grid = _half_rows(seq, a, b)
+    del seq  # before any transform; each stage below frees its input as it rebinds ``grid``
+    grid = np.fft.rfft(grid, axis=1)
+    grid = np.conjugate(grid.T, out=np.empty(grid.T.shape, complex))  # C order: the columns run contiguous
+    grid = np.fft.irfft(grid, n=a, axis=1, norm="forward")
+    u = 2 * a * (np.arange(b // 2 + 1) * pow(a, -1, b) % b)
+    v = 2 * b * (np.arange(a) * pow(b, -1, a) % a) - 2 * n
+    # 2 (k - N) for the unreduced k in [0, 2N), folded in place: min(k mod N, N - k mod N) = (N - |N - |2 (k - N)||) / 2
+    k = np.add.outer(u, v)
+    np.subtract(n, np.abs(k, out=k), out=k)
+    np.subtract(n, np.abs(k, out=k), out=k)
+    k >>= 1
     omega = np.empty(n // 2 + 1)
     omega[k] = grid
-    return omega
+    return lam, omega
 
 
 def spectrum_for(n_sites: int, alpha: float, spectrum: FourierSpectrum | None = None) -> FourierSpectrum:

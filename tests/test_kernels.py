@@ -22,7 +22,7 @@ from lr_horizon import (
     surface_area_constant,
 )
 from lr_horizon import kernels
-from lr_horizon.kernels import FourierSpectrum, _inverse_power_grid, _largest_prime_power
+from lr_horizon.kernels import FourierSpectrum, _half_rows, _inverse_power_grid, _largest_prime_power
 
 
 @pytest.mark.parametrize("n", [2, 5, 30, 101])
@@ -302,14 +302,42 @@ def _spy(monkeypatch, name: str) -> list:
 
 
 def _split_runs(monkeypatch, n: int, alpha: float):
-    """The spectrum of (N, alpha), checked to come from the split: A // 2 + 1 rows through ``rfft``, one ``hfft``."""
+    """The spectrum of (N, alpha), checked to come from the split: A // 2 + 1 rows through ``rfft``, one ``irfft``."""
     with monkeypatch.context() as spies:
-        rows, columns = _spy(spies, "rfft"), _spy(spies, "hfft")
+        rows, columns = _spy(spies, "rfft"), _spy(spies, "irfft")
         spectrum = fourier_spectrum(n, alpha)
     a = n // _largest_prime_power(n)[1]
     assert rows == [(a // 2 + 1, n // a)]
     assert len(columns) == 1
     return spectrum
+
+
+@pytest.mark.parametrize("n", [4 * 509, 316228, 3 * 7187, 2 * 1009, 1009 * 1013])  # even A, odd A, A = 2, a large A
+def test_half_rows_are_a_copy_of_the_strided_rows_of_the_wrapped_sequence(n):
+    """The rows equal the strided view of the sequence extended by its first B (A // 2) entries, in an array of their own."""
+    seq = _ring_sequence(n, 0.5)
+    b = _largest_prime_power(n)[1]
+    a = n // b
+    wrapped = np.concatenate([seq, seq[: b * (a // 2)]])
+    view = np.lib.stride_tricks.as_strided(wrapped, (a // 2 + 1, b), (b * seq.itemsize, a * seq.itemsize))
+    rows = _half_rows(seq, a, b)
+    assert rows.flags.owndata and rows.flags.c_contiguous
+    assert rows.shape == view.shape and rows.tobytes() == view.tobytes()
+
+
+# the split holds at most the sequence and its half rows; the rfft path the sequence and its transform
+@pytest.mark.parametrize("n, floats", [(316228, 1.6), (10**6, 1.6), (2**20, 2.05)])
+def test_spectrum_peaks_below_a_few_sequences(n, floats):
+    """The traced peak of ``fourier_spectrum``, in units of the N-float sequence: freed before the split's transforms and before the table."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fourier_spectrum(n, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= floats * 8 * n
 
 
 @pytest.mark.parametrize(
