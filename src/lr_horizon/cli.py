@@ -18,7 +18,7 @@ per sampled time (``_csv``). One argparse parser, built once per
 process, takes the command and every flag; each command then accepts
 only the flags and config keys it reads (``READS``, plus ``RUN_KEYS``),
 and a flag's text and a config file's value share one parser (``_KEYS``).
-Exit codes: 0 success, 2 invalid input, 3 solver failure.
+Exit codes: 0 success, 2 invalid input, 3 solver failure or out of memory.
 """
 
 from __future__ import annotations
@@ -85,9 +85,10 @@ def _format(shape) -> str:
 def _csv(columns: tuple, rows=(), blocks=()):
     """The table's lines, a row or a block at a time, so no table is held as one string.
 
-    Each row shape is formatted by one %-string from ``_format``. A block ``(head, values)``
-    holds the rows ``(*head, k, values[k])``: its value shape's template has each k written in,
-    and the %-escaped head is joined into it before the values are formatted.
+    Each row shape is formatted by one %-string from ``_format``. A block ``(head, probs)``
+    holds the rows ``(*head, k, probs[k])`` of a 1-D float64 array: each distinct bit pattern
+    of ``probs`` (so 0.0 and -0.0 stay apart) is formatted once to 17 digits, and the lines are
+    filled from one template per block length, its ``,k,%s`` slots joined on the %-escaped head.
     """
     formats, templates = {}, {}
     for row in chain([columns], rows):
@@ -95,11 +96,13 @@ def _csv(columns: tuple, rows=(), blocks=()):
         if shape not in formats:
             formats[shape] = _format(shape) + "\n"
         yield formats[shape] % tuple(row)
-    for head, values in blocks:
-        shape = tuple(map(type, values))
-        if shape not in templates:
-            templates[shape] = ("", *(f",{k},{_format((kind,))}\n" for k, kind in enumerate(shape)))
-        yield (_format(map(type, head)) % head).replace("%", "%%").join(templates[shape]) % tuple(values)
+    for head, probs in blocks:
+        if probs.size not in templates:
+            templates[probs.size] = ("", *(f",{k},%s\n" for k in range(probs.size)))
+        bits, inverse = np.unique(probs.view(np.int64), return_inverse=True)
+        cells = ("%.17g\n" * bits.size % tuple(bits.view(np.float64).tolist())).split("\n")
+        head_text = (_format(map(type, head)) % head).replace("%", "%%")
+        yield head_text.join(templates[probs.size]) % tuple(map(cells.__getitem__, inverse.tolist()))
 
 
 def _number(flag: str, value) -> float:
@@ -330,6 +333,7 @@ def _cmd_fit(cfg: dict) -> list[tuple]:
 
 
 def _cmd_protocol(cfg: dict) -> tuple[list[tuple], list[tuple]]:
+    """The protocol rows and, with --plot-data, one block ``((N, alpha, t), probs)`` per time, probs a float64 row."""
     rows, blocks = [], []
     for a in cfg["alpha"]:
         for n in cfg["N"]:
@@ -340,7 +344,7 @@ def _cmd_protocol(cfg: dict) -> tuple[list[tuple], list[tuple]]:
                 psi0[res.source] = 1.0
                 times = np.linspace(0.0, res.total_time, 101)
                 for t, probs in trajectory(res.hamiltonian, psi0, times):
-                    blocks.append(((n, a, t), probs.tolist()))
+                    blocks.append(((n, a, t), probs))
     return rows, blocks
 
 
@@ -487,6 +491,9 @@ def main(argv=None) -> int:
         _write_output(cfg, COLUMNS[command], rows, blocks)
     except RuntimeError as exc:  # NoCrossingError and numerical failures
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's message gives the size it could not allocate
+        print(f"out of memory: {args.command}: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

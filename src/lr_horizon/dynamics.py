@@ -12,14 +12,15 @@ first use, in float64 when its ``hop`` and ``onsite`` are real, and
 every later ``evolve`` or ``trajectory`` on that Hamiltonian reuses the
 result; a segment's ``hop`` and ``onsite`` arrays must not be mutated
 after that. ``trajectory`` evolves all sampled times inside one segment
-by one matrix product.
+by one matrix product. ``ising_exact_oracle`` keeps one entry: the
+t-independent state of the last (spec, model, i) it was called with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -287,6 +288,23 @@ def _apply_ladder(psi: np.ndarray, sites, raising: bool) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)  # one task's (spec, model, i) over its t grid
+def _ising_state(spec: LatticeSpec, model: CouplingModel, i: int) -> tuple[np.ndarray, ...]:
+    """The t-independent part of ``ising_exact_oracle``: energies, GHZ, B|GHZ>, B^dag|GHZ>, read-only."""
+    n = spec.site_count
+    J = coupling_matrix(spec, model)
+    dim = 1 << n
+    spins = (((np.arange(dim)[:, None] >> np.arange(n)) & 1) * 2 - 1).astype(float)
+    energies = 0.5 * np.einsum("bi,ij,bj->b", spins, J, spins)
+    ghz = np.zeros(dim, dtype=complex)
+    ghz[0] = ghz[dim - 1] = 1.0 / math.sqrt(2.0)
+    others = [j for j in range(n) if j != i]
+    state = (energies, ghz, _apply_ladder(ghz, others, raising=True), _apply_ladder(ghz, others, raising=False))
+    for a in state:
+        a.flags.writeable = False
+    return state
+
+
 def ising_exact_oracle(spec: LatticeSpec, model: CouplingModel, i: int, t: float) -> float:
     """Dense-evolution value of the Ising protocol commutator expectation.
 
@@ -295,6 +313,9 @@ def ising_exact_oracle(spec: LatticeSpec, model: CouplingModel, i: int, t: float
     computational basis state), and evaluates <psi|[A(t), B]|psi> with
     A the raising operator at ``i`` and B the product of raising
     operators everywhere else.
+
+    The cap and the index are checked on every call; the t-independent
+    state comes from ``_ising_state``, built once per (spec, model, i).
 
     With raising operators defined as (sigma^x + i sigma^y)/2 the
     expectation is purely imaginary, i * sin(2 lambda_i t); the real
@@ -305,24 +326,15 @@ def ising_exact_oracle(spec: LatticeSpec, model: CouplingModel, i: int, t: float
     if n > ISING_ORACLE_MAX_SITES:
         raise ValueError(f"N = {n} exceeds dense oracle cap {ISING_ORACLE_MAX_SITES}")
     spec.check_index(i)
-    J = coupling_matrix(spec, model)
-    dim = 1 << n
-    idx = np.arange(dim)
-    spins = (((idx[:, None] >> np.arange(n)) & 1) * 2 - 1).astype(float)
-    energies = 0.5 * np.einsum("bi,ij,bj->b", spins, J, spins)
+    energies, ghz, b_ghz, b_dag_ghz = _ising_state(spec, model, i)
     phases = np.exp(-1j * energies * t)
 
-    ghz = np.zeros(dim, dtype=complex)
-    ghz[0] = ghz[dim - 1] = 1.0 / math.sqrt(2.0)
-    others = [j for j in range(n) if j != i]
-
     # term1 = <psi| U^dag A U B |psi>
-    phi = _apply_ladder(ghz, others, raising=True)
-    phi = _apply_ladder(phases * phi, [i], raising=True)
+    phi = _apply_ladder(phases * b_ghz, [i], raising=True)
     term1 = np.vdot(phases * ghz, phi)
     # term2 = <psi| B U^dag A U |psi> via <B^dag psi | U^dag A U psi>
     chi = _apply_ladder(phases * ghz, [i], raising=True)
-    term2 = np.vdot(_apply_ladder(ghz, others, raising=False), np.conj(phases) * chi)
+    term2 = np.vdot(b_dag_ghz, np.conj(phases) * chi)
 
     value = term1 - term2
     if abs(value.real) > 1e-10:

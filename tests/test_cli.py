@@ -1298,12 +1298,62 @@ def test_delta_window_is_the_same_for_every_prefactor_method(tmp_path, capsys, m
 
 
 def test_csv_block_of_mixed_value_types_matches_the_per_cell_rule():
-    """A block is formatted from its value shape's template; mixed value types keep their per-type formats."""
-    blocks = [((7, 0.5, "a%b"), [0.25, 3, True, "x%", 1e-300]), ((8, 0.1, 2.0), []), ((9, 0.2, 0.0), [0.5, 0.75])]
-    # One value shape under three heads, one of them holding %: its template is reused across heads.
-    blocks += [((10, 0.3, 1.0), [0.1, 2, "%s"]), ((11, "50%", 1.5), [0.2, 5, "y"]), ((12, 0.3, 2.0), [0.3, 7, "%d"])]
-    # Two shapes that differ in one position, interleaved: a template is never reused across shapes.
-    blocks += [((13, 0.4, t), [0.1, 2 if t % 2 else 0.2, 0.3]) for t in range(4)]
+    """A block's head mixes int, float and str cells, one holding %; its values are a float64 array."""
+    def f(values):
+        return np.array(values, dtype=float)
+
+    blocks = [((7, 0.5, "a%b"), f([0.25, 3, 1, 0.5, 1e-300])), ((8, 0.1, 2.0), f([])), ((9, 0.2, 0.0), f([0.5, 0.75]))]
+    # One block length under three heads, one of them holding %: its template is reused across heads.
+    blocks += [((10, 0.3, 1.0), f([0.1, 2, 0.1])), ((11, "50%", 1.5), f([0.2, 5, 0.2])), ((12, 0.3, 2.0), f([0.3, 7, -0.0]))]
+    # Two lengths, interleaved: a template is never reused across lengths.
+    blocks += [((13, 0.4, t), f([0.1, 0.2, 0.3][: 2 + t % 2])) for t in range(4)]
     rows = [(*head, k, value) for head, values in blocks for k, value in enumerate(values)]
     expected = [_reference_line(r) for r in chained([_TRAJECTORY], rows)]
     assert "".join(cli._csv(_TRAJECTORY, blocks=blocks)) == "".join(expected)
+
+
+def _nan_with_payload(payload: int, negative: bool = False) -> float:
+    bits = 0x7FF8000000000000 | payload | (1 << 63 if negative else 0)
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# Float64 blocks whose distinct values are keyed by bits: the signed zeros and the NaN payloads
+# stay apart, and every value keeps the bytes of the per-cell rule.
+_EDGE_VALUES = {
+    "signed_zeros": [0.0, -0.0, 0.0, 1.0, -0.0, -0.0],
+    "specials": [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, _nan_with_payload(1),
+                 _nan_with_payload(7, negative=True), math.inf, 5e-324],
+    "all_equal": [0.1] * 9,
+    "all_distinct": [k / 7 for k in range(1, 12)],
+    "empty": [],
+    "one": [1 / 3],
+}
+
+
+@pytest.mark.parametrize("values", _EDGE_VALUES.values(), ids=_EDGE_VALUES)
+def test_csv_float_block_edge_cases_match_the_per_cell_rule(values):
+    blocks = [(head, np.array(values, dtype=float)) for head in [(7, 0.5, 0.25), (8, "50%", 1.5), (9, 0.2, "%s%%d")]]
+    rows = [(*head, k, value) for head, probs in blocks for k, value in enumerate(probs.tolist())]
+    expected = [_reference_line(r) for r in chained([_TRAJECTORY], rows)]
+    assert "".join(cli._csv(_TRAJECTORY, blocks=blocks)) == "".join(expected)
+
+
+def test_protocol_blocks_are_the_trajectorys_float64_rows():
+    cfg = cli._merge_config(cli._build_parser().parse_args(["protocol", "--N", "7", "--plot-data", "x.csv"]))
+    _, blocks = cli._cmd_protocol(cfg)
+    assert len(blocks) == 101
+    assert all(isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == (7,) for _, p in blocks)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS limits the address space on Linux")
+def test_out_of_memory_exits_3_with_one_line():
+    """An allocation past the child's own address-space limit is one stderr line and exit 3, not a traceback."""
+    child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+             "from lr_horizon.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+    argv = ["signaling", "--N", "1e9", "--alpha", "0.5", "--r", "1"]
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("out of memory: signaling: Unable to allocate 7.45 GiB")
+    assert done.stderr.count("\n") == 1

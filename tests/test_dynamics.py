@@ -9,6 +9,7 @@ from lr_horizon import (
     SingleParticleHamiltonian,
     chain,
     commutator_amplitude,
+    dynamics,
     evolve,
     fit_model,
     free_particle_bound,
@@ -364,3 +365,40 @@ def test_ising_oracle_two_spins():
 def test_ising_oracle_size_cap():
     with pytest.raises(ValueError):
         ising_exact_oracle(ring(12), CouplingModel(alpha=1.0), 0, 0.1)
+
+
+def _fresh_oracle(spec, model, i, t):
+    dynamics._ising_state.cache_clear()
+    return ising_exact_oracle(spec, model, i, t)
+
+
+def test_ising_oracle_t_sweep_builds_its_state_once_and_keeps_every_bit():
+    spec, model, ts = ring(10), CouplingModel(alpha=0.8), [0.02 * k for k in range(10)]
+    dynamics._ising_state.cache_clear()
+    table = [ising_exact_oracle(spec, model, 3, t) for t in ts]
+    assert dynamics._ising_state.cache_info()[:2] == (9, 1)  # hits, misses
+    assert table == [_fresh_oracle(spec, model, 3, t) for t in ts]
+
+
+def test_ising_oracle_never_reuses_another_tasks_state():
+    keys = [(ring(8), 0.3, 0), (ring(8), 0.9, 0), (chain(8), 0.3, 0), (chain(8), 0.3, 2), (chain(8), 0.9, 2)]
+    fresh = {(k, t): _fresh_oracle(spec, CouplingModel(alpha=a), i, t)
+             for k, (spec, a, i) in enumerate(keys) for t in (0.1, 0.4)}
+    assert len({fresh[k, 0.4] for k in range(len(keys))}) == len(keys)  # a wrong state would show
+    dynamics._ising_state.cache_clear()
+    for t in (0.1, 0.4):
+        for k in [0, 1, 0, 2, 3, 2, 4, 1, 3, 4]:
+            spec, a, i = keys[k]
+            assert ising_exact_oracle(spec, CouplingModel(alpha=a), i, t) == fresh[k, t]
+
+
+def test_ising_oracle_checks_its_cap_and_index_after_a_cached_call():
+    model = CouplingModel(alpha=1.0)
+    value = ising_exact_oracle(ring(10), model, 0, 0.1)
+    with pytest.raises(ValueError, match="exceeds dense oracle cap"):
+        ising_exact_oracle(ring(12), model, 0, 0.1)
+    # 0.0 == 0 as a cache key, but it is no site index.
+    for i in (10, -1, 0.0):
+        with pytest.raises(ValueError, match="site index"):
+            ising_exact_oracle(ring(10), model, i, 0.1)
+    assert ising_exact_oracle(ring(10), model, np.int64(0), 0.1) == value
