@@ -31,7 +31,7 @@ import math
 import os
 import sys
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -86,9 +86,11 @@ def _csv(columns: tuple, rows=(), blocks=()):
     """The table's lines, a row or a block at a time, so no table is held as one string.
 
     Each row shape is formatted by one %-string from ``_format``. A block ``(head, probs)``
-    holds the rows ``(*head, k, probs[k])`` of a 1-D float64 array: each distinct bit pattern
-    of ``probs`` (so 0.0 and -0.0 stay apart) is formatted once to 17 digits, and the lines are
-    filled from one template per block length, its ``,k,%s`` slots joined on the %-escaped head.
+    holds the rows ``(*head, k, probs[k])`` of a 1-D float64 array. Over each run of
+    consecutive blocks of one length (a trajectory), each distinct bit pattern (so 0.0 and
+    -0.0 stay apart) is found by one ``np.unique`` and formatted once to 17 digits, and the
+    lines are filled from one template per block length, its ``,k,%s`` slots joined on the
+    %-escaped head.
     """
     formats, templates = {}, {}
     for row in chain([columns], rows):
@@ -96,13 +98,15 @@ def _csv(columns: tuple, rows=(), blocks=()):
         if shape not in formats:
             formats[shape] = _format(shape) + "\n"
         yield formats[shape] % tuple(row)
-    for head, probs in blocks:
-        if probs.size not in templates:
-            templates[probs.size] = ("", *(f",{k},%s\n" for k in range(probs.size)))
-        bits, inverse = np.unique(probs.view(np.int64), return_inverse=True)
+    for size, run in groupby(blocks, key=lambda block: block[1].size):
+        heads, probs = zip(*run)
+        if size not in templates:
+            templates[size] = ("", *(f",{k},%s\n" for k in range(size)))
+        bits, inverse = np.unique(np.concatenate(probs).view(np.int64), return_inverse=True)
         cells = ("%.17g\n" * bits.size % tuple(bits.view(np.float64).tolist())).split("\n")
-        head_text = (_format(map(type, head)) % head).replace("%", "%%")
-        yield head_text.join(templates[probs.size]) % tuple(map(cells.__getitem__, inverse.tolist()))
+        for k, head in enumerate(heads):
+            head_text = (_format(map(type, head)) % head).replace("%", "%%")
+            yield head_text.join(templates[size]) % tuple(map(cells.__getitem__, inverse[k * size : (k + 1) * size].tolist()))
 
 
 def _number(flag: str, value) -> float:

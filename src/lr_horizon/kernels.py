@@ -8,7 +8,8 @@ hop-composition inequality, the ring hop series summed through the
 circulant Fourier spectrum of the ring coupling sequence
 (``FourierSpectrum``, the one home of that arithmetic), and a dense
 matrix-exponential oracle that sums the hop series exactly. No distance
-is computed here: the d**(-alpha) grid is ``lattice.coupling_row`` of a torus.
+is computed here: the d**(-alpha) grid of a torus is ``lattice.coupling_row``
+of the open box that is its corner k <= L // 2 per axis, mirrored to k > L // 2.
 """
 
 from __future__ import annotations
@@ -61,9 +62,21 @@ def _check_time(t: float) -> None:
 
 
 def _inverse_power_grid(dimension: int, side: int, alpha: float) -> np.ndarray:
-    """d**(-alpha), 0 at d = 0, on the torus of ``side``: the coupling row of site 0, in grid shape."""
-    spec = LatticeSpec(dimension, side, "periodic")
-    return coupling_row(spec, CouplingModel(alpha=alpha), 0).reshape(spec.shape)
+    """d**(-alpha), 0 at d = 0, on the torus of ``side``: the coupling row of site 0, in grid shape.
+
+    Only the corner k <= side // 2 per axis is powered: the row of site 0 in the open box of side
+    side // 2 + 1, whose distances are the torus's there. Each axis in turn mirrors k > side // 2
+    from side - k in place. The grid is allocated first, so a failing allocation is the grid's.
+    """
+    spec, model = LatticeSpec(dimension, side, "periodic"), CouplingModel(alpha=alpha)
+    grid = np.empty(spec.shape)
+    h = side // 2 + 1
+    corner = (slice(h),) * dimension
+    grid[corner] = coupling_row(LatticeSpec(dimension, h, "open"), model, 0).reshape((h,) * dimension)
+    for axis in range(dimension):
+        head, tail = (slice(None),) * axis, corner[axis + 1 :]  # axes before this one are whole, those after the corner
+        grid[head + (slice(h, None),) + tail] = grid[head + (slice(side - h, 0, -1),) + tail]
+    return grid
 
 
 def row_sums(spec: LatticeSpec, alpha: float) -> np.ndarray:

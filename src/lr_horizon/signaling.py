@@ -69,8 +69,7 @@ def signaling_time_analytic(
 def _solve(value, delta, start, lo=0.0, hi=math.inf, value_and_slope=None, name="bound") -> tuple[float, tuple[float, float]]:
     """The t* at which a continuous increasing value(t) reaches delta, and its bracket (lo, hi).
 
-    The caller's ``lo`` (checked once unless 0: value below delta, else
-    ``RuntimeError``) and ``hi`` bracket t*; the steps begin at ``start``
+    The caller's ``lo`` and ``hi`` bracket t*; the steps begin at ``start``
     clamped into them. An infinite ``hi`` doubles from there until value
     >= delta, or raises ``NoCrossingError`` after ``MAX_BRACKET_DOUBLINGS``.
     Inside, ``rtsafe`` (Numerical Recipes 9.4) takes Newton steps on
@@ -80,25 +79,26 @@ def _solve(value, delta, start, lo=0.0, hi=math.inf, value_and_slope=None, name=
     points it steps from, and without it the solve only bisects. Once a
     step is below half the tolerance, ``value`` at t*(1 -+
     ``BISECT_REL_TOL`` / 2), where inside the bracket, confirms it, or
-    bisection finishes; a ``hi`` still unevaluated is evaluated last. So
-    value < delta at ``lo``, value >= delta at ``hi``, a relative
-    ``BISECT_REL_TOL`` apart, t* lies inside, and no t is evaluated twice.
-    ``name`` opens the error messages.
+    bisection finishes. A ``hi`` still unevaluated is evaluated then, and a
+    ``lo`` of the caller's above 0 still unevaluated last: it must lie below
+    delta, else ``RuntimeError``. Any evaluated point below delta replaces
+    ``lo`` and, value being increasing, certifies the caller's. So value <
+    delta at ``lo``, value >= delta at ``hi``, a relative ``BISECT_REL_TOL``
+    apart, t* lies inside, and no t is evaluated twice. ``name`` opens the
+    error messages.
     """
-    hi_seen = False  # whether value(hi) >= delta was evaluated
+    lo_seen, hi_seen = lo == 0.0, False  # whether value(lo) < delta (taken at 0) and value(hi) >= delta are known
 
     def place(t: float, v: float) -> None:
-        nonlocal lo, hi, hi_seen
+        nonlocal lo, hi, lo_seen, hi_seen
         if v < delta:
-            lo = t
+            lo, lo_seen = t, True
         else:
             hi, hi_seen = t, True
 
     evaluate = value_and_slope or (lambda t: (value(t), math.nan))
     t_star = min(max(start, lo), hi)
     v, s = evaluate(t_star)
-    if lo > 0.0 and not (value(lo) if lo < t_star else v) < delta:
-        raise RuntimeError(f"{name} reaches delta={delta} at its lower end t={lo!r}")
     place(t_star, v)
     doublings = 0
     while v < delta and hi == math.inf:
@@ -133,6 +133,9 @@ def _solve(value, delta, start, lo=0.0, hi=math.inf, value_and_slope=None, name=
         place(mid, value(mid))
     if not hi_seen and not value(hi) >= delta:
         raise NoCrossingError(f"{name} stayed below delta={delta} at its upper end t={hi!r}")
+    # An unseen lo equal to hi was evaluated as hi, at or past delta.
+    if not lo_seen and not (lo < hi and value(lo) < delta):
+        raise RuntimeError(f"{name} reaches delta={delta} at its lower end t={lo!r}")
     if not lo <= t_star <= hi:
         t_star = 0.5 * (lo + hi)
     return t_star, (lo, hi)

@@ -300,10 +300,13 @@ def test_signaling_solver_failure_exit3(capsys, monkeypatch):
 
 
 def test_signaling_exits_3_when_the_series_reaches_delta_at_its_analytic_lower_end(capsys, monkeypatch):
-    """Every ring solve checks the series below delta at the analytic t*; a series scaled by 10 fails that check."""
+    """A ring series scaled by 10 reaches delta below the analytic t*: no step lands below delta, and the lower end fails its check.
+
+    Every pass is scaled, so the value and the Newton slope agree.
+    """
     lo = signaling_time_analytic(self_hop_lambda(ring(16), CouplingModel(alpha=0.5)), 1, 1.0).t_star
-    series = FourierSpectrum.series
-    monkeypatch.setattr(FourierSpectrum, "series", lambda spectrum, r, t: 10.0 * series(spectrum, r, t))
+    run = FourierSpectrum._pass
+    monkeypatch.setattr(FourierSpectrum, "_pass", lambda spectrum, r, t, slope: tuple(10.0 * x for x in run(spectrum, r, t, slope)))
     code = main(["signaling", "--method", "exact_sum", "--alpha", "0.5", "--N", "16", "--r", "1"])
     assert code == 3
     assert capsys.readouterr().err == (
@@ -1336,6 +1339,21 @@ def test_csv_float_block_edge_cases_match_the_per_cell_rule(values):
     rows = [(*head, k, value) for head, probs in blocks for k, value in enumerate(probs.tolist())]
     expected = [_reference_line(r) for r in chained([_TRAJECTORY], rows)]
     assert "".join(cli._csv(_TRAJECTORY, blocks=blocks)) == "".join(expected)
+
+
+def test_csv_runs_of_blocks_of_one_length_share_one_unique(monkeypatch):
+    """Consecutive blocks of one length are keyed together: a value shared across blocks, or a signed zero
+    in one block and its opposite in the next, keeps the bytes of the per-cell rule; one np.unique per run."""
+    values = [[0.0, 0.5, 1.0], [-0.0, 0.5, 1 / 3], [-0.0, -0.0, 0.0], [0.5, 0.25], [math.nan, 0.5], [],
+              [], [1.0, -0.0, 0.5]]
+    blocks = [((k, 0.5, "t%d"), np.array(v, dtype=float)) for k, v in enumerate(values)]
+    rows = [(*head, k, value) for head, probs in blocks for k, value in enumerate(probs.tolist())]
+    expected = "".join(_reference_line(r) for r in chained([_TRAJECTORY], rows))
+    unique = np.unique
+    calls = []
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: calls.append(a[0].size) or unique(*a, **kw))
+    assert "".join(cli._csv(_TRAJECTORY, blocks=blocks)) == expected
+    assert calls == [9, 4, 0, 3]
 
 
 def test_protocol_blocks_are_the_trajectorys_float64_rows():

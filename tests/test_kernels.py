@@ -9,6 +9,7 @@ from lr_horizon import (
     LatticeSpec,
     chain,
     coupling_matrix,
+    coupling_row,
     exact_sum_bound,
     exact_sum_signaling_time,
     fourier_spectrum,
@@ -241,10 +242,14 @@ def test_series_oracle_size_cap():
         series_oracle(ring(1024), CouplingModel(alpha=0.5), 0.1)
 
 
-@pytest.mark.parametrize("dimension, side", [(1, 1000), (1, 1001), (2, 33), (3, 12)])
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 2.5])
+@pytest.mark.parametrize(
+    "dimension, side",
+    [(1, 2), (1, 3), (1, 4), (1, 5), (1, 1000), (1, 1001), (2, 2), (2, 3), (2, 33), (3, 3), (3, 12)],
+)
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 2.5])
 def test_inverse_power_grid_is_the_power_of_the_displacement_grid(dimension, side, alpha):
-    # raised in place, the grid holds the same bits as d ** -alpha in a second array
+    # powered on the corner and mirrored, the grid holds the same bits as d ** -alpha in a
+    # second array, and as the torus's own coupling row of site 0
     d = np.arange(side, dtype=float)
     d = np.minimum(d, side - d)
     d = np.sqrt(sum(np.meshgrid(*[d * d] * dimension, indexing="ij")))
@@ -254,6 +259,8 @@ def test_inverse_power_grid_is_the_power_of_the_displacement_grid(dimension, sid
     got = _inverse_power_grid(dimension, side, alpha)
     assert got.shape == (side,) * dimension
     assert got.tobytes() == want.tobytes()
+    row = coupling_row(LatticeSpec(dimension, side, "periodic"), CouplingModel(alpha), 0)
+    assert got.tobytes() == row.tobytes()
 
 
 def test_a_long_time_grid_is_summed_without_whole_exponential_arrays():

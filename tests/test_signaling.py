@@ -149,6 +149,43 @@ def test_numeric_checks_the_ends_it_is_given():
     assert lo < 3.0 <= hi and t_star == pytest.approx(3.0, rel=1e-12)
 
 
+def _recorded_line():
+    """The line value(t) = t, and the list of every t it is evaluated at, through either route."""
+    calls = []
+
+    def value(t):
+        calls.append(t)
+        return t
+
+    return calls, value, lambda t: (value(t), 1.0)
+
+
+def test_numeric_never_evaluates_a_lower_end_that_a_step_replaces():
+    """A step below delta certifies the caller's lower end (value is increasing), so that end is never evaluated."""
+    calls, value, value_and_slope = _recorded_line()
+    t_star, (lo, hi) = signaling._solve(value, 3.0, 1.0, lo=0.5, hi=1e6, value_and_slope=value_and_slope)
+    assert 0.5 not in calls and lo in calls and hi in calls
+    assert len(set(calls)) == len(calls)
+    assert lo < 3.0 <= hi and t_star == pytest.approx(3.0, rel=1e-12)
+    calls.clear()
+    signaling._solve(value, 3.0, 1.0, lo=0.5)  # bisection only
+    assert 0.5 not in calls
+
+
+@pytest.mark.parametrize("slope", [True, False])
+def test_numeric_checks_a_lower_end_past_the_crossing_after_the_steps(slope):
+    """No step lands below delta, so the bracket closes on the caller's lower end, evaluated last, and it raises."""
+    calls, value, value_and_slope = _recorded_line()
+    with pytest.raises(RuntimeError, match=r"^line reaches delta=1.0 at its lower end t=1.5$"):
+        signaling._solve(value, 1.0, 2.0, lo=1.5, value_and_slope=value_and_slope if slope else None, name="line")
+    assert len(calls) > 2 and calls[-1] == 1.5 and 1.5 not in calls[:-1]
+    # a start clamped onto the lower end evaluates it once, as the upper end, and raises from that
+    calls.clear()
+    with pytest.raises(RuntimeError, match=r"^line reaches delta=1.0 at its lower end t=1.5$"):
+        signaling._solve(value, 1.0, 0.5, lo=1.5, value_and_slope=value_and_slope if slope else None, name="line")
+    assert calls == [1.5]
+
+
 def test_contour_values():
     assert signaling_contour(math.e, 0.0, 1.0) == pytest.approx(1 / math.e, rel=1e-13)
     n, alpha = 5000.0, 0.4
@@ -320,10 +357,14 @@ SWEEP_N = (10_000, 31_623, 100_000, 316_228, 1_000_000)
 def test_exact_sum_solve_asks_for_the_slope_only_at_newton_points(monkeypatch):
     """Each slope pass but the first is the Newton step from the one before, and t* the step from the last.
 
-    So every slope is used once, and the lower-end check and the bracket
-    confirmation are value-only passes.
+    So every slope is used once, and the one value-only pass is the
+    bracket confirmation: the first Newton point below delta replaces the
+    analytic lower end, which is never evaluated. Over the 30 solves that
+    is 105 slope passes and 30 value-only ones; checking the lower end
+    with a pass of its own took 165.
     """
     passes = _series_passes(monkeypatch)
+    totals = [0, 0]
     for alpha in SWEEP_ALPHAS:
         for n in SWEEP_N:
             spectrum = fourier_spectrum(n, alpha)
@@ -333,7 +374,12 @@ def test_exact_sum_solve_asks_for_the_slope_only_at_newton_points(monkeypatch):
                 points = [(t, 2.0 * value, 2.0 * rise) for _, t, slope, (value, rise) in passes if slope]
                 steps = [t - math.log(v / 1.0) * v / s for t, v, s in points]
                 assert [t for t, _, _ in points[1:]] + [res.t_star] == steps, (n, alpha, r)
-                assert len(passes) - len(points) <= 3
+                assert len(passes) - len(points) <= 1
+                lo = signaling_time_analytic(HopParameters(spectrum.lam, 2.0 ** (alpha + 1), alpha), r, 1.0).t_star
+                assert lo not in [t for _, t, _, _ in passes]
+                totals[0] += len(points)
+                totals[1] += len(passes) - len(points)
+    assert totals == [105, 30]
 
 
 @pytest.mark.parametrize("n,alpha,r,want", [(16, 400.0, 8, 0.9417123450215573), (10**6, 60.0, 5 * 10**5, 87.50000000372529)])
