@@ -191,13 +191,13 @@ def exact_sum_bound(
     pre: BoundPrefactor = UNIT_PREFACTOR,
     spectrum: FourierSpectrum | None = None,
 ) -> BoundValue:
-    """Exact hop-series bound on a ring via the inverse circulant transform.
+    """Exact hop-series bound on a ring: a weighted sum of products over the half spectrum.
 
-    Evaluates 2||A||||B|||X||Y| * (1/N) sum_p cos(2 pi p r / N)
-    (e^(2 omega(p) t) - 1) as one weighted sum over the half spectrum
-    (``FourierSpectrum.series``). Pass a precomputed ``spectrum`` to
-    amortize the FFT, and the angle tables of each r, across a sweep; it
-    must match ``(n_sites, alpha)``.
+    Evaluates 2||A||||B|||X||Y| * (1/N) sum_p cos(2 pi p r / N) (e^(2 omega(p) t) - 1)
+    as block products of the angle tables of r with expm1(2 t omega), p <= N / 2
+    (``FourierSpectrum.series``), or reads it from a declared grid that holds (r, t).
+    Pass a precomputed ``spectrum`` to amortize the FFT, and the angle tables of
+    each r, across a sweep; it must match ``(n_sites, alpha)``.
 
     Tiny negative results from roundoff are clamped to zero; a negative
     value beyond roundoff scale raises. Overflow returns +inf flagged

@@ -226,12 +226,12 @@ class FourierSpectrum:
     rows adds ``np.vdot(rows[block], e @ columns)`` to S, e being its
     expm1(2 t omega) halved where w_p = 1; the slope makes the same product
     on omega e^(2 omega t), doubled. The parts are added in block order.
-    ``declare_grid(rs, ts)`` evaluates a whole grid in one pass over the
-    blocks, for ``series`` to read. Any other (r, t) is summed with the
-    tables of r, kept for the last r; ``series_and_slope`` adds the slope
-    products to that pass. Every route makes the same per-r products, so
-    they agree bit for bit. The caches make one spectrum unsafe to share
-    between threads.
+    One routine, ``_sums``, makes every pass over the blocks, with the
+    tables of each r kept for the last r: ``declare_grid(rs, ts)`` sums a
+    whole grid in one, for ``series`` to read; any other (r, t) is its
+    one-point case, to which ``series_and_slope`` adds the slope products.
+    So every route makes the same per-r products, bit for bit. The caches
+    make one spectrum unsafe to share between threads.
     """
 
     def __init__(self, omega: np.ndarray, n_sites: int, alpha: float, lam: float) -> None:
@@ -245,7 +245,7 @@ class FourierSpectrum:
         # (row, column) of the modes with w_p = 1
         self._unpaired = [divmod(p, columns) for p in ((0,) if n_sites % 2 else (0, n_sites // 2))]
         self._r = self._tables = None  # the angle tables of the last r
-        self._grid: dict[tuple, float] = {}  # S at each declared (r, t)
+        self._grid: dict[tuple, tuple] = {}  # ``_sums`` at each declared (r, t), no slope summed
 
     def _saturates(self, t: float) -> bool:
         return not 2.0 * t * self.omega_max <= _EXP_ARG_MAX
@@ -285,41 +285,38 @@ class FourierSpectrum:
             raw = 0.0
         return raw
 
-    def declare_grid(self, rs, times) -> None:
-        """Evaluate S at every (r, t) of ``rs`` x ``times`` in one pass over the blocks, for ``series`` to read.
+    def _sums(self, rs, times, slope: bool) -> dict[tuple, tuple[float, float]]:
+        """(S, dS/dt) at every (r, t) of ``rs`` x ``times`` from one pass over the blocks; dS/dt is 0 unless ``slope``.
 
-        Each block's exponentials are made once per t, and each r's tables
-        once. The grid replaces the last one.
+        Each r's tables come from the last-r cache, before the saturation test, so an r off the ring
+        raises at every t. A saturating t is +inf and makes no exponential; each block's exponentials
+        are made once per finite t, and the parts are added in (block, t, r) order.
         """
-        rs, times = list(dict.fromkeys(rs)), list(dict.fromkeys(times))
+        tables = []
+        for r in rs:
+            if r != self._r:
+                self._tables, self._r = self._angle_tables(r), r
+            tables.append(self._tables)
         finite = [t for t in times if not self._saturates(t)]
-        tables = [self._angle_tables(r) for r in rs]
-        sums = [[0.0] * len(finite) for _ in rs]
-        out = np.empty((1, *self._table[:_BLOCK_ROWS].shape))
-        for start in range(0, len(self._table), _BLOCK_ROWS):
-            for j, t in enumerate(finite):
-                (terms,) = self._terms(t, start, out)
-                for made, row in zip(tables, sums):
-                    row[j] += self._part(made, start, terms)
-        grid = {(r, t): math.inf for r in rs for t in times}
-        for r, row in zip(rs, sums):
-            grid.update({(r, t): self._checked(raw, t) for t, raw in zip(finite, row)})
-        self._grid = grid
-
-    def _pass(self, r, t: float, slope: bool) -> tuple[float, float]:
-        """(S, dS/dt) at (r, t) from one pass over the blocks with the tables of r; dS/dt is 0 unless ``slope``."""
-        if r != self._r:
-            self._tables, self._r = self._angle_tables(r), r
-        if self._saturates(t):
-            return math.inf, math.inf
-        raw = rise = 0.0
+        sums = [[[0.0] * len(finite) for _ in rs] for _ in range(2)]  # S and half its slope, per r and finite t
         out = np.empty((1 + slope, *self._table[:_BLOCK_ROWS].shape))
         for start in range(0, len(self._table), _BLOCK_ROWS):
-            terms = self._terms(t, start, out)
-            raw += self._part(self._tables, start, terms[0])
-            if slope:
-                rise += self._part(self._tables, start, terms[1])
-        return self._checked(raw, t), 2.0 * rise
+            for j, t in enumerate(finite):
+                for terms, kind in zip(self._terms(t, start, out), sums):
+                    for made, row in zip(tables, kind):
+                        row[j] += self._part(made, start, terms)
+        values = {(r, t): (math.inf, math.inf) for r in rs for t in times}
+        for r, raws, rises in zip(rs, *sums):
+            values.update({(r, t): (self._checked(raw, t), 2.0 * rise) for t, raw, rise in zip(finite, raws, rises)})
+        return values
+
+    def declare_grid(self, rs, times) -> None:
+        """Sum every (r, t) of ``rs`` x ``times`` in one ``_sums`` pass, for ``series`` to read; the grid replaces the last one."""
+        self._grid = self._sums(list(dict.fromkeys(rs)), list(dict.fromkeys(times)), False)
+
+    def _pass(self, r, t: float, slope: bool) -> tuple[float, float]:
+        """(S, dS/dt) at (r, t): the one-point case of ``_sums``."""
+        return self._sums([r], [t], slope)[r, t]
 
     def series(self, r, t: float) -> float:
         """S(r, t), or +inf once the largest exponent passes the overflow limit.
@@ -329,7 +326,7 @@ class FourierSpectrum:
         error, not roundoff, and raises.
         """
         if (r, t) in self._grid:
-            return self._grid[r, t]
+            return self._grid[r, t][0]
         return self._pass(r, t, False)[0]
 
     def series_and_slope(self, r, t: float) -> tuple[float, float]:

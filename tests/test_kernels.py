@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -469,8 +470,9 @@ def test_series_at_half_the_ring_matches_a_long_double_sum(alpha):
 BLOCK = kernels._BLOCK_ROWS * kernels._WEIGHT_COLUMNS
 
 
-# N // 2 + 1 at B - 1, B, B + 1 and 2 B + 1 for the block length B, and an odd N at B + 1
-@pytest.mark.parametrize("n", [2 * BLOCK - 4, 2 * BLOCK - 2, 2 * BLOCK, 4 * BLOCK, 2 * BLOCK + 1])
+# N // 2 + 1 at B - 1, B, B + 1 and 2 B + 1 for the block length B, an odd N at B + 1,
+# and N = 2 * 65537 at B + 2, whose spectrum takes the coprime split
+@pytest.mark.parametrize("n", [2 * BLOCK - 4, 2 * BLOCK - 2, 2 * BLOCK, 4 * BLOCK, 2 * BLOCK + 1, 2 * 65537])
 def test_every_route_makes_the_same_block_dots(monkeypatch, n):
     """The declared grid, an undeclared bound and the solver's series and slope agree bit for bit across block edges."""
     alpha = 0.6
@@ -509,3 +511,18 @@ def test_every_route_makes_the_same_block_dots(monkeypatch, n):
             else:
                 assert value == slope == math.inf
         assert exact_sum_signaling_time(n, alpha, r, 1.0, spectrum=grid) == exact_sum_signaling_time(n, alpha, r, 1.0)
+
+
+@pytest.mark.parametrize("r", [0, 51, 2.5])
+def test_an_r_off_the_ring_raises_at_a_saturating_t_as_at_a_finite_t(r):
+    """Each r's tables are made before the saturation test, so every route rejects an r off the ring at every t."""
+    n = 100
+    spectrum = fourier_spectrum(n, 0.5)
+    finite, saturating = 0.1 / spectrum.lam, 1000.0 / spectrum.lam
+    assert spectrum.series(1, saturating) == math.inf > spectrum.series(1, finite)
+    message = re.escape(f"r must be an integer in [1, N/2], got r={r} with N={n}")
+    routes = spectrum.series, spectrum.series_and_slope, lambda r, t: spectrum.declare_grid([1, r], [t])
+    for t in finite, saturating:
+        for route in routes:
+            with pytest.raises(ValueError, match=message):
+                route(r, t)
