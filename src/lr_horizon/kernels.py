@@ -14,6 +14,7 @@ of the open box that is its corner k <= L // 2 per axis, mirrored to k > L // 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,13 +34,16 @@ NEGATIVE_FLOOR = 1e-8
 _EXP_ARG_MAX = 700.0
 
 # The smallest largest-prime of N at which the ring spectrum is split into coprime
-# factors (``_even_spectrum``); below it one whole-length rfft is faster, unless N is large.
+# factors (``fourier_spectrum``); below it one whole-length rfft is faster, unless both factors are long.
 _SPLIT_MIN_PRIME = 400
 
-# Columns of the mode table and its cosine tables: p = a * _WEIGHT_COLUMNS + b (``FourierSpectrum``).
+# Columns of the rfft path's mode table: p = a * _WEIGHT_COLUMNS + b (``FourierSpectrum``).
 _WEIGHT_COLUMNS = 4096
-# Table rows per block of the series sum: 65536 modes, 512 KB of exponentials, so a block stays in L2.
-_BLOCK_ROWS = 16
+# Modes per block of the series sum: 512 KB of exponentials, so a block stays in L2.
+_BLOCK_MODES = 65536
+# Table rows per block at most: a block's dot, two entries a row, stays below the 10,000 elements
+# past which OpenBLAS threads a dot, so its bits do not depend on the thread count.
+_BLOCK_ROWS_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -218,50 +222,68 @@ class FourierSpectrum:
     / N: ``w_p = 2`` folds in the mirror omega(N - p), and ``w_p = 1`` at
     p = 0 and, for even N, p = N / 2.
 
-    omega is held in table rows, p = a C + b with C = ``_WEIGHT_COLUMNS``,
-    zero past N // 2 so that expm1 adds 0 there; ``omega`` is a view of it.
-    By angle addition, 2 cos(2 pi p r / N) / N is row a of the row table
-    [cos_a, -sin_a] 2 / N dotted with row b of the column table
-    [cos_b, sin_b] (``_angle_tables``). So a block of ``_BLOCK_ROWS`` table
-    rows adds ``np.vdot(rows[block], e @ columns)`` to S, e being its
-    expm1(2 t omega) halved where w_p = 1; the slope makes the same product
-    on omega e^(2 omega t), doubled. The parts are added in block order.
-    One routine, ``_sums``, makes every pass over the blocks, with the
-    tables of each r kept for the last r: ``declare_grid(rs, ts)`` sums a
-    whole grid in one, for ``series`` to read; any other (r, t) is its
-    one-point case, to which ``series_and_slope`` adds the slope products.
-    So every route makes the same per-r products, bit for bit. The caches
-    make one spectrum unsafe to share between threads.
+    Table entry (j, i) holds omega at k = (u_j + v_i) mod N, one k of each pair k, N - k, with
+    u = s N / q from the integer steps s and order q of each side (``_sides``): the rfft's
+    natural order in rows of C = ``_WEIGHT_COLUMNS`` (u = C j, v = i, q = N), or the coprime
+    split's own (B // 2 + 1) x A grid (``fourier_spectrum``; q = B, A). Entries past N // 2,
+    or mirrors in the grid's row 0 (``_pad``), are 0, so expm1 adds 0 there; ``omega``
+    is put in natural order only when read. By angle addition, 2 cos(2 pi k r / N) / N
+    is row j of the row table [cos, -sin] 2 / N at u_j r dotted with row i of the column
+    table [cos, sin] at v_i r (``_angle_tables``). So a block of table rows adds
+    ``np.vdot(rows[block], e @ columns)`` to S, e being its expm1(2 t omega) halved
+    where w_p = 1; the slope makes the same product on omega e^(2 omega t), doubled.
+    One routine, ``_sums``, makes every pass over the blocks, adding the parts in block
+    order: ``declare_grid(rs, ts)`` sums a whole grid in one, for ``series`` to read, and
+    any other (r, t) is its one-point case. So every route makes the same per-r products,
+    bit for bit. The caches (the last r's tables, the grid) make a spectrum unsafe to share
+    between threads.
     """
 
-    def __init__(self, omega: np.ndarray, n_sites: int, alpha: float, lam: float) -> None:
-        size = n_sites // 2 + 1
-        columns = min(size, _WEIGHT_COLUMNS)
-        self._table = np.zeros((-(-size // columns), columns))
-        self.omega = self._table.reshape(-1)[:size]
-        self.omega[:] = omega
+    def __init__(self, omega: np.ndarray, n_sites: int, alpha: float, lam: float, a: int = 1) -> None:
+        n, size = n_sites, n_sites // 2 + 1
+        if a == 1:  # the N // 2 + 1 entries in natural order, copied into rows of C
+            columns = min(size, _WEIGHT_COLUMNS)
+            self._table = np.zeros((-(-size // columns), columns))
+            self._table.reshape(-1)[:size] = omega
+            self._sides = (columns * np.arange(len(self._table)), n), (np.arange(columns), n)
+            self._pad, half = slice(size, None), divmod(n // 2, columns)
+        else:  # B is odd, so only row 0 holds mirror pairs: (0, i) and (0, A - i)
+            b = n // a
+            self._table = omega
+            self._sides = (np.arange(b // 2 + 1) * pow(a, -1, b) % b, b), (np.arange(a) * pow(b, -1, a) % a, a)
+            self._pad, half = slice(a // 2 + 1, a), (0, a // 2)
+        self._table.reshape(-1)[self._pad] = 0.0
+        # per side, the [cos, sin] scale of 2 pi k / q at integer k: rows of the circle held at an order q < N, or made
+        self._circles = [
+            functools.partial(np.take, _unit_circle(np.arange(q), q, scale), axis=0) if q < n
+            else functools.partial(_unit_circle, n=n, scale=scale) for (_, q), scale in zip(self._sides, (2.0 / n, 1.0))
+        ]
+        self._unpaired = [(0, 0), half][: 2 - n % 2]  # (row, column) of the modes with w_p = 1
+        self._block_rows = min(max(1, _BLOCK_MODES // self._table.shape[1]), _BLOCK_ROWS_MAX)
         self.n_sites, self.alpha, self.lam = n_sites, alpha, lam
-        self.omega_max = float(omega.max())
-        # (row, column) of the modes with w_p = 1
-        self._unpaired = [divmod(p, columns) for p in ((0,) if n_sites % 2 else (0, n_sites // 2))]
+        self.omega_max = float(self._table.max())
         self._r = self._tables = None  # the angle tables of the last r
-        self._grid: dict[tuple, tuple] = {}  # ``_sums`` at each declared (r, t), no slope summed
+        self._grid: dict[tuple, float] = {}  # S at each declared (r, t)
 
-    def _saturates(self, t: float) -> bool:
-        return not 2.0 * t * self.omega_max <= _EXP_ARG_MAX
+    @functools.cached_property
+    def omega(self) -> np.ndarray:
+        """The N // 2 + 1 distinct omega_p in natural order: each table entry but the pad at p = min(k, N - k)."""
+        n, ((rows, p), (columns, q)) = self.n_sites, self._sides
+        k = np.delete(np.add.outer(n // p * rows, n // q * columns).reshape(-1) % n, self._pad)
+        omega = np.empty(n // 2 + 1)
+        omega[np.minimum(k, n - k)] = np.delete(self._table.reshape(-1), self._pad)
+        return omega
 
     def _angle_tables(self, r) -> tuple[np.ndarray, np.ndarray]:
-        """The row table [cos_a, -sin_a] 2 / N and the column table [cos_b, sin_b] of p = a C + b at r, from exactly reduced angles."""
-        n, (count, columns) = self.n_sites, self._table.shape
+        """The row table [cos, -sin] 2 / N and the column table [cos, sin] at r, at k = -s r and s r mod q for each side's steps s and order q."""
+        n, ((rows, p), (columns, q)) = self.n_sites, self._sides
         if not 1 <= r <= n // 2 or r % 1:
             raise ValueError(f"r must be an integer in [1, N/2], got r={r} with N={n}")
-        cos_a, sin_a = _unit_circle(np.arange(count) * (columns * r % n) % n, n)
-        cos_b, sin_b = _unit_circle(np.arange(columns) * r % n, n)
-        return np.stack([cos_a, -sin_a], axis=1) * (2.0 / n), np.stack([cos_b, sin_b], axis=1)
+        return self._circles[0](-rows * int(r) % p), self._circles[1](columns * int(r) % q)
 
     def _terms(self, t: float, start: int, out: np.ndarray) -> np.ndarray:
         """On the block of table rows at ``start``: expm1(2 t omega) in ``out[0]``, omega e^(2 omega t) in ``out[1]`` if any; halved where w_p = 1."""
-        block = self._table[start : start + _BLOCK_ROWS]
+        block = self._table[start : start + self._block_rows]
         out = out[:, : len(block)]
         np.expm1(np.multiply(block, 2.0 * t, out=out[0]), out=out[0])
         if len(out) > 1:
@@ -272,12 +294,6 @@ class FourierSpectrum:
                 out[:, a - start, b] *= 0.5
         return out
 
-    @staticmethod
-    def _part(tables, start: int, terms: np.ndarray) -> float:
-        """sum_p c_p terms_p over the block at ``start``: one product with the column table, one dot with the row table."""
-        rows, columns = tables
-        return float(np.vdot(rows[start : start + _BLOCK_ROWS], terms @ columns))
-
     def _checked(self, raw: float, t: float) -> float:
         if raw < 0.0:  # see ``series``
             if raw < -NEGATIVE_FLOOR * math.expm1(2.0 * t * self.omega_max) / self.n_sites:
@@ -285,38 +301,38 @@ class FourierSpectrum:
             raw = 0.0
         return raw
 
-    def _sums(self, rs, times, slope: bool) -> dict[tuple, tuple[float, float]]:
-        """(S, dS/dt) at every (r, t) of ``rs`` x ``times`` from one pass over the blocks; dS/dt is 0 unless ``slope``.
+    def _sums(self, rs, times, slope: bool) -> tuple[list, list[float]]:
+        """The finite t of ``times``, and per finite t S at each r of ``rs``, then half its slope at each if ``slope``: one pass over the blocks.
 
-        Each r's tables come from the last-r cache, before the saturation test, so an r off the ring
-        raises at every t. A saturating t is +inf and makes no exponential; each block's exponentials
-        are made once per finite t, and the parts are added in (block, t, r) order.
+        Each r's tables come from the last-r cache, before the saturation test, so an r off the ring raises at
+        every t. Each block's exponentials are made once per finite t, and each sum adds its parts in block order.
         """
         tables = []
         for r in rs:
             if r != self._r:
                 self._tables, self._r = self._angle_tables(r), r
             tables.append(self._tables)
-        finite = [t for t in times if not self._saturates(t)]
-        sums = [[[0.0] * len(finite) for _ in rs] for _ in range(2)]  # S and half its slope, per r and finite t
-        out = np.empty((1 + slope, *self._table[:_BLOCK_ROWS].shape))
-        for start in range(0, len(self._table), _BLOCK_ROWS):
-            for j, t in enumerate(finite):
-                for terms, kind in zip(self._terms(t, start, out), sums):
-                    for made, row in zip(tables, kind):
-                        row[j] += self._part(made, start, terms)
-        values = {(r, t): (math.inf, math.inf) for r in rs for t in times}
-        for r, raws, rises in zip(rs, *sums):
-            values.update({(r, t): (self._checked(raw, t), 2.0 * rise) for t, raw, rise in zip(finite, raws, rises)})
-        return values
+        finite = [t for t in times if 2.0 * t * self.omega_max <= _EXP_ARG_MAX]  # past it a t saturates
+        sums = [0.0] * (len(finite) * len(rs) * (1 + slope))
+        out = np.empty((1 + slope, *self._table[: self._block_rows].shape))
+        for start in range(0, len(self._table), self._block_rows):
+            # sum_p c_p terms_p over the block: one product with the column table, one dot with the row table
+            parts = (float(np.vdot(rows[start : start + len(terms)], terms @ columns))
+                     for t in finite for terms in self._terms(t, start, out) for rows, columns in tables)
+            sums = [total + part for total, part in zip(sums, parts)]
+        return finite, sums
 
     def declare_grid(self, rs, times) -> None:
         """Sum every (r, t) of ``rs`` x ``times`` in one ``_sums`` pass, for ``series`` to read; the grid replaces the last one."""
-        self._grid = self._sums(list(dict.fromkeys(rs)), list(dict.fromkeys(times)), False)
+        rs, times = list(dict.fromkeys(rs)), list(dict.fromkeys(times))
+        finite, sums = self._sums(rs, times, False)
+        self._grid = {(r, t): math.inf for r in rs for t in times}
+        self._grid.update(((r, t), self._checked(raw, t)) for (t, r), raw in zip([(t, r) for t in finite for r in rs], sums))
 
     def _pass(self, r, t: float, slope: bool) -> tuple[float, float]:
-        """(S, dS/dt) at (r, t): the one-point case of ``_sums``."""
-        return self._sums([r], [t], slope)[r, t]
+        """(S, dS/dt) at (r, t): the one-point case of ``_sums``; dS/dt is 0 unless ``slope``."""
+        finite, sums = self._sums([r], [t], slope)
+        return (self._checked(sums[0], t), 2.0 * sums[1] if slope else 0.0) if finite else (math.inf, math.inf)
 
     def series(self, r, t: float) -> float:
         """S(r, t), or +inf once the largest exponent passes the overflow limit.
@@ -325,35 +341,24 @@ class FourierSpectrum:
         -``NEGATIVE_FLOOR`` times the largest term (over N) is a sign
         error, not roundoff, and raises.
         """
-        if (r, t) in self._grid:
-            return self._grid[r, t][0]
-        return self._pass(r, t, False)[0]
+        value = self._grid.get((r, t))
+        return self._pass(r, t, False)[0] if value is None else value
 
     def series_and_slope(self, r, t: float) -> tuple[float, float]:
         """(S, dS/dt) from one pass, dS/dt = sum_p c_p 2 omega_p e^(2 omega_p t); S has the bits of ``series``."""
         return self._pass(r, t, True)
 
 
-def _unit_circle(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi k / n for integers 0 <= k < n, each angle reduced exactly to [0, pi] first."""
-    angle = np.minimum(k, n - k) * (2.0 * math.pi / n)
-    sin = np.sin(angle)
+def _unit_circle(k: np.ndarray, n: int, scale: float) -> np.ndarray:
+    """[cos, sin] scale of 2 pi k / n, a row per integer 0 <= k < n, each angle reduced exactly to [0, pi / 2] first:
+    with m = 2 min(k, n - k), m pi / n, or pi less (n - m) pi / n past a quarter turn."""
+    m = 2 * np.minimum(k, n - k)
+    far = 2 * m > n
+    angle = np.subtract(n, m, out=m, where=far) * (math.pi / n)
+    cos, sin = np.cos(angle), np.sin(angle)
+    cos[far] *= -1.0  # signs flipped on the 1-D arrays, before the stack: a masked column of it is slow
     sin[2 * k > n] *= -1.0
-    return np.cos(angle), sin
-
-
-def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
-    """The ring hop series of (N, alpha); the only constructor of ``FourierSpectrum``.
-
-    J(r) is the ring grid of ``row_sums`` with J(0) = lambda, its total.
-    omega is the O(N log N) transform of this real, even sequence
-    (``_even_spectrum``): one real FFT, or, at a large prime factor of N
-    or a large N of two wide coprime factors, half rows copied out of the
-    sequence, which is then freed, and FFTs along both sides of their grid.
-    """
-    composition_constant(alpha)  # p is not used; the ring bound and its solve meet the p rule of every family
-    lam, omega = _even_spectrum(n_sites, alpha)
-    return FourierSpectrum(omega, n_sites, alpha, lam)
+    return np.stack([cos, sin], axis=1) * scale
 
 
 def _largest_prime_power(n: int) -> tuple[int, int]:
@@ -381,45 +386,37 @@ def _half_rows(seq: np.ndarray, a: int, b: int) -> np.ndarray:
     return rows
 
 
-def _even_spectrum(n: int, alpha: float) -> tuple[float, np.ndarray]:
-    """lambda, and the N // 2 + 1 distinct entries of the DFT of the ring sequence J of (N, alpha), real and even.
+def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
+    """The ring hop series of (N, alpha); the only constructor of ``FourierSpectrum``.
 
-    One ``rfft`` of the whole sequence, unless N = A B with B = p**e the
-    power of N's largest prime p, A > 1, and either p >= ``_SPLIT_MIN_PRIME``
-    (pocketfft's plan for N pays for p on all N: a Bluestein convolution of
-    about 2N points, or a radix-p pass) or N >= 2**18 with A, B >= 16 (rows
-    of length B stay in cache). There the Good-Thomas map (gcd(A, B) = 1, no
-    twiddle factors) makes it the DFT of the A x B grid
-    G[a, b] = J[(B a + A b) mod N]. G[-a, -b] = G[a, b], so the ``rfft`` of
-    row A - a is the conjugate of row a's: rows a <= A // 2 are copied
-    (``_half_rows``) and J freed before they are transformed along b
-    (b <= B // 2). Each column, Hermitian in a, gets its real DFT from one
-    ``irfft`` of length A of its C-ordered conjugate (numpy's ``hfft``).
-    Entry (j, i) is the DFT at k = (j A (A^-1 mod B) + i B (B^-1 mod A)) mod N;
-    the DFT of an even sequence is even, so k folds onto min(k, N - k).
+    J(r) is the ring grid of ``row_sums`` with J(0) = lambda, its total; omega is its DFT, real
+    and even, held at one k of each pair k, N - k. One ``rfft`` of the whole sequence gives its
+    N // 2 + 1 entries in natural order, unless N = A B with B = p**e the power of N's largest
+    prime p, A > 1, and either p >= ``_SPLIT_MIN_PRIME`` (pocketfft's plan for N pays for p on
+    all N: a Bluestein convolution of about 2N points, or a radix-p pass) or A, B >= 16 (both
+    sides long). There the Good-Thomas map (gcd(A, B) = 1, no twiddle factors) makes it the DFT
+    of the A x B grid G[a, b] = J[(B a + A b) mod N], even in both indices: rows a <= A // 2 are
+    copied (``_half_rows``) and J freed before their ``rfft`` along b (b <= B // 2); each
+    column, Hermitian in a, gets its real DFT from one ``irfft`` of length A of its C-ordered
+    conjugate (numpy's ``hfft``). That (B // 2 + 1) x A output is held as it is: entry (j, i)
+    is the DFT at k = (j A (A^-1 mod B) + i B (B^-1 mod A)) mod N.
     """
-    seq = _inverse_power_grid(1, n, alpha)  # rejects a bad alpha, and an N that is no integer >= 2
+    composition_constant(alpha)  # p is not used; the ring bound and its solve meet the p rule of every family
+    seq = _inverse_power_grid(1, n_sites, alpha)  # rejects a bad alpha, and an N that is no integer >= 2
     lam = float(seq.sum())
     seq[0] = lam
-    p, b = _largest_prime_power(n)
-    a = n // b
-    if a == 1 or (p < _SPLIT_MIN_PRIME and (n < 1 << 18 or min(a, b) < 16)):
-        return lam, np.fft.rfft(seq).real
-    grid = _half_rows(seq, a, b)
-    del seq  # before any transform; each stage below frees its input as it rebinds ``grid``
-    grid = np.fft.rfft(grid, axis=1)
-    grid = np.conjugate(grid.T, out=np.empty(grid.T.shape, complex))  # C order: the columns run contiguous
-    grid = np.fft.irfft(grid, n=a, axis=1, norm="forward")
-    u = 2 * a * (np.arange(b // 2 + 1) * pow(a, -1, b) % b)
-    v = 2 * b * (np.arange(a) * pow(b, -1, a) % a) - 2 * n
-    # 2 (k - N) for the unreduced k in [0, 2N), folded in place: min(k mod N, N - k mod N) = (N - |N - |2 (k - N)||) / 2
-    k = np.add.outer(u, v)
-    np.subtract(n, np.abs(k, out=k), out=k)
-    np.subtract(n, np.abs(k, out=k), out=k)
-    k >>= 1
-    omega = np.empty(n // 2 + 1)
-    omega[k] = grid
-    return lam, omega
+    p, b = _largest_prime_power(n_sites)
+    a = n_sites // b
+    if a == 1 or (p < _SPLIT_MIN_PRIME and min(a, b) < 16):
+        omega, a = np.fft.rfft(seq).real, 1
+        del seq  # before the table copy
+    else:
+        grid = _half_rows(seq, a, b)
+        del seq  # before any transform; each stage below frees its input as it rebinds ``grid``
+        grid = np.fft.rfft(grid, axis=1)
+        grid = np.conjugate(grid.T, out=np.empty(grid.T.shape, complex))  # C order: the columns run contiguous
+        omega = np.fft.irfft(grid, n=a, axis=1, norm="forward")
+    return FourierSpectrum(omega, n_sites, alpha, lam, a)
 
 
 def spectrum_for(n_sites: int, alpha: float, spectrum: FourierSpectrum | None = None) -> FourierSpectrum:

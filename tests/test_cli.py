@@ -439,7 +439,8 @@ def test_bound_grid_builds_each_exponential_and_weight_vector_once(capsys, monke
         rs = list(dict.fromkeys(int(row["r"]) for row in group))
         assert len(times) == 4 and len(rs) > 1 and len(group) == 5 * len(rs)
         size = n // 2 + 1
-        starts = range(0, -(-size // min(size, kernels._WEIGHT_COLUMNS)), kernels._BLOCK_ROWS)
+        # each N takes the rfft path: rows of C modes, 65536 modes a block
+        starts = range(0, -(-size // min(size, kernels._WEIGHT_COLUMNS)), kernels._BLOCK_MODES // kernels._WEIGHT_COLUMNS)
         assert len(starts) == (2 if n == 140000 else 1)
         finite = list(dict.fromkeys(float(row["t"]) for row in group if row["value"] != "inf"))
         assert finite == times[:3]  # the last t saturates and makes no exponential
@@ -730,11 +731,12 @@ def _fresh_python(args: list[str], **env: str) -> bytes:
     ],
 )
 def test_ring_series_bytes_do_not_depend_on_the_blas_thread_count(argv, rows):
-    """N // 2 + 1 of N = 2**18 spans three blocks of modes; one and two BLAS threads write the same bytes."""
-    argv = ["-m", "lr_horizon.cli", *argv, "--alpha", "0.3,0.6", "--N", "262144", "--r", "1,N/4,N/2"]
+    """One and two BLAS threads write the same bytes: at N = 2**18 in natural order, three blocks of modes, and on the
+    split's own grid at 131074 = 2 * 65537 (A = 2, the tallest blocks) and 316228 (A = 44)."""
+    argv = ["-m", "lr_horizon.cli", *argv, "--alpha", "0.3,0.6", "--N", "262144,131074,316228", "--r", "1,N/4,N/2"]
     one, two = (_fresh_python(argv, OPENBLAS_NUM_THREADS=str(k)) for k in (1, 2))
     assert one == two
-    assert one.count(b"\n") == 2 + rows  # the config line, the header and the rows
+    assert one.count(b"\n") == 2 + 3 * rows  # the config line, the header and the rows
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -354,7 +354,7 @@ def test_spectrum_peaks_below_a_few_sequences(n, floats):
         4 * 509, 316228,  # even A
         3 * 7187, 9 * 1009,  # odd A
         2 * 1009, 1009 * 1013,  # A = 2, and a large cofactor
-        10**6,  # smooth, 64 x 15625
+        10**4, 31623, 10**5, 10**6,  # both sides long: 16 x 625, 249 x 127, 32 x 3125, 64 x 15625
     ],
 )
 def test_split_spectrum_matches_a_long_double_cosine_sum(monkeypatch, n):
@@ -375,10 +375,9 @@ def test_split_spectrum_matches_a_long_double_cosine_sum(monkeypatch, n):
 @pytest.mark.parametrize(
     "n",
     [
-        10**4, 10**5, 2**16,  # smooth
-        1009, 7187,  # prime
+        2**16, 1009, 7187,  # prime
         3**7, 509**2,  # prime power
-        31623,  # 3 * 83 * 127: largest prime below the crossover
+        1000, 140000,  # a short side below the crossover prime: A = 8, B = 7
         3 * 2**18, 4 * 5**8,  # smooth past 2**18 with a short side: B = 3, A = 4
     ],
 )
@@ -392,6 +391,7 @@ def test_spectrum_outside_the_split_is_the_rfft_bit_for_bit(n):
     [
         6, 20, 98, 126, 300, 510,  # even A
         21, 63, 105, 411, 477,  # odd A: 3 * 7, 9 * 7, 15 * 7, 3 * 137, 9 * 53
+        272, 400,  # A, B >= 16, split at the unlowered crossover too: 16 * 17, 16 * 25
     ],
 )
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.7])
@@ -416,26 +416,44 @@ def _long_double_weights(n: int, r: int) -> np.ndarray:
     return weights
 
 
+def _modes(spectrum: FourierSpectrum) -> np.ndarray:
+    """p = min(k, N - k) of each flat table entry, k = (u_j + v_i) mod N from the steps s and order q of each
+    side (u = s N / q), and -1 on the pad."""
+    n, ((rows, p), (columns, q)) = spectrum.n_sites, spectrum._sides
+    k = np.add.outer(n // p * rows, n // q * columns).reshape(-1) % n
+    k = np.minimum(k, n - k)
+    k[spectrum._pad] = -1
+    return k
+
+
 def _table_weights(spectrum: FourierSpectrum, r: int) -> np.ndarray:
-    """c_p for p = 0 .. N // 2 from the two angle tables: row a dotted with row b for p = a C + b, halved where w_p = 1."""
+    """c_p for p = 0 .. N // 2 from the two angle tables: row j dotted with row i at the mode of entry (j, i), halved where w_p = 1."""
     rows, columns = spectrum._angle_tables(r)
-    weights = (rows @ columns.T).reshape(-1)[: spectrum.n_sites // 2 + 1]
+    modes = _modes(spectrum)
+    weights = np.empty(spectrum.n_sites // 2 + 1)
+    weights[modes[modes >= 0]] = (rows @ columns.T).reshape(-1)[modes >= 0]
     weights[0] *= 0.5
     if spectrum.n_sites % 2 == 0:
         weights[-1] *= 0.5
     return weights
 
 
-# 8190 .. 8193 put N // 2 + 1 on both sides of the table's column count
+# 8190 .. 8193 put N // 2 + 1 on both sides of the natural table's column count
 @pytest.mark.parametrize("n", [2, 3, 17, 8190, 8192, 8193, 31623, 316228, 10**6])
 def test_cosine_weights_match_integer_reduced_long_double_angles(n):
-    """Every weight to 4 ulps of 2/N: no angle is formed as p * (2 pi r / N), whose rounding grows with p."""
-    spectrum = FourierSpectrum(np.zeros(n // 2 + 1), n, 0.5, 1.0)  # the weights depend on (N, r) only
-    for r in sorted(r for r in {1, 7, n // 4, n // 2 - 1, n // 2} if 1 <= r <= n // 2):
-        weights = _table_weights(spectrum, r)
-        assert weights.shape == (n // 2 + 1,)
-        error = float(np.max(np.abs(weights - _long_double_weights(n, r))))
-        assert error <= 4 * np.finfo(float).eps * 2 / n, (r, error)
+    """Every weight to 4 ulps of 2/N, in natural order and on the split grid of every N with A > 1: no angle is
+    formed as p * (2 pi r / N), whose rounding grows with p."""
+    b = _largest_prime_power(n)[1]
+    layouts = [FourierSpectrum(np.zeros(n // 2 + 1), n, 0.5, 1.0)]  # the weights depend on (N, r) and the layout only
+    if n > b:
+        layouts.append(FourierSpectrum(np.zeros((b // 2 + 1, n // b)), n, 0.5, 1.0, n // b))
+    for spectrum in layouts:
+        modes = _modes(spectrum)
+        assert np.array_equal(np.sort(modes[modes >= 0]), np.arange(n // 2 + 1))  # one entry per mode, the rest pad
+        for r in sorted(r for r in {1, 7, n // 4, n // 2 - 1, n // 2} if 1 <= r <= n // 2):
+            weights = _table_weights(spectrum, r)
+            error = float(np.max(np.abs(weights - _long_double_weights(n, r))))
+            assert error <= 4 * np.finfo(float).eps * 2 / n, (spectrum._table.shape, r, error)
 
 
 @pytest.fixture(scope="module")
@@ -451,34 +469,37 @@ def test_series_at_a_million_sites_matches_a_long_double_sum(million_site_series
     """S(r, t) against a long-double weighted sum over the same float64 omega (r = N/2 cancels; not here)."""
     spectrum, t, terms = million_site_series
     want = float(np.dot(_long_double_weights(spectrum.n_sites, r), terms))
-    assert abs(spectrum.series(r, t) - want) <= 1e-12 * want
+    assert abs(spectrum.series(r, t) - want) <= 3e-13 * want
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7497, 1.0])
 def test_series_at_half_the_ring_matches_a_long_double_sum(alpha):
-    """r = N/2 at N = 10**6, where the terms cancel: block by block, the sum stays within 3e-10 of a long-double sum over the same omega."""
+    """r = N/2 at N = 10**6, where the terms cancel: block by block, the sum stays within 5e-11 of a long-double sum over the same omega."""
     n = 10**6
     spectrum = fourier_spectrum(n, alpha)
     weights = _long_double_weights(n, n // 2)
     for two_lambda_t in (0.2, 0.6):
         t = two_lambda_t / (2 * spectrum.lam)
         want = float(np.dot(weights, np.expm1(2 * np.longdouble(t) * spectrum.omega.astype(np.longdouble))))
-        assert abs(spectrum.series(n // 2, t) - want) <= 3e-10 * want, two_lambda_t
+        assert abs(spectrum.series(n // 2, t) - want) <= 5e-11 * want, two_lambda_t
 
 
-# The block length in modes.
-BLOCK = kernels._BLOCK_ROWS * kernels._WEIGHT_COLUMNS
+# The blocks of each N: N // 2 + 1 at B, B + 1 and 2 B + 1 for the natural table's block of B = 65536
+# modes (2**17 - 1 is prime, 2**17 and 2**18 powers of two); on the split's own grid, 76 and 129 rows of
+# A = 868 and 510 columns, one past a block of 75 and 128 rows, and A = 3 and 2, whose blocks stop at
+# ``_BLOCK_ROWS_MAX`` rows
+BLOCKS = {131071: 1, 131072: 2, 262144: 3, 131068: 2, 131070: 2, 131073: 6, 131074: 9}
 
 
-# N // 2 + 1 at B - 1, B, B + 1 and 2 B + 1 for the block length B, an odd N at B + 1,
-# and N = 2 * 65537 at B + 2, whose spectrum takes the coprime split
-@pytest.mark.parametrize("n", [2 * BLOCK - 4, 2 * BLOCK - 2, 2 * BLOCK, 4 * BLOCK, 2 * BLOCK + 1, 2 * 65537])
+@pytest.mark.parametrize("n", BLOCKS)
 def test_every_route_makes_the_same_block_dots(monkeypatch, n):
     """The declared grid, an undeclared bound and the solver's series and slope agree bit for bit across block edges."""
     alpha = 0.6
     grid = fourier_spectrum(n, alpha)
-    starts = range(0, len(grid._table), kernels._BLOCK_ROWS)
-    assert len(starts) == -(-(n // 2 + 1) // BLOCK)
+    starts = range(0, len(grid._table), grid._block_rows)
+    assert len(starts) == BLOCKS[n]
+    assert grid._block_rows * grid._table.shape[1] <= kernels._BLOCK_MODES and grid._block_rows <= kernels._BLOCK_ROWS_MAX
+    modes = _modes(grid).reshape(grid._table.shape)
     rs = [1, n // 4, n // 2]
     times = [0.0, 0.2 / grid.lam, 0.6 / grid.lam, 1000.0 / grid.lam]
     made = []
@@ -498,15 +519,12 @@ def test_every_route_makes_the_same_block_dots(monkeypatch, n):
             assert plain.series(r, t) == value == both
             assert plain.series_and_slope(r, t) == (value, slope)
             if t < times[-1]:
-                # each block's part rebuilt from the tables and its halved exponentials, added in block order
-                terms = np.zeros(grid._table.size)
-                terms[: n // 2 + 1] = np.expm1(2.0 * t * grid.omega)
-                terms[0] *= 0.5
-                if n % 2 == 0:
-                    terms[n // 2] *= 0.5
-                terms = terms.reshape(grid._table.shape)
-                parts = [float(np.vdot(rows[a : a + kernels._BLOCK_ROWS], terms[a : a + kernels._BLOCK_ROWS] @ columns))
-                         for a in starts]
+                # each block's part rebuilt from the tables and its exponentials, halved at the modes 0 and N / 2
+                # and 0 on the pad, added in block order
+                terms = np.where(modes >= 0, np.expm1(2.0 * t * grid._table), 0.0)
+                terms[(modes == 0) | (2 * modes == n)] *= 0.5
+                rows_at = grid._block_rows
+                parts = [float(np.vdot(rows[a : a + rows_at], terms[a : a + rows_at] @ columns)) for a in starts]
                 assert value == max(sum(parts), 0.0)
             else:
                 assert value == slope == math.inf
