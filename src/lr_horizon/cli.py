@@ -12,7 +12,10 @@ Commands map the library onto reproducible tables:
 Output is CSV (default) or JSON. CSV starts with one comment line
 recording the tool version, a hash of the keys the command reads (for
 ``fit``, of its input table's bytes, not its path), and the method tag.
-Floats are written with 17 significant digits (``_format``). The
+Floats are written with 17 significant digits (``_format``). Every
+command but ``fit`` runs one task per (alpha, N) (``SWEEPS``), on
+``--workers`` processes; each task builds its lattice by one rule
+(``_lattice``: the exact series is defined on 1D rings only). The
 ``protocol`` trajectory is written by block, one (N, alpha, time) head
 per sampled time (``_csv``). One argparse parser, built once per
 process, takes the command and every flag; each command then accepts
@@ -187,28 +190,29 @@ def _resolve_r(token: str, spec: LatticeSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# row builders (module level so worker processes can pickle the tasks)
+# tasks: each maps one (alpha, N) to its rows and its trajectory blocks
+# (module level so worker processes can pickle them)
 
 
-def _lambda_task(task: dict) -> list[tuple]:
-    spec = LatticeSpec.from_sites(task["N"], task["D"], task["boundary"])
-    model = CouplingModel(alpha=task["alpha"])
-    params = self_hop_lambda(spec, model)
-    ub = lambda_upper_bound(task["D"], task["alpha"], spec.linear_size)
-    return [(task["D"], task["alpha"], task["N"], params.lam, ub)]
-
-
-def _bound_task(task: dict) -> list[tuple]:
-    alpha, n = task["alpha"], task["N"]
-    method = task["method"]
-    if method == "exact_sum" and task["D"] != 1:
+def _lattice(task: dict) -> LatticeSpec:
+    """The task's lattice, by the one rule of which lattices a method takes: the exact series needs a 1D ring."""
+    if task.get("method") == "exact_sum" and (task["D"] != 1 or task["boundary"] != "periodic"):
         raise ValueError("the exact series bound is defined on 1D rings only")
-    if task["boundary"] != "periodic":
-        raise ValueError(f"bound --method {method} is defined on periodic lattices only")
-    spec = LatticeSpec.from_sites(n, task["D"], "periodic")
+    return LatticeSpec.from_sites(task["N"], task["D"], task["boundary"])
+
+
+def _lambda_task(task: dict) -> tuple[list[tuple], list]:
+    spec = _lattice(task)
+    params = self_hop_lambda(spec, CouplingModel(alpha=task["alpha"]))
+    ub = lambda_upper_bound(task["D"], task["alpha"], spec.linear_size)
+    return [(task["D"], task["alpha"], task["N"], params.lam, ub)], []
+
+
+def _bound_task(task: dict) -> tuple[list[tuple], list]:
+    alpha, n, method = task["alpha"], task["N"], task["method"]
+    spec = _lattice(task)
     if method == "envelope":
-        value = free_particle_envelope(spec, CouplingModel(alpha=alpha))
-        return [(method, n, alpha, "", "", value)]
+        return [(method, n, alpha, "", "", free_particle_envelope(spec, CouplingModel(alpha=alpha)))], []
     if task["r"] is not None and task["r_logspace"] is not None:
         raise ValueError("bound takes --r or --r-logspace, not both")
     if task["r_logspace"] is not None:
@@ -219,32 +223,22 @@ def _bound_task(task: dict) -> list[tuple]:
         r_tokens = task["r"] or ["1"]
     if method == "exact_sum":
         spectrum = fourier_spectrum(n, alpha)
-        lam = spectrum.lam
+        lam, bound = spectrum.lam, partial(exact_sum_bound, n, alpha, spectrum=spectrum)
     else:
         params = self_hop_lambda(spec, CouplingModel(alpha=alpha))
-        lam = params.lam
+        lam, bound = params.lam, lambda r, t: analytic_bound(params, float(r), t)
     times = [t / lam if task["t_unit"] == "inv_lambda" else t for t in task["t"] or [0.0]]
     rs = [_resolve_r(r_tok, spec) for r_tok in r_tokens]
     if method == "exact_sum":
-        spectrum.declare_grid(rs, times)  # the whole grid in one pass over the spectrum
-    rows = []
-    for r in rs:
-        for t_abs in times:
-            if method == "exact_sum":
-                value = exact_sum_bound(n, alpha, r, t_abs, spectrum=spectrum).value
-            else:
-                value = analytic_bound(params, float(r), t_abs).value
-            rows.append((method, n, alpha, r, t_abs, value))
-    return rows
+        spectrum.declare_grid(rs, times)  # the whole grid in one pass over the spectrum, for bound to read
+    return [(method, n, alpha, r, t, bound(r, t).value) for r in rs for t in times], []
 
 
-def _signaling_task(task: dict) -> list[tuple]:
+def _signaling_task(task: dict) -> tuple[list[tuple], list]:
     alpha, n, delta = task["alpha"], task["N"], task["delta"]
     method = task["method"]
     model = CouplingModel(alpha=alpha)
-    spec = LatticeSpec.from_sites(n, task["D"], task["boundary"])
-    if method == "exact_sum" and (task["D"] != 1 or task["boundary"] != "periodic"):
-        raise ValueError("the exact series bound is defined on 1D rings only")
+    spec = _lattice(task)
     lam = None  # lambda, where the solve already holds it (many_site holds its own inside)
     if method == "ising":
         times = [("", n - 1, ising_signaling_time(spec, model, task["i"], delta))]
@@ -266,38 +260,51 @@ def _signaling_task(task: dict) -> list[tuple]:
     if task["kac"] and lam is None:
         lam = float(row_sums(spec, alpha).max())  # lambda alone: no p, which overflows past alpha = 1022
     scale = lam if task["kac"] else 1.0
-    return [(method, n, alpha, r_spec, r, delta, scale * t) for r_spec, r, t in times]
+    return [(method, n, alpha, r_spec, r, delta, scale * t) for r_spec, r, t in times], []
 
 
-def _ising_oracle_task(task: dict) -> list[tuple]:
-    spec = LatticeSpec.from_sites(task["N"], task["D"], task["boundary"])
+def _ising_oracle_task(task: dict) -> tuple[list[tuple], list]:
+    spec = _lattice(task)
     model = CouplingModel(alpha=task["alpha"])
     rows = []
     for t in task["t"] or [0.0]:
         exact = ising_exact_oracle(spec, model, task["i"], t)
         closed = ising_signal(spec, model, task["i"], t)
         rows.append((task["N"], task["alpha"], task["i"], t, exact, closed, abs(exact - closed)))
-    return rows
+    return rows, []
+
+
+def _protocol_task(task: dict) -> tuple[list[tuple], list[tuple]]:
+    """The protocol row and, with --plot-data, one block ``((N, alpha, t), probs)`` per time, probs a float64 row."""
+    n, a = task["N"], task["alpha"]
+    res = state_transfer_protocol(n, a, task["D"])
+    blocks = []
+    if task["plot_data"]:
+        psi0 = np.zeros(n, dtype=complex)
+        psi0[res.source] = 1.0
+        times = np.linspace(0.0, res.total_time, 101)
+        blocks = [((n, a, t), probs) for t, probs in trajectory(res.hamiltonian, psi0, times)]
+    return [(n, a, task["D"], res.total_time, res.fidelity, res.amplitude, res.bound, res.ratio)], blocks
 
 
 SWEEPS = {"lambda": _lambda_task, "bound": _bound_task, "signaling": _signaling_task,
-          "ising-oracle": _ising_oracle_task}
+          "protocol": _protocol_task, "ising-oracle": _ising_oracle_task}
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _sweep(cfg: dict) -> list[tuple]:
-    """One task per (alpha, N) in grid order, so rows do not depend on the worker count."""
+def _sweep(cfg: dict) -> tuple[list[tuple], list[tuple]]:
+    """The rows and blocks of one task per (alpha, N) in grid order, so neither depends on the worker count."""
     task_fn = SWEEPS[cfg["command"]]
     tasks = [dict(cfg, alpha=a, N=n) for a in cfg["alpha"] for n in cfg["N"]]
     if cfg["workers"] <= 1 or len(tasks) <= 1:
         results = [task_fn(t) for t in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(cfg["workers"], len(tasks))) as pool:
             results = list(pool.map(task_fn, tasks))
-    return [row for chunk in results for row in chunk]
+    return [row for rows, _ in results for row in rows], [block for _, blocks in results for block in blocks]
 
 
 def _read_table(path: str) -> list[dict]:
@@ -334,22 +341,6 @@ def _cmd_fit(cfg: dict) -> list[tuple]:
         cells = [x for xs in (fit.coefficients, fit.standard_errors, fit.ci95) for x in (*xs, "", "", "")[:3]]
         rows.append((alpha, r_spec, fit.model, *cells, fit.residual_rms, fit.n_points, fit.condition_warning))
     return rows
-
-
-def _cmd_protocol(cfg: dict) -> tuple[list[tuple], list[tuple]]:
-    """The protocol rows and, with --plot-data, one block ``((N, alpha, t), probs)`` per time, probs a float64 row."""
-    rows, blocks = [], []
-    for a in cfg["alpha"]:
-        for n in cfg["N"]:
-            res = state_transfer_protocol(n, a, cfg["D"])
-            rows.append((n, a, cfg["D"], res.total_time, res.fidelity, res.amplitude, res.bound, res.ratio))
-            if cfg["plot_data"]:
-                psi0 = np.zeros(n, dtype=complex)
-                psi0[res.source] = 1.0
-                times = np.linspace(0.0, res.total_time, 101)
-                for t, probs in trajectory(res.hamiltonian, psi0, times):
-                    blocks.append(((n, a, t), probs))
-    return rows, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +394,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # The config keys each command reads, per method where it has methods.
 # Every other key given as a flag or in a config file exits 2, so no
-# value is dropped without a word. bound reads boundary, and the
-# exact_sum methods read D, only to reject lattices they are not
-# defined on with a message that says so.
+# value is dropped without a word. The exact_sum methods read D and
+# boundary only for ``_lattice`` to reject the lattices they are not
+# defined on, with a message that says so.
 _LATTICE = ("alpha", "N", "D", "boundary")
 _SERIES = _LATTICE + ("method", "r", "r_logspace", "t", "t_unit")
 _SIGNAL = _LATTICE + ("method", "delta", "kac")
@@ -422,8 +413,9 @@ READS = {
     ("protocol", None): ("alpha", "N", "D"),
     ("ising-oracle", None): _LATTICE + ("t", "i"),
 }
-# Output and execution keys every command accepts; --workers is used
-# only by the commands in SWEEPS.
+# Output and execution keys every command accepts. --workers runs the
+# tasks of every command in SWEEPS; fit, one table in and one out, has
+# no grid to spread and runs in one process at any count.
 RUN_KEYS = ("fmt", "out", "workers", "plot_data")
 
 
@@ -457,7 +449,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _write_output(cfg: dict, columns: tuple, rows: list[tuple], blocks=None) -> None:
+def _write_output(cfg: dict, columns: tuple, rows: list[tuple], blocks: list[tuple]) -> None:
     hashable = {k: v for k, v in cfg.items() if k == "fmt" or k not in RUN_KEYS}
     if "input" in hashable:  # fit: the table's bytes, not its path
         with open(cfg["input"], "rb") as fh:
@@ -475,7 +467,7 @@ def _write_output(cfg: dict, columns: tuple, rows: list[tuple], blocks=None) -> 
         sys.stdout.writelines(lines)
     if cfg["plot_data"]:  # CSV under either --format; protocol's is its trajectory, by block
         trajectory_columns = ("N", "alpha", "time", "site", "prob")
-        lines = _csv(columns, rows) if blocks is None else _csv(trajectory_columns, blocks=blocks)
+        lines = _csv(trajectory_columns, blocks=blocks) if cfg["command"] == "protocol" else _csv(columns, rows)
         with open(cfg["plot_data"], "w", encoding="utf-8") as fh:
             fh.writelines(lines)
 
@@ -485,13 +477,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         command = cfg["command"]
-        blocks = None
-        if command in SWEEPS:
-            rows = _sweep(cfg)
-        elif command == "fit":
-            rows = _cmd_fit(cfg)
-        else:
-            rows, blocks = _cmd_protocol(cfg)
+        rows, blocks = (_cmd_fit(cfg), []) if command == "fit" else _sweep(cfg)
         _write_output(cfg, COLUMNS[command], rows, blocks)
     except RuntimeError as exc:  # NoCrossingError and numerical failures
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import lr_horizon.cli as cli
-from lr_horizon import (CouplingModel, NoCrossingError, chain, exact_sum_bound, kernels, ring, self_hop_lambda,
-                        signaling_time_analytic, site_hop_strength)
+from lr_horizon import (CouplingModel, LatticeSpec, NoCrossingError, analytic_bound, chain, exact_sum_bound,
+                        free_particle_envelope, kernels, ring, self_hop_lambda, signaling_time_analytic,
+                        site_hop_strength)
 from lr_horizon.cli import main
 from lr_horizon.kernels import FourierSpectrum
 
@@ -83,20 +85,37 @@ def test_bound_analytic_dominates_exact_sum(capsys):
 
 
 def test_bound_exact_sum_requires_1d(capsys):
-    code, _ = _run(capsys, ["bound", "--method", "exact_sum", "--alpha", "0.5", "--N", "16", "--D", "2"])
-    assert code == 2
+    assert main(["bound", "--method", "exact_sum", "--alpha", "0.5", "--N", "16", "--D", "2"]) == 2
+    assert capsys.readouterr().err == "invalid input: the exact series bound is defined on 1D rings only\n"
 
 
-@pytest.mark.parametrize(
-    "command,method",
-    [("bound", "analytic"), ("bound", "envelope"), ("bound", "exact_sum"), ("signaling", "exact_sum")],
-)
+@pytest.mark.parametrize("command,method", [("bound", "exact_sum"), ("signaling", "exact_sum")])
 def test_open_boundary_rejected_where_ignored_exit2(capsys, command, method):
-    code = main([command, "--method", method, "--boundary", "open", "--alpha", "0.5", "--N", "16", "--t", "0.1"])
+    code = main([command, "--method", method, "--boundary", "open", "--alpha", "0.5", "--N", "16"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("invalid input:")
+    assert captured.err == "invalid input: the exact series bound is defined on 1D rings only\n"
+
+
+@pytest.mark.parametrize("dimension, lattice", [(1, chain(64)), (2, LatticeSpec.from_sites(64, 2, "open"))],
+                         ids=["chain", "box"])
+@pytest.mark.parametrize("separations", [["--r", "1,5,9"], ["--r-logspace", "4"]], ids=["r", "r_logspace"])
+def test_bound_on_open_lattices_is_the_library_bound(capsys, dimension, lattice, separations):
+    """analytic and envelope need only lambda and r, which open lattices have; an 8 x 8 box's top r is int(7 sqrt 2)."""
+    model = CouplingModel(alpha=0.7)
+    lattice_args = ["--boundary", "open", "--alpha", "0.7", "--D", str(dimension), "--N", "64"]
+    code, out = _run(capsys, ["bound", "--method", "analytic", *lattice_args, *separations, "--t", "0.05,0.2"])
+    assert code == 0
+    rows = _rows(out)
+    params = self_hop_lambda(lattice, model)
+    assert [float(row["value"]) for row in rows] == [
+        analytic_bound(params, int(row["r"]), float(row["t"])).value for row in rows]
+    if separations[0] == "--r-logspace":
+        assert max(int(row["r"]) for row in rows) == int(lattice.largest_distance) == (63 if dimension == 1 else 9)
+    code, out = _run(capsys, ["bound", "--method", "envelope", *lattice_args])
+    assert code == 0
+    assert [float(row["value"]) for row in _rows(out)] == [free_particle_envelope(lattice, model)]
 
 
 def test_bound_unknown_method_exit2(capsys):
@@ -393,7 +412,7 @@ def test_r_logspace_spans_one_to_the_largest_distance(dimension, n, count, want)
     # [1, N // 2] on a ring, [1, floor(sqrt(D) * floor(L / 2))] on a D-torus
     argv = ["bound", "--method", "analytic", "--D", str(dimension), "--r-logspace", str(count)]
     cfg = cli._merge_config(cli._build_parser().parse_args(argv))
-    rows = cli._bound_task(dict(cfg, alpha=0.5, N=n))
+    rows, _ = cli._bound_task(dict(cfg, alpha=0.5, N=n))
     assert sorted({row[3] for row in rows}) == want
 
 
@@ -715,6 +734,32 @@ def test_workers_do_not_change_output(tmp_path, capsys):
     assert main(args + ["--out", str(b), "--workers", "3"]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(_rows(a.read_text())) == 2 * 2 * 2
+    # so does protocol, whose tasks also hand back their trajectory blocks
+    args = ["protocol", "--alpha", "0.3,0.8", "--N", "16,25"]
+    for k, table, plot in ((1, a, tmp_path / "a_trajectory.csv"), (3, b, tmp_path / "b_trajectory.csv")):
+        assert main(args + ["--out", str(table), "--plot-data", str(plot), "--workers", str(k)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "a_trajectory.csv").read_bytes() == (tmp_path / "b_trajectory.csv").read_bytes()
+    assert len(_rows(a.read_text())) == 2 * 2
+    assert len((tmp_path / "a_trajectory.csv").read_text().splitlines()) == 1 + 2 * 101 * (16 + 25)
+
+
+def test_pool_has_no_more_workers_than_tasks(capsys, monkeypatch):
+    """Under fork a pool starts all its workers at once, so --workers past the task count would only fork idle ones."""
+    sizes = []
+
+    class Pool(concurrent.futures.Executor):  # runs in this process and starts none
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    code, out = _run(capsys, ["protocol", "--alpha", "0.3,0.8", "--N", "7", "--workers", "64"])
+    assert code == 0
+    assert sizes == [2]
+    assert len(_rows(out)) == 2
 
 
 def _fresh_python(args: list[str], **env: str) -> bytes:
@@ -1072,18 +1117,18 @@ _TRAJECTORY = ("N", "alpha", "time", "site", "prob")
 
 
 def _tables(argv):
-    """(columns, rows) of each table a command writes, from its row builders.
+    """(columns, rows) of each table a command writes, from its tasks: one row tuple per line.
 
     The protocol's trajectory blocks are expanded into the (N, alpha, time,
     site, prob) rows they stand for.
     """
     cfg = cli._merge_config(cli._build_parser().parse_args(argv))
     command = cfg["command"]
-    if command in cli.SWEEPS:
-        return [(cli.COLUMNS[command], cli._sweep(cfg))]
     if command == "fit":
         return [(cli.COLUMNS[command], cli._cmd_fit(cfg))]
-    rows, blocks = cli._cmd_protocol(cfg)
+    rows, blocks = cli._sweep(cfg)
+    if command != "protocol":
+        return [(cli.COLUMNS[command], rows)]
     trace_rows = [(*head, site, prob) for head, probs in blocks for site, prob in enumerate(probs)]
     return [(cli.COLUMNS[command], rows), (_TRAJECTORY, trace_rows)]
 
@@ -1097,6 +1142,8 @@ _SHAPES = {
                         "--t", "0.1,1", "--t-unit", "inv_lambda"],
     "bound_saturated": ["bound", "--method", "exact_sum", "--N", "16,32", "--r", "1", "--t", "1000"],
     "bound_envelope": ["bound", "--method", "envelope", "--alpha", "0.2,0.8", "--N", "64"],
+    "bound_analytic_open": ["bound", "--method", "analytic", "--boundary", "open", "--D", "2", "--N", "64",
+                            "--r-logspace", "4", "--t", "0.1"],
     "signaling_analytic": ["signaling", "--method", "analytic", "--N", "64", "--r", "1,N/2", "--kac"],
     "signaling_exact_sum": ["signaling", "--method", "exact_sum", "--N", "128", "--r", "1,N/2"],
     "signaling_many_site": ["signaling", "--method", "many_site", "--N", "64"],
@@ -1109,14 +1156,14 @@ _SHAPES = {
 
 @pytest.mark.parametrize("argv", _SHAPES.values(), ids=_SHAPES)
 def test_csv_lines_match_the_per_cell_rule(argv, tmp_path, monkeypatch, capsys):
+    """Each table's file, past the config line, is one line per row by the per-cell rule; the trajectory too."""
     monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "table.csv"]) == 0
+    written = {path: (tmp_path / path).read_text().splitlines(keepends=True) for path in ("table.csv", "trajectory.csv")
+               if (tmp_path / path).exists()}
     for columns, rows in _tables(argv):
-        assert rows
-        if columns == _TRAJECTORY:  # written by block: the lines of the file the CLI writes
-            assert main(argv) == 0
-            lines = (tmp_path / "trajectory.csv").read_text().splitlines(keepends=True)
-        else:
-            lines = list(cli._csv(columns, rows))
+        assert rows and all(isinstance(row, tuple) and len(row) == len(columns) for row in rows)
+        lines = written["trajectory.csv"] if columns == _TRAJECTORY else written["table.csv"][1:]
         assert lines == [_reference_line(r) for r in chained([columns], rows)]
 
 
@@ -1360,7 +1407,7 @@ def test_csv_runs_of_blocks_of_one_length_share_one_unique(monkeypatch):
 
 def test_protocol_blocks_are_the_trajectorys_float64_rows():
     cfg = cli._merge_config(cli._build_parser().parse_args(["protocol", "--N", "7", "--plot-data", "x.csv"]))
-    _, blocks = cli._cmd_protocol(cfg)
+    _, blocks = cli._protocol_task(dict(cfg, alpha=0.5, N=7))
     assert len(blocks) == 101
     assert all(isinstance(p, np.ndarray) and p.dtype == np.float64 and p.shape == (7,) for _, p in blocks)
 
