@@ -1,6 +1,6 @@
 """Lieb-Robinson-type bounds and signaling times for strongly long-range lattices."""
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # the one version: pyproject.toml reads it from here
 
 from .analysis import FitResult, fit_model
 from .bounds import (
@@ -61,55 +61,6 @@ from .signaling import (
     signaling_time_analytic,
 )
 
-__all__ = [
-    "__version__",
-    "BoundPrefactor",
-    "BoundValue",
-    "CouplingModel",
-    "FitResult",
-    "FourierSpectrum",
-    "HopParameters",
-    "HopSchedule",
-    "LatticeSpec",
-    "NoCrossingError",
-    "ProtocolResult",
-    "ReproducibilityReport",
-    "Segment",
-    "SignalingTime",
-    "SingleParticleHamiltonian",
-    "UNIT_PREFACTOR",
-    "analytic_bound",
-    "chain",
-    "commutator_amplitude",
-    "coupling",
-    "coupling_matrix",
-    "coupling_row",
-    "distance",
-    "distances_from",
-    "evolve",
-    "exact_sum_bound",
-    "exact_sum_bound_alpha0_closed_form",
-    "exact_sum_signaling_time",
-    "fit_model",
-    "fourier_spectrum",
-    "free_particle_bound",
-    "free_particle_envelope",
-    "ising_exact_oracle",
-    "ising_signal",
-    "ising_signaling_time",
-    "lambda_upper_bound",
-    "many_site_bound",
-    "many_site_signaling_time",
-    "reproducibility_check",
-    "ring",
-    "row_sums",
-    "schedule_from_hamiltonian",
-    "self_hop_lambda",
-    "series_oracle",
-    "signaling_contour",
-    "signaling_time_analytic",
-    "site_hop_strength",
-    "state_transfer_protocol",
-    "surface_area_constant",
-    "trajectory",
-]
+# The public names are the classes, functions and constants the imports above bind: every
+# object defined in a module of this package. The submodules those imports bind are left out.
+__all__ = ["__version__", *sorted(n for n, v in globals().items() if getattr(v, "__module__", "").startswith("lr_horizon."))]

@@ -325,9 +325,9 @@ def _cmd_fit(cfg: dict) -> list[tuple]:
     if not cfg["input"]:
         raise ValueError("fit requires --input pointing at a table written by this tool")
     records = _read_table(cfg["input"])
-    value_col = next((c for c in ("t_star", "value", "lambda", "T", "t") if c in records[0]), None)
+    value_col = next((c for c in ("t_star", "value", "lambda", "T") if c in records[0]), None)
     if value_col is None:
-        raise ValueError("input table has no fittable column (t_star/value/lambda/T/t)")
+        raise ValueError("input table has no fittable column (t_star/value/lambda/T)")
     if "N" not in records[0]:
         raise ValueError("input table has no N column")
     groups: dict[tuple, list[tuple[float, float]]] = {}
@@ -336,6 +336,10 @@ def _cmd_fit(cfg: dict) -> list[tuple]:
         groups.setdefault(key, []).append((float(rec["N"]), float(rec[value_col])))
     rows = []
     for (alpha, r_spec), pts in sorted(groups.items()):
+        ns = sorted(n for n, _ in pts)
+        repeated = [n for n, m in zip(ns, ns[1:]) if n == m]  # rows that differ in another column: more than one curve
+        if repeated:
+            raise ValueError(f"fit group alpha={alpha!r}, r_spec={r_spec!r} holds N={repeated[0]:.17g} more than once; a group needs distinct N")
         fit = fit_model(cfg["model"], pts)
         # coefficients, their SEs and CI95 half-widths, each padded to three cells
         cells = [x for xs in (fit.coefficients, fit.standard_errors, fit.ci95) for x in (*xs, "", "", "")[:3]]
@@ -457,7 +461,9 @@ def _write_output(cfg: dict, columns: tuple, rows: list[tuple], blocks: list[tup
     digest = hashlib.sha256(json.dumps(hashable, sort_keys=True, default=str).encode()).hexdigest()
     header = f"# lr-horizon v{__version__} config={digest[:12]} method={cfg.get('method', cfg['command'])}"
     if cfg["fmt"] == "json":
-        lines = [json.dumps([dict(zip(columns, row)) for row in rows], indent=2, default=str) + "\n"]
+        # a non-finite float as the CSV writes it ("inf"), since JSON has no such number
+        cells = [{c: "%.17g" % v if isinstance(v, float) and not math.isfinite(v) else v for c, v in zip(columns, row)} for row in rows]
+        lines = [json.dumps(cells, indent=2, default=str) + "\n"]
     else:
         lines = chain([header + "\n"], _csv(columns, rows))
     if cfg["out"]:

@@ -239,16 +239,16 @@ class FourierSpectrum:
     between threads.
     """
 
-    def __init__(self, omega: np.ndarray, n_sites: int, alpha: float, lam: float, a: int = 1) -> None:
+    def __init__(self, omega: np.ndarray, n_sites: int, alpha: float, lam: float) -> None:
         n, size = n_sites, n_sites // 2 + 1
-        if a == 1:  # the N // 2 + 1 entries in natural order, copied into rows of C
+        if omega.ndim == 1:  # the N // 2 + 1 entries in natural order, copied into rows of C
             columns = min(size, _WEIGHT_COLUMNS)
             self._table = np.zeros((-(-size // columns), columns))
             self._table.reshape(-1)[:size] = omega
             self._sides = (columns * np.arange(len(self._table)), n), (np.arange(columns), n)
             self._pad, half = slice(size, None), divmod(n // 2, columns)
-        else:  # B is odd, so only row 0 holds mirror pairs: (0, i) and (0, A - i)
-            b = n // a
+        else:  # the split's (B // 2 + 1) x A grid; B is odd, so only row 0 holds mirror pairs: (0, i) and (0, A - i)
+            a, b = omega.shape[1], n // omega.shape[1]
             self._table = omega
             self._sides = (np.arange(b // 2 + 1) * pow(a, -1, b) % b, b), (np.arange(a) * pow(b, -1, a) % a, a)
             self._pad, half = slice(a // 2 + 1, a), (0, a // 2)
@@ -307,6 +307,8 @@ class FourierSpectrum:
         Each r's tables come from the last-r cache, before the saturation test, so an r off the ring raises at
         every t. Each block's exponentials are made once per finite t, and each sum adds its parts in block order.
         """
+        for t in times:  # every t, a saturating one too, must be finite and >= 0
+            _check_time(t)
         tables = []
         for r in rs:
             if r != self._r:
@@ -408,7 +410,7 @@ def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
     p, b = _largest_prime_power(n_sites)
     a = n_sites // b
     if a == 1 or (p < _SPLIT_MIN_PRIME and min(a, b) < 16):
-        omega, a = np.fft.rfft(seq).real, 1
+        omega = np.fft.rfft(seq).real
         del seq  # before the table copy
     else:
         grid = _half_rows(seq, a, b)
@@ -416,7 +418,7 @@ def fourier_spectrum(n_sites: int, alpha: float) -> FourierSpectrum:
         grid = np.fft.rfft(grid, axis=1)
         grid = np.conjugate(grid.T, out=np.empty(grid.T.shape, complex))  # C order: the columns run contiguous
         omega = np.fft.irfft(grid, n=a, axis=1, norm="forward")
-    return FourierSpectrum(omega, n_sites, alpha, lam, a)
+    return FourierSpectrum(omega, n_sites, alpha, lam)
 
 
 def spectrum_for(n_sites: int, alpha: float, spectrum: FourierSpectrum | None = None) -> FourierSpectrum:

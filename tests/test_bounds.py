@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from lr_horizon import (
     analytic_bound,
     exact_sum_bound,
     exact_sum_bound_alpha0_closed_form,
+    exact_sum_signaling_time,
     fourier_spectrum,
     free_particle_bound,
     free_particle_envelope,
@@ -53,8 +55,12 @@ def test_prefactor_rejects_non_finite(field, bad):
         lambda t: analytic_bound(RING4_ALPHA1, 2.0, t),
         lambda t: exact_sum_bound_alpha0_closed_form(16, t),
         lambda t: many_site_bound(ring(8), CouplingModel(alpha=0.5), [0], [3], t),
+        lambda t: fourier_spectrum(16, 0.5).series(2, t),
+        lambda t: fourier_spectrum(16, 0.5).series_and_slope(2, t),
+        lambda t: fourier_spectrum(16, 0.5).declare_grid([2], [0.1, t]),
     ],
-    ids=["exact_sum", "exact_sum_spectrum", "analytic", "alpha0_closed_form", "many_site"],
+    ids=["exact_sum", "exact_sum_spectrum", "analytic", "alpha0_closed_form", "many_site",
+         "spectrum_series", "spectrum_series_and_slope", "spectrum_grid"],
 )
 def test_bounds_reject_non_finite_or_negative_time(evaluate, t):
     with pytest.raises(ValueError, match="t must be finite and >= 0"):
@@ -121,10 +127,18 @@ def test_exact_sum_bound_accepts_precomputed_spectrum():
     assert cached.value == direct.value
 
 
-def test_exact_sum_bound_spectrum_mismatch_rejected():
-    spectrum = fourier_spectrum(16, 0.5)
-    with pytest.raises(ValueError):
-        exact_sum_bound(16, 1.0, 4, 0.2, spectrum=spectrum)
+@pytest.mark.parametrize("n,alpha", [(32, 0.5), (16, 1.0)], ids=["N", "alpha"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda n, alpha, spectrum: exact_sum_bound(n, alpha, 4, 0.2, spectrum=spectrum),
+        lambda n, alpha, spectrum: exact_sum_signaling_time(n, alpha, 4, 1.0, spectrum=spectrum),
+    ],
+    ids=["exact_sum_bound", "exact_sum_signaling_time"],
+)
+def test_a_spectrum_of_another_n_or_alpha_is_rejected(evaluate, n, alpha):
+    with pytest.raises(ValueError, match=re.escape("spectrum was computed for different (N, alpha)")):
+        evaluate(n, alpha, fourier_spectrum(16, 0.5))
 
 
 @pytest.mark.parametrize("r", [0, -3, 9, 100, math.nan, 2.5])

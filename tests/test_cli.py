@@ -391,6 +391,13 @@ def test_pair_weight_underflow_exit2(tmp_path, capsys, argv):
     assert "alpha = 1000.0, separation 4.0" in _exit2(tmp_path, capsys, argv)
 
 
+@pytest.mark.parametrize("method", ["analytic", "exact_sum"])
+def test_negative_time_exit2(tmp_path, capsys, method):
+    """A negative t is invalid input on both routes, the analytic bound and the series grid, not a solver failure."""
+    argv = ["bound", "--method", method, "--N", "16", "--r", "1", "--t", "0.1,-1"]
+    assert _exit2(tmp_path, capsys, argv) == "invalid input: t must be finite and >= 0, got -1.0\n"
+
+
 def _exit2(tmp_path, capsys, argv, config=None):
     """Run ``argv`` (with ``config`` as its --config file) and return stderr; it must exit 2."""
     if config is not None:
@@ -574,11 +581,23 @@ def test_fit_unknown_model_exit2(tmp_path, capsys):
 
 
 # A table with no N column, one with a short data line (line 3, after the
-# header line 1 and a full row), and one with a header and no rows.
+# header line 1 and a full row), and one with a header and no rows. A bound
+# table has no r_spec, so its two r fall in one group and repeat each N; an
+# ising-oracle table's only time is its input t, which is no value to fit.
 _MALFORMED = {
     "no_N_column": ("alpha,t_star\n0.5,1.0\n0.5,0.5\n0.5,0.25\n", "input table has no N column"),
     "short_line": ("N,alpha,t_star\n10,0.5,1.0\n100,0.5\n1000,0.5,0.25\n", "line 3 of {} has 2 cells, its header 3"),
     "header_only": ("# lr-horizon v0.1.0 config=0 method=analytic\nN,alpha,t_star\n", "no rows in {}"),
+    "bound_two_r": (
+        "method,N,alpha,r,t,value\n" + "".join(f"analytic,{n},0.5,{r},0.001,{v}\n" for n, r, v in
+                                               [(100, 1, 0.004), (100, 50, 6e-4), (1000, 1, 0.005),
+                                                (1000, 500, 2e-4), (10000, 1, 0.007), (10000, 5000, 1e-4)]),
+        "fit group alpha='0.5', r_spec='' holds N=100 more than once; a group needs distinct N",
+    ),
+    "ising_oracle": (
+        "N,alpha,i,t,oracle,closed_form,abs_error\n" + "".join(f"{n},0.5,0,0.1,0.5,0.5,0\n" for n in (4, 6, 8, 10)),
+        "input table has no fittable column (t_star/value/lambda/T)",
+    ),
 }
 
 
@@ -673,6 +692,19 @@ def test_json_format(capsys):
     assert code == 0
     records = json.loads(out)
     assert records[0]["lambda"] == 9.0
+
+    # RFC 8259 has no Infinity: a saturated value is the CSV's text "inf", and a strict parser reads the table.
+    def strict(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    argv = ["bound", "--method", "exact_sum", "--N", "16", "--r", "1", "--t", "0.1,1000"]
+    code, out = _run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    values = [record["value"] for record in json.loads(out, parse_constant=strict)]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert values[1] == "inf" == _rows(out)[1]["value"]
+    assert values[0] == float(_rows(out)[0]["value"])
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -1011,8 +1043,10 @@ def test_fit_header_hashes_the_table_bytes_not_its_path(tmp_path, fit_tables):
     assert main(["fit", "--input", str(here), "--out", str(outs[0])]) == 0
     assert main(["fit", "--input", str(there), "--out", str(outs[1])]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
-    # The same path, one data row written twice: the header names a new table.
-    here.write_text(here.read_text() + here.read_text().splitlines()[-1] + "\n")
+    # The same path, the last value doubled: the header names a new table.
+    *lines, last = here.read_text().splitlines()
+    *cells, value = last.split(",")
+    here.write_text("\n".join([*lines, ",".join([*cells, repr(2 * float(value))])]) + "\n")
     assert main(["fit", "--input", str(here), "--out", str(outs[2])]) == 0
     assert outs[2].read_text().splitlines()[0] != outs[0].read_text().splitlines()[0]
 

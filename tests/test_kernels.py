@@ -446,7 +446,7 @@ def test_cosine_weights_match_integer_reduced_long_double_angles(n):
     b = _largest_prime_power(n)[1]
     layouts = [FourierSpectrum(np.zeros(n // 2 + 1), n, 0.5, 1.0)]  # the weights depend on (N, r) and the layout only
     if n > b:
-        layouts.append(FourierSpectrum(np.zeros((b // 2 + 1, n // b)), n, 0.5, 1.0, n // b))
+        layouts.append(FourierSpectrum(np.zeros((b // 2 + 1, n // b)), n, 0.5, 1.0))
     for spectrum in layouts:
         modes = _modes(spectrum)
         assert np.array_equal(np.sort(modes[modes >= 0]), np.arange(n // 2 + 1))  # one entry per mode, the rest pad
