@@ -11,7 +11,11 @@ Each segment of a ``SingleParticleHamiltonian`` is decomposed once, on
 first use, in float64 when its ``hop`` and ``onsite`` are real, and
 every later ``evolve`` or ``trajectory`` on that Hamiltonian reuses the
 result; a segment's ``hop`` and ``onsite`` arrays must not be mutated
-after that. ``trajectory`` evolves all sampled times inside one segment
+after that. A segment whose input shows it is a star -- a real ``hop``,
+no ``onsite``, a zero diagonal and every nonzero entry in row or column
+c, with ``hop[:, c] == hop[c]`` exactly, as both transfer-protocol
+stages are -- is decomposed in closed form; every other segment by
+``eigh``. ``trajectory`` evolves all sampled times inside one segment
 by one matrix product. ``ising_exact_oracle`` keeps one entry: the
 t-independent state of the last (spec, model, i) it was called with.
 """
@@ -25,6 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bounds import HopSchedule, free_particle_bound
+from .kernels import _check_time
 from .lattice import CouplingModel, LatticeSpec, coupling_matrix
 
 EVOLVE_MAX_SITES = 4096
@@ -76,16 +81,59 @@ class SingleParticleHamiltonian:
 
     @cached_property
     def eigensystems(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """(w, v, v.conj()) from ``eigh`` of each segment's real or complex matrix, computed once, on first use."""
-        return tuple((w, v, v.conj()) for w, v in map(np.linalg.eigh, map(_segment_matrix, self.segments)))
+        """(w, v, v.conj()) of each segment, computed once, on first use.
+
+        A segment whose input shows it is a star (a real ``hop``, no ``onsite``, and the
+        pattern ``_star_eigh`` checks) is decomposed in closed form; every other segment by
+        ``eigh`` of its real or complex matrix.
+        """
+        return tuple((w, v, v.conj()) for w, v in map(_decompose, self.segments))
 
 
-def _segment_matrix(seg: Segment) -> np.ndarray:
+def _decompose(seg: Segment) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(seg.hop)
     h = np.asarray(h, dtype=float if np.isrealobj(h) else complex)
     if seg.onsite is not None:
         h = h + np.diag(np.asarray(seg.onsite, dtype=float))
-    return h
+    elif h.dtype == float and (star := _star_eigh(h)) is not None:
+        return star
+    return np.linalg.eigh(h)
+
+
+def _star_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(w, v) of a real star ``h`` in closed form, or None if ``h`` is no star.
+
+    With h[:, c] == h[c] exactly and h[c, c] == 0, row and column c hold 2 nnz(h[c])
+    nonzeros, so ``h`` is a star when it has no more. With b = h[c], its eigenpairs are
+    +-|b| with vectors (e_c +- b/|b|) / sqrt(2), and 0 on {e_c, b}^perp. The Householder
+    reflector I - u u^T / u_j with u = e_j + sign(b_j) b/|b|, for one j != c (so
+    u_j >= 1), maps e_j onto -sign(b_j) b/|b| and fixes e_c, so its other columns span
+    {e_c, b}^perp; its columns c and j are replaced by the two eigenvectors. |b| is
+    scaled by max|b|, since the squares of the strengths may underflow.
+    """
+    n, nnz = len(h), np.count_nonzero(h)
+    if not 0 < nnz <= 2 * (n - 1):  # counted first, so a dense matrix allocates no index array
+        return None
+    c = int(np.argmax(np.bincount(np.flatnonzero(h) // n)))  # the row with the most nonzeros
+    b = h[c]
+    if 2 * np.count_nonzero(b) != nnz or b[c] != 0 or not np.array_equal(h[:, c], b):
+        return None
+    scale = np.abs(b).max()
+    unit = b / scale
+    length = np.linalg.norm(unit)
+    unit /= length
+    j = 1 if c == 0 else 0
+    u = unit * (1.0 if unit[j] >= 0 else -1.0)
+    u[j] += 1.0
+    v = np.outer(u, u / -u[j])
+    v.flat[:: n + 1] += 1.0
+    # Divided by sqrt(2): sqrt(0.5) rounds up, and its square biases the probabilities upward.
+    v[:, c] = unit / math.sqrt(2)
+    v[:, j] = -v[:, c]
+    v[c, c] = v[c, j] = 1 / math.sqrt(2)
+    w = np.zeros(n)
+    w[c], w[j] = scale * length, -scale * length
+    return w, v
 
 
 def _product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -314,8 +362,9 @@ def ising_exact_oracle(spec: LatticeSpec, model: CouplingModel, i: int, t: float
     A the raising operator at ``i`` and B the product of raising
     operators everywhere else.
 
-    The cap and the index are checked on every call; the t-independent
-    state comes from ``_ising_state``, built once per (spec, model, i).
+    The cap, the index and t (finite and >= 0) are checked on every call;
+    the t-independent state comes from ``_ising_state``, built once per
+    (spec, model, i).
 
     With raising operators defined as (sigma^x + i sigma^y)/2 the
     expectation is purely imaginary, i * sin(2 lambda_i t); the real
@@ -326,6 +375,7 @@ def ising_exact_oracle(spec: LatticeSpec, model: CouplingModel, i: int, t: float
     if n > ISING_ORACLE_MAX_SITES:
         raise ValueError(f"N = {n} exceeds dense oracle cap {ISING_ORACLE_MAX_SITES}")
     spec.check_index(i)
+    _check_time(t)
     energies, ghz, b_ghz, b_dag_ghz = _ising_state(spec, model, i)
     phases = np.exp(-1j * energies * t)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ def eigh_calls(monkeypatch):
 
 
 def test_trajectory_decomposes_each_segment_once(eigh_calls):
-    h1 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+    h1 = np.array([[0.0, 1.0, 0.2], [1.0, 0.0, 0.5], [0.2, 0.5, 0.0]])  # no star: (0, 2) is off row and column 1
     h2 = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 1.0], [0.3, 1.0, 0.0]])
     ham = SingleParticleHamiltonian(
         segments=(Segment(duration=0.5, hop=h1), Segment(duration=0.7, hop=h2, onsite=np.ones(3)))
@@ -217,11 +218,12 @@ def test_trajectory_decomposes_each_segment_once(eigh_calls):
 
 
 def test_protocol_and_its_trajectory_decompose_each_segment_once(eigh_calls):
+    """Both stages are stars, decomposed in closed form: no ``eigh`` at all."""
     res = state_transfer_protocol(16, 0.5)
     psi0 = np.zeros(16, dtype=complex)
     psi0[res.source] = 1.0
     trajectory(res.hamiltonian, psi0, np.linspace(0.0, res.total_time, 101))
-    assert len(eigh_calls) == 2
+    assert len(eigh_calls) == 0
 
 
 def _evolve_fresh(ham, psi, t):
@@ -270,7 +272,7 @@ def _star_probabilities(n, length, alpha, t, total_time):
     [(n, a, 1, n - 1) for n in (7, 128, 256) for a in (0.3, 0.8)] + [(64, 0.5, 2, 7 * math.sqrt(2))],
 )
 def test_protocol_trajectory_matches_the_star_closed_form(n, alpha, dimension, length):
-    """A test reference only: the oracle itself diagonalises the stage matrices numerically."""
+    """A test reference only: the oracle decomposes each stage star from its matrix (``_star_eigh``), not from this formula."""
     res = state_transfer_protocol(n, alpha, dimension)
     psi0 = np.zeros(n, dtype=complex)
     psi0[res.source] = 1.0
@@ -343,7 +345,85 @@ def test_trajectory_rejects_a_time_outside_the_schedule(fraction):
 def test_protocol_stages_are_decomposed_in_real_arithmetic(eigh_calls):
     res = state_transfer_protocol(16, 0.5)
     trajectory(res.hamiltonian, np.eye(16, dtype=complex)[res.source], np.linspace(0.0, res.total_time, 101))
-    assert [a.dtype for a in eigh_calls] == [np.float64, np.float64]
+    assert eigh_calls == []
+    assert [a.dtype for e in res.hamiltonian.eigensystems for a in e] == [np.float64] * 6
+
+
+def _random_star(rng, n, scale):
+    """(hop, c): a real star on n sites, its centre c joined by signed weights, some of them zero."""
+    c = int(rng.integers(n))
+    b = scale * rng.normal(size=n) * (rng.random(n) > 0.2)
+    b[c] = 0.0
+    b[(c + 1) % n] = scale * rng.choice([-1.0, 1.0])  # at least one edge
+    hop = np.zeros((n, n))
+    hop[c], hop[:, c] = b, b
+    return hop, c
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160])
+def test_random_real_stars_evolve_as_a_fresh_eigh(eigh_calls, scale):
+    """Closed-form stars, whose squared strengths may underflow at 1e-160, against ``eigh`` of the same matrix."""
+    rng = np.random.default_rng(20261021)
+    for checked in range(40):
+        n = int(rng.integers(2, 41))
+        hop, _ = _random_star(rng, n, scale)
+        t = float(rng.uniform(0.1, 3.0)) / scale
+        ham = SingleParticleHamiltonian(segments=(Segment(duration=t, hop=hop),))
+        psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi0 /= np.linalg.norm(psi0)
+        psi = evolve(ham, psi0)
+        (_, v, _), = ham.eigensystems
+        assert len(eigh_calls) == checked  # only the references' calls
+        np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-13)
+        w_ref, v_ref = np.linalg.eigh(hop)
+        np.testing.assert_allclose(psi, v_ref @ (np.exp(-1j * w_ref * t) * (v_ref.T @ psi0)), rtol=0, atol=1e-13)
+
+
+def test_a_dense_matrix_is_no_star_before_any_index_array():
+    """The nonzero count rules a dense matrix out first: no N x N (or nnz-long) temporary."""
+    h = np.random.default_rng(1).normal(size=(512, 512))
+    h += h.T
+    tracemalloc.start()
+    try:
+        assert dynamics._star_eigh(h) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h[0].nbytes
+
+
+def _near_star(variant, rng, n=9):
+    """(hop, onsite): a real star on n sites, changed by ``variant`` so that it is no closed-form star."""
+    hop, c = _random_star(rng, n, 1.0)
+    i, j = [k for k in range(n) if k != c][:2]
+    leaf = int(np.flatnonzero(hop[c])[0])
+    if variant == "complex":
+        return hop.astype(complex), None
+    if variant == "onsite":
+        return hop, rng.normal(size=n)
+    if variant == "off_row":
+        hop[i, j] = hop[j, i] = 0.25
+    elif variant == "diagonal":  # the nonzero count is a star's: only the zero diagonal rules it out
+        hop[c, c] = hop[i, i] = 0.25
+    elif variant == "inexact":  # Hermitian to one ulp, not exactly
+        hop[leaf, c] = np.nextafter(hop[c, leaf], math.inf)
+    elif variant == "zero":
+        hop[:] = 0.0
+    return hop, None
+
+
+@pytest.mark.parametrize("variant", ["complex", "onsite", "off_row", "diagonal", "inexact", "zero"])
+def test_near_stars_still_take_eigh_once_per_segment(eigh_calls, variant):
+    """Stars that are complex, have on-site fields, an entry off the centre's row, a nonzero
+    diagonal or a column not exactly the row, and a zero hop, are decomposed by ``eigh``."""
+    rng = np.random.default_rng(5)
+    segs = []
+    for _ in range(3):
+        hop, onsite = _near_star(variant, rng)
+        segs.append(Segment(duration=0.4, hop=hop, onsite=onsite))
+    ham = SingleParticleHamiltonian(segments=tuple(segs))
+    trajectory(ham, np.eye(9, dtype=complex)[2], np.linspace(0.0, ham.total_time, 11))
+    assert len(eigh_calls) == 3
 
 
 def test_ising_oracle_zero_time():
@@ -365,6 +445,12 @@ def test_ising_oracle_two_spins():
 def test_ising_oracle_size_cap():
     with pytest.raises(ValueError):
         ising_exact_oracle(ring(12), CouplingModel(alpha=1.0), 0, 0.1)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_ising_oracle_rejects_a_time_that_is_not_finite_and_non_negative(t):
+    with pytest.raises(ValueError, match="t must be finite and >= 0"):
+        ising_exact_oracle(ring(4), CouplingModel(alpha=1.0), 0, t)
 
 
 def _fresh_oracle(spec, model, i, t):
