@@ -14,10 +14,11 @@ result; a segment's ``hop`` and ``onsite`` arrays must not be mutated
 after that. A segment whose input shows it is a star -- a real ``hop``,
 no ``onsite``, a zero diagonal and every nonzero entry in row or column
 c, with ``hop[:, c] == hop[c]`` exactly, as both transfer-protocol
-stages are -- is decomposed in closed form; every other segment by
-``eigh``. ``trajectory`` evolves all sampled times inside one segment
-by one matrix product. ``ising_exact_oracle`` keeps one entry: the
-t-independent state of the last (spec, model, i) it was called with.
+stages are -- keeps only its two nonzero eigenpairs, in closed form;
+its zero eigenspace is never formed. Every other segment is decomposed
+by ``eigh``. ``trajectory`` evolves all sampled times inside one
+segment by one matrix product. ``ising_exact_oracle`` keeps one entry:
+the t-independent state of the last (spec, model, i) it was called with.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ class SingleParticleHamiltonian:
             h = np.asarray(seg.hop)
             if h.shape != (n, n):
                 raise ValueError("all segments must share one site count")
-            scale = max(1.0, float(np.abs(h).max()))
-            if float(np.abs(h - h.conj().T).max()) > HERMITICITY_TOL * scale:
-                raise ValueError("segment hop matrix is not Hermitian")
+            scale = max(1.0, float(np.abs(h).max()))  # inf fails on the scale, NaN on its NaN error
+            if not (scale < math.inf and float(np.abs(h - h.conj().T).max()) <= HERMITICITY_TOL * scale):
+                raise ValueError("segment hop matrix is not finite and Hermitian")
+            if seg.onsite is not None and not (np.shape(seg.onsite) == (n,) and np.isfinite(seg.onsite).all()):
+                raise ValueError(f"segment onsite fields must be {n} finite values")
 
     @property
     def n_sites(self) -> int:
@@ -84,8 +87,9 @@ class SingleParticleHamiltonian:
         """(w, v, v.conj()) of each segment, computed once, on first use.
 
         A segment whose input shows it is a star (a real ``hop``, no ``onsite``, and the
-        pattern ``_star_eigh`` checks) is decomposed in closed form; every other segment by
-        ``eigh`` of its real or complex matrix.
+        pattern ``_star_eigh`` checks) keeps its two nonzero eigenpairs, of shapes (2,) and
+        (N, 2); every other segment the whole eigensystem from ``eigh`` of its real or
+        complex matrix, of shapes (N,) and (N, N).
         """
         return tuple((w, v, v.conj()) for w, v in map(_decompose, self.segments))
 
@@ -101,15 +105,13 @@ def _decompose(seg: Segment) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _star_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(w, v) of a real star ``h`` in closed form, or None if ``h`` is no star.
+    """The two nonzero eigenpairs (w, v) of a real star ``h``, or None if ``h`` is no star.
 
     With h[:, c] == h[c] exactly and h[c, c] == 0, row and column c hold 2 nnz(h[c])
-    nonzeros, so ``h`` is a star when it has no more. With b = h[c], its eigenpairs are
-    +-|b| with vectors (e_c +- b/|b|) / sqrt(2), and 0 on {e_c, b}^perp. The Householder
-    reflector I - u u^T / u_j with u = e_j + sign(b_j) b/|b|, for one j != c (so
-    u_j >= 1), maps e_j onto -sign(b_j) b/|b| and fixes e_c, so its other columns span
-    {e_c, b}^perp; its columns c and j are replaced by the two eigenvectors. |b| is
-    scaled by max|b|, since the squares of the strengths may underflow.
+    nonzeros, so ``h`` is a star when it has no more. With b = h[c], w = (|b|, -|b|) and
+    the N x 2 v has columns (e_c +- b/|b|) / sqrt(2); the rest of the spectrum is 0 on
+    {e_c, b}^perp, which never evolves and is never formed. |b| is scaled by max|b|,
+    since the squares of the strengths may underflow.
     """
     n, nnz = len(h), np.count_nonzero(h)
     if not 0 < nnz <= 2 * (n - 1):  # counted first, so a dense matrix allocates no index array
@@ -121,19 +123,10 @@ def _star_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     scale = np.abs(b).max()
     unit = b / scale
     length = np.linalg.norm(unit)
-    unit /= length
-    j = 1 if c == 0 else 0
-    u = unit * (1.0 if unit[j] >= 0 else -1.0)
-    u[j] += 1.0
-    v = np.outer(u, u / -u[j])
-    v.flat[:: n + 1] += 1.0
     # Divided by sqrt(2): sqrt(0.5) rounds up, and its square biases the probabilities upward.
-    v[:, c] = unit / math.sqrt(2)
-    v[:, j] = -v[:, c]
-    v[c, c] = v[c, j] = 1 / math.sqrt(2)
-    w = np.zeros(n)
-    w[c], w[j] = scale * length, -scale * length
-    return w, v
+    v = np.outer(unit / length, [1.0, -1.0]) / math.sqrt(2)
+    v[c] = 1 / math.sqrt(2)
+    return scale * length * np.array([1.0, -1.0]), v
 
 
 def _product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -145,7 +138,9 @@ def _states(ham: SingleParticleHamiltonian, psi0: np.ndarray, times) -> np.ndarr
     """The states at ``times``, one row each, by ``evolve``'s rules.
 
     Per segment: c = v^H psi once, then v @ (exp(-i w dt) * c) for the
-    times ending in it and the state carried on, all in one product.
+    times ending in it and the state carried on, all in one product. A
+    star's two eigenpairs (``len(w) < N``) give psi + v @ (expm1(-i w dt) * c)
+    instead: the part of psi orthogonal to its columns does not move.
     """
     psi = np.array(psi0, dtype=complex)
     if psi.shape != (ham.n_sites,):
@@ -166,7 +161,11 @@ def _states(ham: SingleParticleHamiltonian, psi0: np.ndarray, times) -> np.ndarr
         elif not rows.size:
             break
         coeff = _product(v_conj.T, out[-1][:, None])
-        out[rows] = _product(v, np.exp(-1j * np.multiply.outer(w, dt[rows])) * coeff).T
+        phase = -1j * np.multiply.outer(w, dt[rows])
+        if len(w) == psi.size:
+            out[rows] = _product(v, np.exp(phase) * coeff).T
+        else:
+            out[rows] = out[-1] + _product(v, np.expm1(phase) * coeff).T
     norm_in = float(np.linalg.norm(psi))
     if np.any(np.abs(np.linalg.norm(out, axis=1) - norm_in) > NORM_TOL * max(norm_in, 1.0)):
         raise RuntimeError("evolution failed to preserve the norm")
@@ -284,7 +283,7 @@ def state_transfer_protocol(n_sites: int, alpha: float, dimension: int = 1) -> P
     psi0 = np.zeros(n_sites, dtype=complex)
     psi0[source] = 1.0
 
-    mid_state = evolve(ham, psi0, total_time / 2)
+    mid_state, final = _states(ham, psi0, [total_time / 2, total_time])
     w_err = max(
         float(np.abs(np.abs(mid_state[middles]) - 1.0 / math.sqrt(m)).max()),
         float(abs(mid_state[source])),
@@ -293,7 +292,6 @@ def state_transfer_protocol(n_sites: int, alpha: float, dimension: int = 1) -> P
     if w_err > W_STATE_TOL:
         raise RuntimeError(f"intermediate state deviates from the W state by {w_err:.3e}")
 
-    final = evolve(ham, psi0)
     fidelity = float(np.abs(final[target]))
     amplitude = fidelity
     schedule = schedule_from_hamiltonian(ham, source)

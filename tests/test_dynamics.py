@@ -68,6 +68,25 @@ def test_non_hermitian_rejected():
         _single(hop)
 
 
+@pytest.mark.parametrize("entries", [(math.nan, math.nan), (math.inf, math.inf), (math.inf, 1.0), (math.nan, 0.0)])
+def test_non_finite_hop_rejected(entries):
+    """A NaN or inf hop entry, mirrored or not, fails the check rather than evolving to NaN."""
+    hop = np.zeros((4, 4))
+    hop[0, 1] = hop[1, 0] = 1.0
+    hop[2, 3], hop[3, 2] = entries
+    with pytest.raises(ValueError, match="not finite and Hermitian"):
+        _single(hop)
+
+
+@pytest.mark.parametrize("onsite", [[0.0, math.nan, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0], [5.0], 5.0])
+def test_onsite_fields_that_are_not_n_finite_values_rejected(onsite):
+    """A length-1 onsite would broadcast onto every hop entry; a NaN or inf one would evolve to NaN."""
+    hop = np.zeros((4, 4))
+    hop[0, 1] = hop[1, 0] = 1.0
+    with pytest.raises(ValueError, match="onsite fields must be 4 finite values"):
+        _single(hop, onsite=np.array(onsite))
+
+
 def test_nonpositive_duration_rejected():
     with pytest.raises(ValueError):
         _single(np.zeros((2, 2)), duration=0.0)
@@ -374,9 +393,35 @@ def test_random_real_stars_evolve_as_a_fresh_eigh(eigh_calls, scale):
         psi = evolve(ham, psi0)
         (_, v, _), = ham.eigensystems
         assert len(eigh_calls) == checked  # only the references' calls
-        np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-13)
+        assert v.shape == (n, 2)
+        np.testing.assert_allclose(v.T @ v, np.eye(2), rtol=0, atol=1e-13)
         w_ref, v_ref = np.linalg.eigh(hop)
         np.testing.assert_allclose(psi, v_ref @ (np.exp(-1j * w_ref * t) * (v_ref.T @ psi0)), rtol=0, atol=1e-13)
+
+
+def test_random_stars_leave_every_site_off_the_star_untouched():
+    """Amplitudes outside supp(b) and the centre c come back bit for bit: the zero eigenspace never evolves."""
+    rng = np.random.default_rng(20261022)
+    for _ in range(50):
+        n = int(rng.integers(3, 41))
+        hop, c = _random_star(rng, n, 1.0)
+        ham = SingleParticleHamiltonian(segments=(Segment(duration=float(rng.uniform(0.1, 3.0)), hop=hop),))
+        psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        off = hop[c] == 0
+        off[c] = False
+        assert np.array_equal(evolve(ham, psi0)[off], psi0[off])
+
+
+def test_a_star_is_decomposed_in_less_than_one_n_by_n_array():
+    hop, _ = _random_star(np.random.default_rng(2), 512, 1.0)
+    tracemalloc.start()
+    try:
+        w, v = dynamics._star_eigh(hop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (w.shape, v.shape) == ((2,), (512, 2))
+    assert peak < hop.nbytes
 
 
 def test_a_dense_matrix_is_no_star_before_any_index_array():
